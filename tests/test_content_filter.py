@@ -1,5 +1,7 @@
 """Blur scoring against a naive oracle and rejection-rule precedence."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,21 @@ def laplacian_variance_oracle(image) -> float:
     return sum((v - mean) ** 2 for v in responses) / len(responses)
 
 
+def laplacian_variance_exact(image) -> float:
+    """Integer Laplacian sums and one correctly rounded division, in pure Python."""
+    img = [[int(v) for v in row] for row in image]
+    rows, cols = len(img), len(img[0])
+    n = s1 = s2 = 0
+    for r in range(1, rows - 1):
+        above, row, below = img[r - 1], img[r], img[r + 1]
+        for c in range(1, cols - 1):
+            v = above[c] + below[c] + row[c - 1] + row[c + 1] - 4 * row[c]
+            n += 1
+            s1 += v
+            s2 += v * v
+    return float(Fraction(n * s2 - s1 * s1, n * n))
+
+
 class TestVarianceOfLaplacian:
     def test_constant_image_is_exactly_zero(self):
         for size in ((3, 3), (5, 8), (64, 64)):
@@ -51,6 +68,22 @@ class TestVarianceOfLaplacian:
             got = variance_of_laplacian(img)
             want = laplacian_variance_oracle(img)
             assert got == pytest.approx(want, rel=1e-9)
+
+    def test_uint8_is_exact_and_correctly_rounded(self, rng):
+        images = [
+            rng.integers(0, 256, size=(int(rng.integers(3, 81)), int(rng.integers(3, 81))), dtype=np.uint8)
+            for _ in range(60)
+        ]
+        checkerboard = ((np.indices((480, 640)).sum(axis=0) % 2) * 255).astype(np.uint8)
+        images += [
+            np.full((480, 640), 200, dtype=np.uint8),
+            rng.integers(0, 256, size=(480, 640), dtype=np.uint8),
+            checkerboard,
+        ]
+        for img in images:
+            assert variance_of_laplacian(img) == laplacian_variance_exact(img)
+        # Every response is +-1020, the extreme the int16 kernel must hold.
+        assert variance_of_laplacian(checkerboard) == 1040400.0
 
     def test_rejects_tiny_images(self):
         with pytest.raises(ImageTooSmall):
@@ -164,6 +197,16 @@ class TestClassifyFrame:
         noisy = rng.integers(0, 256, size=(32, 32), dtype=np.uint8)
         assert classify_frame(rec, image=noisy) is None
 
+    def test_people_absent_without_score_still_checks_the_image(self):
+        rec = frame(3, 0.0, lm=None, blur=None)
+        with pytest.raises(MissingBlurScore):
+            classify_frame(rec, image=None)
+        with pytest.raises(ImageTooSmall):
+            classify_frame(rec, image=np.zeros((2, 2), dtype=np.uint8))
+        with pytest.raises(ValueError):
+            classify_frame(rec, image=np.zeros((8, 8, 3), dtype=np.uint8))
+        assert classify_frame(rec, image=np.zeros((8, 8), dtype=np.uint8)) is IllPosedReason.PEOPLE_ABSENT
+
 
 class TestFilterFrames:
     def test_empty_input(self):
@@ -188,6 +231,25 @@ class TestFilterFrames:
         assert report.rejected_by_reason[IllPosedReason.PEOPLE_ABSENT] == 2
         assert report.rejected_by_reason[IllPosedReason.BLURRED] == 1
         assert report.rejected_by_reason[IllPosedReason.EYES_INVISIBLE] == 1
+
+    def test_image_provider_called_only_for_frames_without_a_score(self, rng):
+        frames = [
+            frame(0, 0.0, lm=centered_person(), blur=500.0),
+            frame(1, 1.0, lm=centered_person(), blur=None),
+            frame(2, 2.0, lm=None, blur=500.0),
+            frame(3, 3.0, lm=None, blur=None),
+            frame(4, 4.0, lm=centered_person(), blur=10.0),
+            frame(5, 5.0, lm=centered_person(), blur=None),
+        ]
+        requested = []
+
+        def provider(rec):
+            requested.append(rec.frame_id)
+            return rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
+
+        _, report = filter_frames(frames, images=provider)
+        assert requested == [1, 3, 5]
+        assert report.total == 6
 
     def test_report_must_balance(self):
         with pytest.raises(ValueError):
