@@ -14,15 +14,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import ImageTooSmall, MissingBlurScore
-from .model import (
-    EYE_INDICES,
-    NECK,
-    NOSE,
-    FrameRecord,
-    IllPosedReason,
-    LandmarkPoint,
-    LandmarkSet,
-)
+from .model import EYE_INDICES, NECK, NOSE, FrameRecord, IllPosedReason, confident_subset
 
 #: Provider of grayscale pixels for frames lacking a precomputed blur score.
 ImageProvider = Callable[[FrameRecord], "np.ndarray | None"]
@@ -128,17 +120,6 @@ def _laplacian_variance(img: np.ndarray) -> float:
     return float(np.mean((lap - mean) ** 2))
 
 
-def _visible_points(
-    lm: LandmarkSet | None, min_confidence: float
-) -> dict[int, LandmarkPoint]:
-    """Points that are present and at least ``min_confidence`` confident."""
-    if lm is None:
-        return {}
-    return {
-        i: p for i, p in enumerate(lm.points) if p is not None and p.confidence >= min_confidence
-    }
-
-
 def classify_frame(
     rec: FrameRecord,
     cfg: FilterConfig | None = None,
@@ -157,30 +138,31 @@ def classify_frame(
             raise MissingBlurScore(rec.frame_id)
         pixels = _checked_image(image)
 
-    visible = _visible_points(rec.landmarks, cfg.min_point_confidence)
-    if not visible:
+    visible = confident_subset(rec.landmarks, cfg.min_point_confidence)
+    if visible is None:
         return IllPosedReason.PEOPLE_ABSENT
     blur = rec.blur_variance if pixels is None else _laplacian_variance(pixels)
     if blur < cfg.blur_threshold:
         return IllPosedReason.BLURRED
 
-    ys = [p.y for p in visible.values()]
-    xs = [p.x for p in visible.values()]
+    present = [p for p in visible.points if p is not None]
+    ys = [p.y for p in present]
+    xs = [p.x for p in present]
     bbox_height = max(ys) - min(ys)
     if bbox_height < cfg.min_torso_fraction * rec.height:
         return IllPosedReason.TOO_SMALL
 
-    neck = visible.get(NECK)
+    neck = visible.points[NECK]
     center_x = neck.x if neck is not None else (min(xs) + max(xs)) / 2.0
     margin = cfg.corner_margin_fraction * rec.width
     if center_x <= margin or center_x >= rec.width - margin:
         return IllPosedReason.AT_CORNER
 
-    nose = visible.get(NOSE)
+    nose = visible.points[NOSE]
     if nose is not None and nose.y < cfg.forehead_margin_fraction * rec.height:
         return IllPosedReason.FOREHEAD_CROPPED
 
-    if not any(i in visible for i in EYE_INDICES):
+    if all(visible.points[i] is None for i in EYE_INDICES):
         return IllPosedReason.EYES_INVISIBLE
 
     return None

@@ -16,7 +16,17 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import InsufficientLandmarks, NoFacialLandmarks
-from .model import EYE_INDICES, FACIAL_INDICES, L_HIP, NECK, R_HIP, FrameRecord, LandmarkSet
+from .model import (
+    EYE_INDICES,
+    FACIAL_INDICES,
+    L_HIP,
+    NECK,
+    NOSE,
+    R_HIP,
+    FrameRecord,
+    LandmarkSet,
+    confident_subset,
+)
 
 #: Hard cap on a single rotation command, degrees.
 MAX_ROTATE_DEG = 30.0
@@ -152,26 +162,14 @@ class ActionCommand:
             raise ValueError("forward_m must be non-negative")
 
 
-def _confident_subset(lm: LandmarkSet | None, min_confidence: float) -> LandmarkSet | None:
-    """Drop points below the confidence floor; None when nothing survives."""
-    if lm is None:
-        return None
-    pts = tuple(
-        p if (p is not None and p.confidence >= min_confidence) else None for p in lm.points
-    )
-    if all(p is None for p in pts):
-        return None
-    return LandmarkSet(points=pts)
-
-
 def estimate_distance_m(lm: LandmarkSet, cfg: ControllerConfig) -> float:
     """Camera-to-person distance from torso pixel length.
 
     The torso length is the mean of the neck-to-hip pixel distances over
     the present hips; distance is calibration_alpha_px_m / torso_px.
     """
-    neck = lm.neck
-    hips = [p for p in (lm.r_hip, lm.l_hip) if p is not None]
+    neck = lm.points[NECK]
+    hips = [p for p in (lm.points[R_HIP], lm.points[L_HIP]) if p is not None]
     if neck is None or not hips:
         raise InsufficientLandmarks("need the neck and at least one hip")
     torso_px = sum(math.hypot(h.x - neck.x, h.y - neck.y) for h in hips) / len(hips)
@@ -188,7 +186,7 @@ def gaze_adjustment(
     Uses the nose when present, otherwise the centroid of the present
     facial points. Positive pitch tilts up.
     """
-    nose = lm.nose
+    nose = lm.points[NOSE]
     if nose is not None:
         ref_x, ref_y = nose.x, nose.y
     else:
@@ -207,9 +205,13 @@ def select_expression(
 ) -> Expression:
     """Facial expression for the state just entered and the current view."""
     cfg = cfg or ControllerConfig()
+    return _expression(state, confident_subset(obs.landmarks, cfg.min_point_confidence))
+
+
+def _expression(state: ControllerState, visible: LandmarkSet | None) -> Expression:
+    """:func:`select_expression` given the view's confident landmarks."""
     if state.mode is Mode.SEARCHING:
         return Expression.AWARE_LEFT if state.search_direction is Side.LEFT else Expression.AWARE_RIGHT
-    visible = _confident_subset(obs.landmarks, cfg.min_point_confidence)
     if visible is not None:
         if any(visible.points[i] is not None for i in EYE_INDICES):
             return Expression.ACTIVE
@@ -227,12 +229,13 @@ def _person_side(lm: LandmarkSet, width: int) -> Side:
     return Side.LEFT if center < width / 2.0 else Side.RIGHT
 
 
-def _noop(state: ControllerState, obs: Observation, cfg: ControllerConfig) -> ActionCommand:
+def _noop(state: ControllerState) -> ActionCommand:
+    """Stand still; only reached while nobody is in sight."""
     return ActionCommand(
         rotate_deg=0.0,
         pitch_deg=None,
         forward_m=0.0,
-        expression=select_expression(state, obs, cfg),
+        expression=_expression(state, None),
         new_mode=state.mode,
     )
 
@@ -278,7 +281,7 @@ def _follow(
         rotate_deg=rotate,
         pitch_deg=pitch_target,
         forward_m=forward,
-        expression=select_expression(new_state, obs, cfg),
+        expression=_expression(new_state, visible),
         new_mode=Mode.FOLLOWING,
     )
     return new_state, cmd
@@ -296,7 +299,7 @@ def _search(
             pitch_raised=False,
             idle_until=obs.timestamp + cfg.idle_duration_s,
         )
-        return new_state, _noop(new_state, obs, cfg)
+        return new_state, _noop(new_state)
 
     direction = Side.RIGHT if state.last_seen_side is Side.UNKNOWN else state.last_seen_side
     rotate = cfg.search_turn_deg if direction is Side.RIGHT else -cfg.search_turn_deg
@@ -322,7 +325,7 @@ def _search(
         rotate_deg=rotate,
         pitch_deg=pitch_target,
         forward_m=0.0,
-        expression=select_expression(new_state, obs, cfg),
+        expression=_expression(new_state, None),
         new_mode=Mode.SEARCHING,
     )
     return new_state, cmd
@@ -336,11 +339,11 @@ def controller_step(
     Total over valid inputs: every observation yields exactly one command.
     """
     cfg = cfg or ControllerConfig()
-    visible = _confident_subset(obs.landmarks, cfg.min_point_confidence)
+    visible = confident_subset(obs.landmarks, cfg.min_point_confidence)
 
     if state.mode is Mode.IDLE and visible is None:
         if obs.timestamp < state.idle_until:
-            return state, _noop(state, obs, cfg)
+            return state, _noop(state)
         # Idle period over with nobody in sight: start a fresh search cycle.
         state = replace(state, mode=Mode.SEARCHING, turns_done=0, pitch_raised=False, idle_until=0.0)
 

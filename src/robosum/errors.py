@@ -42,6 +42,10 @@ class InfeasibleK(PipelineError):
         self.k = k
 
 
+class TimestampsNotIncreasing(PipelineError, ValueError):
+    """Timestamps handed to clustering are not strictly increasing."""
+
+
 class NonTermination(PipelineError):
     """Threshold search exhausted its iteration budget (diagnostic)."""
 

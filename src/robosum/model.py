@@ -65,7 +65,7 @@ class LandmarkSet:
     """The 18 body keypoints of one person; absent points are ``None``.
 
     Index semantics are fixed by the module-level constants (``NOSE`` is 0,
-    ``NECK`` is 1, ... ``L_EAR`` is 17) and mirrored by the named accessors.
+    ``NECK`` is 1, ... ``L_EAR`` is 17).
     """
 
     points: tuple[LandmarkPoint | None, ...]
@@ -76,83 +76,21 @@ class LandmarkSet:
             raise ValueError(f"expected {NUM_LANDMARKS} landmark slots, got {len(pts)}")
         object.__setattr__(self, "points", pts)
 
-    # Named accessors, one per index.
-    @property
-    def nose(self) -> LandmarkPoint | None:
-        return self.points[NOSE]
 
-    @property
-    def neck(self) -> LandmarkPoint | None:
-        return self.points[NECK]
+def confident_subset(lm: LandmarkSet | None, min_confidence: float) -> LandmarkSet | None:
+    """Drop points below the confidence floor; None when nothing survives.
 
-    @property
-    def r_shoulder(self) -> LandmarkPoint | None:
-        return self.points[R_SHOULDER]
-
-    @property
-    def r_elbow(self) -> LandmarkPoint | None:
-        return self.points[R_ELBOW]
-
-    @property
-    def r_wrist(self) -> LandmarkPoint | None:
-        return self.points[R_WRIST]
-
-    @property
-    def l_shoulder(self) -> LandmarkPoint | None:
-        return self.points[L_SHOULDER]
-
-    @property
-    def l_elbow(self) -> LandmarkPoint | None:
-        return self.points[L_ELBOW]
-
-    @property
-    def l_wrist(self) -> LandmarkPoint | None:
-        return self.points[L_WRIST]
-
-    @property
-    def r_hip(self) -> LandmarkPoint | None:
-        return self.points[R_HIP]
-
-    @property
-    def r_knee(self) -> LandmarkPoint | None:
-        return self.points[R_KNEE]
-
-    @property
-    def r_ankle(self) -> LandmarkPoint | None:
-        return self.points[R_ANKLE]
-
-    @property
-    def l_hip(self) -> LandmarkPoint | None:
-        return self.points[L_HIP]
-
-    @property
-    def l_knee(self) -> LandmarkPoint | None:
-        return self.points[L_KNEE]
-
-    @property
-    def l_ankle(self) -> LandmarkPoint | None:
-        return self.points[L_ANKLE]
-
-    @property
-    def r_eye(self) -> LandmarkPoint | None:
-        return self.points[R_EYE]
-
-    @property
-    def l_eye(self) -> LandmarkPoint | None:
-        return self.points[L_EYE]
-
-    @property
-    def r_ear(self) -> LandmarkPoint | None:
-        return self.points[R_EAR]
-
-    @property
-    def l_ear(self) -> LandmarkPoint | None:
-        return self.points[L_EAR]
-
-
-def facial_landmarks_visible(lm: LandmarkSet) -> frozenset[int]:
-    """Return the indices of the present facial points (nose, eyes, ears)."""
-    return frozenset(i for i in FACIAL_INDICES if lm.points[i] is not None)
+    This is the one "visible landmark" rule: the content filter and the
+    controller both see a person exactly when it returns a set.
+    """
+    if lm is None:
+        return None
+    pts = tuple(
+        p if (p is not None and p.confidence >= min_confidence) else None for p in lm.points
+    )
+    if all(p is None for p in pts):
+        return None
+    return LandmarkSet(points=pts)
 
 
 @dataclass(frozen=True, eq=False)

@@ -255,10 +255,10 @@ def _check_intended(
     xs = [p.x for p in lm.points if p is not None]
     bbox_h = max(ys) - min(ys)
     margin = cfg.corner_margin_fraction * w
-    neck = lm.neck
+    neck = lm.points[NECK]
     center_x = neck.x if neck is not None else (min(xs) + max(xs)) / 2.0
-    nose = lm.nose
-    eyes_visible = lm.r_eye is not None or lm.l_eye is not None
+    nose = lm.points[NOSE]
+    eyes_visible = lm.points[R_EYE] is not None or lm.points[L_EYE] is not None
 
     if reason is IllPosedReason.BLURRED:
         if blur >= cfg.blur_threshold:

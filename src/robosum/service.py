@@ -4,9 +4,12 @@ One connection is one session. For every ``frame`` message the server runs
 the content filter and one controller step and replies with an ``action``
 message; well-posed frames with inline features accumulate until an
 ``end_session`` message triggers summarization and a ``summary`` reply.
-Protocol violations get an ``error`` reply and close only the offending
-connection. Replies are written as they are produced, so per-session
-memory stays proportional to the well-posed frame count.
+Protocol violations and data errors get an ``error`` reply and close only
+the offending connection; any other failure is logged and answered with an
+``internal_error`` reply, so every connection ends with exactly one
+``summary`` or ``error`` line unless the client goes away first. Replies
+are written as they are produced, so per-session memory stays proportional
+to the well-posed frame count.
 
 The wire encoding helpers here are shared with the offline simulator so
 that a replayed session and an offline run produce byte-identical traces.
@@ -175,6 +178,9 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                     return
         except (ConnectionResetError, BrokenPipeError):
             logger.info("client disconnected mid-session")
+        except Exception as exc:
+            logger.exception("session failed unexpectedly")
+            self._fail("internal_error", f"{type(exc).__name__}: {exc}")
 
 
 class FrameServer(socketserver.ThreadingTCPServer):

@@ -24,9 +24,10 @@ from .errors import (
     InsufficientFrames,
     MissingFeatures,
     NonTermination,
+    TimestampsNotIncreasing,
     TooFewClusters,
 )
-from .model import Cluster, FeatureVector, FrameRecord, SummaryEntry, SummaryManifest
+from .model import Cluster, FrameRecord, SummaryEntry, SummaryManifest
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ def _as_timestamp_array(timestamps: Sequence[float] | np.ndarray) -> np.ndarray:
     if ts.size == 0:
         raise EmptyInput("no timestamps supplied")
     if ts.size > 1 and not bool(np.all(np.diff(ts) > 0)):
-        raise ValueError("timestamps must be strictly increasing")
+        raise TimestampsNotIncreasing("timestamps must be strictly increasing")
     return ts
 
 
@@ -149,18 +150,14 @@ def select_top_k_clusters(clusters: Sequence[Cluster], k: int) -> list[Cluster]:
     return kept
 
 
-def cluster_mean(features: Sequence[FeatureVector]) -> np.ndarray:
-    """Component-wise arithmetic mean of the given feature vectors."""
-    if len(features) == 0:
-        raise EmptyCluster("cannot take the mean of zero feature vectors")
-    stacked = np.stack([f.values for f in features]).astype(np.float64)
-    return stacked.mean(axis=0)
-
-
-def _feature_matrix(frames: Sequence[FrameRecord]) -> np.ndarray:
+def _require_features(frames: Iterable[FrameRecord]) -> None:
     for f in frames:
         if f.features is None:
             raise MissingFeatures(f.frame_id)
+
+
+def _feature_matrix(frames: Sequence[FrameRecord]) -> np.ndarray:
+    _require_features(frames)
     return np.stack([f.features.values for f in frames]).astype(np.float64)
 
 
@@ -200,7 +197,7 @@ def summarize(
     if n == 0:
         return SummaryManifest(k=cfg.k, h_star=0.0, cluster_count=0, entries=())
 
-    matrix = _feature_matrix(frames)
+    _require_features(frames)
     ts = _as_timestamp_array([f.timestamp for f in frames])
     ids = [f.frame_id for f in frames]
 
@@ -216,13 +213,10 @@ def summarize(
     )
     kept = clusters if len(clusters) == cfg.k else select_top_k_clusters(clusters, cfg.k)
 
-    pos = {fid: i for i, fid in enumerate(ids)}
+    by_id = {f.frame_id: f for f in frames}
     entries = []
     for cluster in kept:
-        rows = [pos[fid] for fid in cluster.frame_ids]
-        sub = matrix[rows]
-        row = _nearest_row(sub, sub.mean(axis=0), ts[rows])
-        keyframe = frames[rows[row]]
+        keyframe = by_id[select_keyframe([by_id[fid] for fid in cluster.frame_ids])]
         entries.append(
             SummaryEntry(
                 cluster_index=cluster.index,

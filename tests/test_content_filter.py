@@ -16,6 +16,7 @@ from robosum.content_filter import (
     variance_of_laplacian,
 )
 from robosum.errors import ImageTooSmall, MissingBlurScore
+from robosum import model
 from robosum.model import IllPosedReason
 
 
@@ -131,14 +132,14 @@ class TestClassifyFrame:
             **{
                 name: (pt.x - 280, pt.y)
                 for name, pt in {
-                    "nose": lm.nose,
-                    "r_eye": lm.r_eye,
-                    "l_eye": lm.l_eye,
-                    "neck": lm.neck,
-                    "r_hip": lm.r_hip,
-                    "l_hip": lm.l_hip,
-                    "r_ankle": lm.r_ankle,
-                    "l_ankle": lm.l_ankle,
+                    "nose": lm.points[model.NOSE],
+                    "r_eye": lm.points[model.R_EYE],
+                    "l_eye": lm.points[model.L_EYE],
+                    "neck": lm.points[model.NECK],
+                    "r_hip": lm.points[model.R_HIP],
+                    "l_hip": lm.points[model.L_HIP],
+                    "r_ankle": lm.points[model.R_ANKLE],
+                    "l_ankle": lm.points[model.L_ANKLE],
                 }.items()
             }
         )

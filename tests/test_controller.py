@@ -1,8 +1,11 @@
 """State machine behavior: following, searching, idling, and expressions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import landmarks
+from conftest import frame, landmarks
+from robosum.content_filter import FilterConfig, classify_frame
 from robosum.controller import (
     MAX_ROTATE_DEG,
     ActionCommand,
@@ -19,6 +22,7 @@ from robosum.controller import (
     select_expression,
 )
 from robosum.errors import InsufficientLandmarks, NoFacialLandmarks
+from robosum.model import NUM_LANDMARKS, IllPosedReason, LandmarkPoint, LandmarkSet, confident_subset
 
 CFG = ControllerConfig()
 W, H = 640, 480
@@ -337,3 +341,37 @@ class TestInvariants:
             ControllerConfig(search_turn_deg=45.0, turns_per_revolution=8)
         cfg = ControllerConfig(search_turn_deg=20.0, turns_per_revolution=18)
         assert cfg.turns_per_revolution * cfg.search_turn_deg == 360.0
+
+
+@st.composite
+def landmarks_and_floor(draw):
+    """Random 18-slot sets (or none) plus a shared confidence floor.
+
+    Confidences are drawn in [0, 1] with some exactly at the floor. Each
+    slot's y lies in its own band, so no two points coincide and the torso
+    length the controller measures is never zero.
+    """
+    floor = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    if draw(st.integers(0, 3)) == 0:
+        return None, floor
+    confidence = st.sampled_from([floor, 0.0, 1.0]) | st.floats(0.0, 1.0)
+    points = []
+    for i in range(NUM_LANDMARKS):
+        if draw(st.booleans()):
+            points.append(None)
+            continue
+        x = draw(st.floats(0.0, W))
+        y = 20.0 * i + draw(st.floats(0.0, 10.0))
+        points.append(LandmarkPoint(x=x, y=y, confidence=draw(confidence)))
+    return LandmarkSet(points=tuple(points)), floor
+
+
+@settings(max_examples=300, deadline=None)
+@given(landmarks_and_floor())
+def test_filter_and_controller_share_one_visibility_rule(case):
+    lm, floor = case
+    visible = confident_subset(lm, floor)
+    reason = classify_frame(frame(0, 0.0, lm=lm, blur=500.0), FilterConfig(min_point_confidence=floor))
+    assert (reason is IllPosedReason.PEOPLE_ABSENT) == (visible is None)
+    _, cmd = controller_step(initial_state(), obs(0.0, lm), ControllerConfig(min_point_confidence=floor))
+    assert (cmd.new_mode is Mode.FOLLOWING) == (visible is not None)

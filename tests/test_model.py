@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from conftest import landmarks
 from robosum.model import (
     FEATURE_DIM,
     Cluster,
@@ -13,31 +12,9 @@ from robosum.model import (
     LandmarkSet,
     SummaryEntry,
     SummaryManifest,
-    facial_landmarks_visible,
 )
+import robosum
 from robosum import model
-
-
-ACCESSOR_BY_INDEX = {
-    model.NOSE: "nose",
-    model.NECK: "neck",
-    model.R_SHOULDER: "r_shoulder",
-    model.R_ELBOW: "r_elbow",
-    model.R_WRIST: "r_wrist",
-    model.L_SHOULDER: "l_shoulder",
-    model.L_ELBOW: "l_elbow",
-    model.L_WRIST: "l_wrist",
-    model.R_HIP: "r_hip",
-    model.R_KNEE: "r_knee",
-    model.R_ANKLE: "r_ankle",
-    model.L_HIP: "l_hip",
-    model.L_KNEE: "l_knee",
-    model.L_ANKLE: "l_ankle",
-    model.R_EYE: "r_eye",
-    model.L_EYE: "l_eye",
-    model.R_EAR: "r_ear",
-    model.L_EAR: "l_ear",
-}
 
 
 def test_index_constants_are_the_documented_convention():
@@ -47,13 +24,6 @@ def test_index_constants_are_the_documented_convention():
     assert (model.R_HIP, model.R_KNEE, model.R_ANKLE) == (8, 9, 10)
     assert (model.L_HIP, model.L_KNEE, model.L_ANKLE) == (11, 12, 13)
     assert (model.R_EYE, model.L_EYE, model.R_EAR, model.L_EAR) == (14, 15, 16, 17)
-
-
-def test_named_accessors_map_to_indices():
-    points = tuple(LandmarkPoint(x=float(i), y=float(i) + 0.5, confidence=0.5) for i in range(18))
-    lm = LandmarkSet(points=points)
-    for index, accessor in ACCESSOR_BY_INDEX.items():
-        assert getattr(lm, accessor) is points[index]
 
 
 def test_landmark_set_requires_exactly_18_slots():
@@ -70,27 +40,6 @@ def test_landmark_point_validation():
         LandmarkPoint(x=0.0, y=0.0, confidence=1.5)
     with pytest.raises(ValueError):
         LandmarkPoint(x=float("nan"), y=0.0, confidence=0.5)
-
-
-def test_facial_landmarks_visible_full_set():
-    lm = LandmarkSet(points=tuple(LandmarkPoint(1.0, 1.0, 0.9) for _ in range(18)))
-    assert facial_landmarks_visible(lm) == {
-        model.NOSE,
-        model.R_EYE,
-        model.L_EYE,
-        model.R_EAR,
-        model.L_EAR,
-    }
-
-
-def test_facial_landmarks_visible_no_facial_points():
-    lm = landmarks(neck=(10, 10), r_hip=(10, 40), l_hip=(12, 40))
-    assert facial_landmarks_visible(lm) == frozenset()
-
-
-def test_facial_landmarks_visible_partial():
-    lm = landmarks(nose=(5, 5), l_ear=(9, 6))
-    assert facial_landmarks_visible(lm) == {model.NOSE, model.L_EAR}
 
 
 def test_feature_vector_validation():
@@ -154,3 +103,8 @@ def test_manifest_invariants():
         SummaryManifest(k=1, h_star=10.0, cluster_count=2, entries=entries[:2][::-1])
     ok = SummaryManifest(k=3, h_star=10.0, cluster_count=2, entries=entries[::-1])
     assert ok.is_short_session
+
+
+def test_every_exported_name_resolves():
+    for name in robosum.__all__:
+        assert hasattr(robosum, name), name

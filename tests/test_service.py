@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+import robosum.service
 from robosum import frameio
 from robosum.content_filter import filter_frames
 from robosum.errors import ConnectionLost
@@ -201,6 +202,49 @@ class TestProtocolErrors:
     def test_session_failure_does_not_poison_new_sessions(self, server):
         self.send_lines(server, ["{broken"])
         parsed, matrix = parsed_session(session_spec())
+        result = replay_session(*server, parsed, features=matrix, k=3, h0=60.0)
+        assert result.summary_line is not None
+
+
+def all_replies(server, messages):
+    """Send every message, half-close, and read replies until the server closes."""
+    with socket.create_connection(server) as sock:
+        sock.sendall("".join(dumps_wire(m) + "\n" for m in messages).encode("utf-8"))
+        sock.shutdown(socket.SHUT_WR)
+        with sock.makefile("rb") as fh:
+            return [json.loads(line) for line in fh]
+
+
+class TestTerminalLine:
+    def test_resent_frame_ends_with_data_error(self, server):
+        spec = ScenarioSpec(
+            duration_s=20.0, fps=1.0, activity_segments=(ActivitySegment(0.0, 20.0, activity_id=7),)
+        )
+        parsed, matrix = parsed_session(spec)
+        well_posed, _ = filter_frames(frameio.attach_features(parsed, matrix))
+        assert parsed.frames[5].frame_id in {f.frame_id for f in well_posed}
+        msgs = [
+            {"type": "frame", **frameio.frame_to_wire(rec, row), "features": [float(v) for v in matrix[row]]}
+            for rec, row in zip(parsed.frames, parsed.feat_rows)
+        ]
+        msgs = msgs[:10] + [msgs[5]] + msgs[10:] + [{"type": "end_session", "k": 2, "h0": 60.0}]
+        replies = all_replies(server, msgs)
+        assert [r["type"] for r in replies[:-1]] == ["action"] * (len(msgs) - 1)
+        assert replies[-1]["type"] == "error"
+        assert replies[-1]["code"] == "data_error"
+
+    def test_unexpected_failure_is_internal_error(self, server, monkeypatch, caplog):
+        def boom(frames, cfg=None):
+            raise RuntimeError("boom")
+
+        parsed, matrix = parsed_session(session_spec())
+        monkeypatch.setattr(robosum.service, "summarize", boom)
+        result = replay_session(*server, parsed, features=matrix, k=3, h0=60.0)
+        error = json.loads(result.error_line)
+        assert error["type"] == "error"
+        assert error["code"] == "internal_error"
+        assert any(r.exc_info for r in caplog.records if r.name == "robosum.service")
+        monkeypatch.undo()
         result = replay_session(*server, parsed, features=matrix, k=3, h0=60.0)
         assert result.summary_line is not None
 

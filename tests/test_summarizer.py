@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import feature_from_pattern, features, frame
 from robosum.errors import (
-    EmptyCluster,
     EmptyInput,
     InfeasibleK,
     InsufficientFrames,
     MissingFeatures,
+    PipelineError,
+    TimestampsNotIncreasing,
     TooFewClusters,
 )
 from robosum.model import Cluster, FEATURE_DIM, FeatureVector
@@ -21,7 +22,6 @@ from robosum.summarizer import (
     SummarizerConfig,
     adapt_threshold,
     assign_clusters,
-    cluster_mean,
     kmeans_keyframes,
     select_keyframe,
     select_top_k_clusters,
@@ -197,24 +197,6 @@ class TestSelectTopK:
             select_top_k_clusters(self._clusters([1, 1]), 3)
 
 
-class TestClusterMean:
-    def test_single_vector_is_itself(self):
-        fv = features(0.37)
-        assert np.allclose(cluster_mean([fv]), fv.values)
-
-    def test_copies_of_same_vector(self):
-        fv = features(0.62)
-        assert np.allclose(cluster_mean([fv] * 5), fv.values)
-
-    def test_zeros_and_ones_average_to_half(self):
-        mean = cluster_mean([features(0.0), features(1.0)])
-        assert np.array_equal(mean, np.full(FEATURE_DIM, 0.5))
-
-    def test_empty(self):
-        with pytest.raises(EmptyCluster):
-            cluster_mean([])
-
-
 class TestSelectKeyframe:
     def test_single_frame(self):
         f = frame(11, 4.0, feats=features(0.5))
@@ -347,6 +329,19 @@ class TestSummarize:
         frames = [frame(0, 0.0, feats=features(0.1)), frame(1, 1.0, feats=None)]
         with pytest.raises(MissingFeatures):
             summarize(frames, SummarizerConfig(k=1))
+
+    def test_missing_features_checked_first_even_on_short_sessions(self):
+        frames = [frame(0, 0.0, feats=features(0.1)), frame(1, 0.0), frame(2, 0.0)]
+        with pytest.raises(MissingFeatures) as excinfo:
+            summarize(frames, SummarizerConfig(k=8))
+        assert excinfo.value.frame_id == 1
+
+    def test_repeated_timestamp_is_a_pipeline_error(self):
+        frames = _session([0.0, 1.0, 1.0, 2.0], np.full((4, FEATURE_DIM), 0.5))
+        with pytest.raises(TimestampsNotIncreasing) as excinfo:
+            summarize(frames, SummarizerConfig(k=2))
+        assert isinstance(excinfo.value, PipelineError)
+        assert isinstance(excinfo.value, ValueError)
 
     def test_deterministic(self, rng):
         ts = np.cumsum(rng.random(50) * 100)
