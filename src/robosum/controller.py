@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .errors import InsufficientLandmarks, NoFacialLandmarks
+from .errors import PipelineError
 from .model import (
     EYE_INDICES,
     FACIAL_INDICES,
@@ -162,19 +162,26 @@ class ActionCommand:
             raise ValueError("forward_m must be non-negative")
 
 
+def _torso_px(lm: LandmarkSet) -> float | None:
+    """Mean neck-to-hip pixel distance over the present hips; None without both."""
+    neck = lm.points[NECK]
+    hips = [p for p in (lm.points[R_HIP], lm.points[L_HIP]) if p is not None]
+    if neck is None or not hips:
+        return None
+    return sum(math.hypot(h.x - neck.x, h.y - neck.y) for h in hips) / len(hips)
+
+
 def estimate_distance_m(lm: LandmarkSet, cfg: ControllerConfig) -> float:
     """Camera-to-person distance from torso pixel length.
 
     The torso length is the mean of the neck-to-hip pixel distances over
     the present hips; distance is calibration_alpha_px_m / torso_px.
     """
-    neck = lm.points[NECK]
-    hips = [p for p in (lm.points[R_HIP], lm.points[L_HIP]) if p is not None]
-    if neck is None or not hips:
-        raise InsufficientLandmarks("need the neck and at least one hip")
-    torso_px = sum(math.hypot(h.x - neck.x, h.y - neck.y) for h in hips) / len(hips)
+    torso_px = _torso_px(lm)
+    if torso_px is None:
+        raise PipelineError("need the neck and at least one hip")
     if torso_px <= 0:
-        raise InsufficientLandmarks("neck and hip coincide; torso length is zero")
+        raise PipelineError("neck and hip coincide; torso length is zero")
     return cfg.calibration_alpha_px_m / torso_px
 
 
@@ -192,7 +199,7 @@ def gaze_adjustment(
     else:
         pts = [lm.points[i] for i in FACIAL_INDICES if lm.points[i] is not None]
         if not pts:
-            raise NoFacialLandmarks("no facial landmark available for gaze control")
+            raise PipelineError("no facial landmark available for gaze control")
         ref_x = sum(p.x for p in pts) / len(pts)
         ref_y = sum(p.y for p in pts) / len(pts)
     pan = (ref_x / width - cfg.gaze_target_x_frac) * cfg.fov_h_deg
@@ -258,8 +265,8 @@ def _follow(
         )
         if new_pitch != state.current_pitch:
             pitch_target = new_pitch
-        has_hip = visible.points[R_HIP] is not None or visible.points[L_HIP] is not None
-        if visible.points[NECK] is not None and has_hip:
+        # No torso to measure (no neck or hip, or the neck on every hip): stay put.
+        if _torso_px(visible):
             distance = estimate_distance_m(visible, cfg)
             forward = min(max(distance - cfg.stop_distance_m, 0.0), cfg.forward_step_m)
     elif visible.points[NECK] is not None:

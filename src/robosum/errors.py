@@ -29,10 +29,6 @@ class MissingBlurScore(PipelineError):
 # --- summarizer -------------------------------------------------------------
 
 
-class EmptyInput(PipelineError):
-    """No timestamps/frames to operate on."""
-
-
 class InfeasibleK(PipelineError):
     """Fewer frames than requested keyframes."""
 
@@ -50,42 +46,12 @@ class NonTermination(PipelineError):
     """Threshold search exhausted its iteration budget (diagnostic)."""
 
 
-class TooFewClusters(PipelineError):
-    """Fewer clusters than the number requested to keep."""
-
-
-class EmptyCluster(PipelineError):
-    """Cluster operation invoked on zero frames/features."""
-
-
 class MissingFeatures(PipelineError):
     """A frame entering feature-space selection has no feature vector."""
 
     def __init__(self, frame_id: int):
         super().__init__(f"frame {frame_id} has no feature vector")
         self.frame_id = frame_id
-
-
-class InsufficientFrames(PipelineError):
-    """Baseline clustering asked for more clusters than frames."""
-
-
-# --- movement controller ----------------------------------------------------
-
-
-class InsufficientLandmarks(PipelineError):
-    """Distance estimation needs the neck and at least one hip."""
-
-
-class NoFacialLandmarks(PipelineError):
-    """Gaze adjustment needs at least one facial landmark."""
-
-
-# --- scenario generator -----------------------------------------------------
-
-
-class InvalidSpec(PipelineError):
-    """Scenario specification is internally inconsistent."""
 
 
 # --- serialization ----------------------------------------------------------
@@ -110,14 +76,6 @@ class OrderError(PipelineError):
 
 class FeatureFileError(PipelineError):
     """Feature matrix file is structurally invalid."""
-
-
-class BadMagic(FeatureFileError):
-    """Feature file does not start with the expected magic bytes."""
-
-
-class DimMismatch(FeatureFileError):
-    """Feature file declares an unexpected vector dimension."""
 
 
 class RangeViolation(FeatureFileError):

@@ -18,7 +18,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BadMagic, DimMismatch, FeatureFileError, OrderError, ParseError, RangeViolation
+from .errors import FeatureFileError, OrderError, ParseError, RangeViolation
 from .model import (
     FEATURE_DIM,
     NUM_LANDMARKS,
@@ -230,12 +230,12 @@ def load_features(path: str | Path) -> np.ndarray:
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
-            raise BadMagic("feature file shorter than its header")
+            raise FeatureFileError("feature file shorter than its header")
         magic, count, dim = _HEADER.unpack(header)
         if magic != _FEATURE_MAGIC:
-            raise BadMagic(f"expected magic {_FEATURE_MAGIC!r}, got {magic!r}")
+            raise FeatureFileError(f"expected magic {_FEATURE_MAGIC!r}, got {magic!r}")
         if dim != FEATURE_DIM:
-            raise DimMismatch(f"expected dimension {FEATURE_DIM}, got {dim}")
+            raise FeatureFileError(f"expected dimension {FEATURE_DIM}, got {dim}")
         payload = fh.read()
     expected = count * dim * 4
     if len(payload) != expected:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .content_filter import FilterConfig
-from .errors import InvalidSpec
+from .errors import PipelineError
 from .model import (
     FEATURE_DIM,
     L_ANKLE,
@@ -73,11 +73,11 @@ class ActivitySegment:
 
     def __post_init__(self):
         if not self.start_s < self.end_s:
-            raise InvalidSpec(f"segment [{self.start_s}, {self.end_s}) is empty or reversed")
+            raise PipelineError(f"segment [{self.start_s}, {self.end_s}) is empty or reversed")
         if not 0 <= self.activity_id < FEATURE_DIM:
-            raise InvalidSpec(f"activity_id must be in [0, {FEATURE_DIM}), got {self.activity_id}")
+            raise PipelineError(f"activity_id must be in [0, {FEATURE_DIM}), got {self.activity_id}")
         if self.feature_noise_sigma < 0:
-            raise InvalidSpec("feature_noise_sigma must be non-negative")
+            raise PipelineError("feature_noise_sigma must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ class Injection:
 
     def __post_init__(self):
         if not self.start_s < self.end_s:
-            raise InvalidSpec(f"injection [{self.start_s}, {self.end_s}) is empty or reversed")
+            raise PipelineError(f"injection [{self.start_s}, {self.end_s}) is empty or reversed")
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ class Waypoint:
 
     def __post_init__(self):
         if self.x < 0 or self.y < 0 or self.torso_px <= 0:
-            raise InvalidSpec("waypoint needs non-negative position and positive torso length")
+            raise PipelineError("waypoint needs non-negative position and positive torso length")
 
 
 @dataclass(frozen=True)
@@ -122,23 +122,23 @@ class ScenarioSpec:
 
     def __post_init__(self):
         if self.fps <= 0:
-            raise InvalidSpec("fps must be positive")
+            raise PipelineError("fps must be positive")
         if self.duration_s < 0:
-            raise InvalidSpec("duration_s must be non-negative")
+            raise PipelineError("duration_s must be non-negative")
         if self.frame_width < 8 or self.frame_height < 8:
-            raise InvalidSpec("frame dimensions are too small to place a person")
+            raise PipelineError("frame dimensions are too small to place a person")
         segments = tuple(self.activity_segments)
         for a, b in zip(segments, segments[1:]):
             if b.start_s < a.end_s:
-                raise InvalidSpec("activity segments must be sorted and non-overlapping")
+                raise PipelineError("activity segments must be sorted and non-overlapping")
         injections = tuple(sorted(self.ill_posed_injections, key=lambda i: i.start_s))
         for a, b in zip(injections, injections[1:]):
             if b.start_s < a.end_s:
-                raise InvalidSpec("ill-posed injections must not overlap")
+                raise PipelineError("ill-posed injections must not overlap")
         waypoints = tuple(self.person_trajectory)
         for a, b in zip(waypoints, waypoints[1:]):
             if b.t < a.t:
-                raise InvalidSpec("trajectory waypoints must be sorted by time")
+                raise PipelineError("trajectory waypoints must be sorted by time")
         object.__setattr__(self, "activity_segments", segments)
         object.__setattr__(self, "ill_posed_injections", injections)
         object.__setattr__(self, "person_trajectory", waypoints)
@@ -243,7 +243,7 @@ def _check_intended(
     w, h = spec.frame_width, spec.frame_height
 
     def fail(msg: str) -> None:
-        raise InvalidSpec(f"frame {frame_id}: cannot realize label {reason}: {msg}")
+        raise PipelineError(f"frame {frame_id}: cannot realize label {reason}: {msg}")
 
     if reason is IllPosedReason.PEOPLE_ABSENT:
         if lm is not None:
@@ -302,7 +302,7 @@ def generate_session(
     """
     cfg = cfg or FilterConfig()
     if cfg.min_point_confidence > _POINT_CONFIDENCE:
-        raise InvalidSpec(
+        raise PipelineError(
             f"labels are generated at confidence {_POINT_CONFIDENCE}, below the "
             f"filter's min_point_confidence {cfg.min_point_confidence}"
         )
@@ -386,17 +386,17 @@ def frame_image(frame_id: int, blurred: bool, seed: int = 0, size: tuple[int, in
 def _take(obj: dict, known: dict, context: str) -> dict:
     unknown = set(obj) - set(known)
     if unknown:
-        raise InvalidSpec(f"{context}: unknown keys {sorted(unknown)}")
+        raise PipelineError(f"{context}: unknown keys {sorted(unknown)}")
     missing = [k for k, required in known.items() if required and k not in obj]
     if missing:
-        raise InvalidSpec(f"{context}: missing keys {missing}")
+        raise PipelineError(f"{context}: missing keys {missing}")
     return obj
 
 
 def spec_from_dict(obj: dict) -> ScenarioSpec:
     """Build a ScenarioSpec from its JSON form; unknown keys are errors."""
     if not isinstance(obj, dict):
-        raise InvalidSpec("scenario spec must be a JSON object")
+        raise PipelineError("scenario spec must be a JSON object")
     known = {
         "duration_s": True,
         "fps": True,
@@ -425,7 +425,7 @@ def spec_from_dict(obj: dict) -> ScenarioSpec:
             try:
                 reason = IllPosedReason(fields_["reason"])
             except ValueError as exc:
-                raise InvalidSpec(f"unknown ill-posed reason {fields_['reason']!r}") from exc
+                raise PipelineError(f"unknown ill-posed reason {fields_['reason']!r}") from exc
             injections.append(Injection(start_s=fields_["start_s"], end_s=fields_["end_s"], reason=reason))
         waypoints = tuple(
             Waypoint(**_take(dict(wp), {"t": True, "x": True, "y": True, "torso_px": True}, "waypoint"))
@@ -442,7 +442,7 @@ def spec_from_dict(obj: dict) -> ScenarioSpec:
             frame_height=obj.get("frame_height", 480),
         )
     except TypeError as exc:
-        raise InvalidSpec(f"malformed scenario spec: {exc}") from exc
+        raise PipelineError(f"malformed scenario spec: {exc}") from exc
 
 
 def spec_to_dict(spec: ScenarioSpec) -> dict:

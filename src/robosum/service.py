@@ -6,7 +6,8 @@ message; well-posed frames with inline features accumulate until an
 ``end_session`` message triggers summarization and a ``summary`` reply.
 Protocol violations and data errors get an ``error`` reply and close only
 the offending connection; any other failure is logged and answered with an
-``internal_error`` reply, so every connection ends with exactly one
+``internal_error`` reply, and a stream that ends before ``end_session`` gets
+a ``protocol_error`` reply, so every connection ends with exactly one
 ``summary`` or ``error`` line unless the client goes away first. Replies
 are written as they are produced, so per-session memory stays proportional
 to the well-posed frame count.
@@ -176,6 +177,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                 else:
                     self._fail("protocol_error", f"unknown message type {kind!r}")
                     return
+            self._fail("protocol_error", "stream ended before end_session")
         except (ConnectionResetError, BrokenPipeError):
             logger.info("client disconnected mid-session")
         except Exception as exc:
@@ -198,14 +200,9 @@ class FrameServer(socketserver.ThreadingTCPServer):
         return self.socket.getsockname()[:2]
 
 
-def make_server(host: str, port: int, config: ServiceConfig | None = None) -> FrameServer:
-    """Bind a server without starting its accept loop (port 0 picks a free one)."""
-    return FrameServer((host, port), config)
-
-
 def serve(host: str, port: int, config: ServiceConfig | None = None) -> None:
-    """Run the server until KeyboardInterrupt; closes cleanly on exit."""
-    with make_server(host, port, config) as server:
+    """Run the server until KeyboardInterrupt (port 0 picks a free one); closes cleanly on exit."""
+    with FrameServer((host, port), config) as server:
         bound = server.bound_address
         logger.info("serving on %s:%d", bound[0], bound[1])
         try:
@@ -221,27 +218,6 @@ class ReplayResult:
     action_lines: tuple[str, ...]
     summary_line: str | None
     error_line: str | None
-
-
-class _LineClient:
-    def __init__(self, host: str, port: int):
-        self._sock = socket.create_connection((host, port))
-        self._rfile = self._sock.makefile("rb")
-
-    def send(self, obj: dict) -> None:
-        self._sock.sendall((dumps_wire(obj) + "\n").encode("utf-8"))
-
-    def recv_line(self) -> str | None:
-        raw = self._rfile.readline()
-        if not raw:
-            return None
-        return raw.decode("utf-8").rstrip("\n")
-
-    def close(self) -> None:
-        try:
-            self._rfile.close()
-        finally:
-            self._sock.close()
 
 
 def replay_session(
@@ -265,11 +241,25 @@ def replay_session(
         if rate <= 0:
             raise ValueError("rate must be positive or 'max'")
 
-    client = _LineClient(host, port)
+    sock = socket.create_connection((host, port))
+    rfile = sock.makefile("rb")
     actions: list[str] = []
-    summary_line: str | None = None
-    error_line: str | None = None
     last_acked: int | None = None
+
+    def exchange(msg: dict) -> tuple[str, bool]:
+        """Send one message; return its reply line and whether it is an error."""
+        try:
+            sock.sendall((dumps_wire(msg) + "\n").encode("utf-8"))
+            raw = rfile.readline()
+        except OSError as exc:
+            raise ConnectionLost(last_acked) from exc
+        if not raw:
+            raise ConnectionLost(last_acked)
+        reply = raw.decode("utf-8").rstrip("\n")
+        if trace is not None:
+            trace.write(reply + "\n")
+        return reply, json.loads(reply).get("type") == "error"
+
     try:
         prev_t: float | None = None
         for rec, row in zip(parsed.frames, parsed.feat_rows):
@@ -283,42 +273,23 @@ def replay_session(
                 msg["features"] = [float(v) for v in features[row]]
             else:
                 msg["features"] = None
-            try:
-                client.send(msg)
-                reply = client.recv_line()
-            except OSError as exc:
-                raise ConnectionLost(last_acked) from exc
-            if reply is None:
-                raise ConnectionLost(last_acked)
-            if trace is not None:
-                trace.write(reply + "\n")
-            if json.loads(reply).get("type") == "error":
+            reply, failed = exchange(msg)
+            if failed:
                 return ReplayResult(tuple(actions), None, reply)
             actions.append(reply)
             last_acked = rec.frame_id
-        try:
-            client.send({"type": "end_session", "k": k, "h0": h0})
-            reply = client.recv_line()
-        except OSError as exc:
-            raise ConnectionLost(last_acked) from exc
-        if reply is None:
-            raise ConnectionLost(last_acked)
-        if trace is not None:
-            trace.write(reply + "\n")
-        if json.loads(reply).get("type") == "error":
-            error_line = reply
-        else:
-            summary_line = reply
+        reply, failed = exchange({"type": "end_session", "k": k, "h0": h0})
+        return ReplayResult(tuple(actions), None if failed else reply, reply if failed else None)
     finally:
-        client.close()
-    return ReplayResult(tuple(actions), summary_line, error_line)
+        rfile.close()
+        sock.close()
 
 
 def run_server_in_thread(
     config: ServiceConfig | None = None, host: str = "127.0.0.1"
 ) -> tuple[FrameServer, threading.Thread]:
     """Start a server on an ephemeral port in a daemon thread (for tests/tools)."""
-    server = make_server(host, 0, config)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    server = FrameServer((host, 0), config)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     return server, thread

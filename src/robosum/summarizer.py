@@ -1,12 +1,13 @@
 """Keyframe selection by temporal gap clustering.
 
 Well-posed frames are partitioned into clusters wherever the gap between
-consecutive timestamps reaches a threshold ``h``. The threshold is adapted
-by doubling/halving from an initial value until the partition yields at
-least ``k`` clusters while ``2h`` would yield fewer than ``k``; the ``k``
-largest clusters then each contribute the frame nearest (in feature space)
-to the cluster's mean. Two naive baselines, uniform index sampling and
-feature-space k-means, are provided for comparison harnesses.
+consecutive timestamps reaches a threshold ``h``. The threshold is the
+initial value ``h0`` doubled or halved until the partition yields at least
+``k`` clusters while ``2h`` would yield fewer than ``k``, computed in closed
+form from the (k-1)-th largest gap; the ``k`` largest clusters then each
+contribute the frame nearest (in feature space) to the cluster's mean.
+Two naive baselines, uniform index sampling and feature-space k-means, are
+provided for comparison harnesses.
 """
 
 from __future__ import annotations
@@ -18,14 +19,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    EmptyCluster,
-    EmptyInput,
     InfeasibleK,
-    InsufficientFrames,
     MissingFeatures,
     NonTermination,
+    PipelineError,
     TimestampsNotIncreasing,
-    TooFewClusters,
 )
 from .model import Cluster, FrameRecord, SummaryEntry, SummaryManifest
 
@@ -52,7 +50,7 @@ def _as_timestamp_array(timestamps: Sequence[float] | np.ndarray) -> np.ndarray:
     if ts.ndim != 1:
         raise ValueError("timestamps must be a 1-D sequence")
     if ts.size == 0:
-        raise EmptyInput("no timestamps supplied")
+        raise PipelineError("no timestamps supplied")
     if ts.size > 1 and not bool(np.all(np.diff(ts) > 0)):
         raise TimestampsNotIncreasing("timestamps must be strictly increasing")
     return ts
@@ -96,11 +94,6 @@ def assign_clusters(
     return clusters
 
 
-def _cluster_count(gaps: np.ndarray, h: float) -> int:
-    """Number of clusters a threshold induces, from precomputed gaps."""
-    return 1 + int(np.count_nonzero(gaps >= h))
-
-
 def adapt_threshold(
     timestamps: Sequence[float] | np.ndarray,
     k: int,
@@ -108,14 +101,18 @@ def adapt_threshold(
     max_iters: int = 64,
     frame_ids: Sequence[int] | None = None,
 ) -> tuple[float, list[Cluster]]:
-    """Find a gap threshold giving at least ``k`` clusters, doubling less.
+    """Gap threshold ``h = h0 * 2**j`` giving at least ``k`` clusters while ``2h`` gives fewer.
 
-    Starting from ``h0``, the threshold is doubled while it still yields at
-    least ``k`` clusters and halved otherwise, stopping as soon as the
-    current value ``h`` satisfies ``m(h) >= k`` and ``m(2h) < k`` (checked
-    before each update). A request for a single cluster is satisfied by one
+    A threshold ``h`` yields at least ``k`` clusters exactly when the
+    (k-1)-th largest gap ``G`` is at least ``h``, so the answer is the one
+    ``j`` with ``h0 * 2**j <= G < h0 * 2**(j+1)``, read off the binary
+    exponents of ``G`` and ``h0``. It is the threshold a search that
+    doubles or halves ``h0`` one step at a time settles on (bit for bit
+    while ``h`` is a normal float), and :class:`NonTermination` is raised
+    when that search would need more than ``max_iters`` steps
+    (``|j| + 1``). A request for a single cluster is satisfied by one
     cluster spanning all frames (threshold reported as ``inf``, since no
-    finite threshold can take ``m`` below 1).
+    finite threshold gives fewer than one cluster).
     """
     ts = _as_timestamp_array(timestamps)
     if k < 1:
@@ -128,14 +125,15 @@ def adapt_threshold(
     if k == 1:
         return math.inf, assign_clusters(ts, math.inf, frame_ids=frame_ids)
 
-    gaps = np.diff(ts)
-    h = float(h0)
-    for _ in range(max_iters):
-        m = _cluster_count(gaps, h)
-        if m >= k and _cluster_count(gaps, 2.0 * h) < k:
-            return h, assign_clusters(ts, h, frame_ids=frame_ids)
-        h = 2.0 * h if m >= k else h / 2.0
-    raise NonTermination(f"threshold search did not settle within {max_iters} iterations")
+    gap = float(np.partition(np.diff(ts), n - k)[n - k])
+    m_gap, e_gap = math.frexp(gap)
+    m_h0, e_h0 = math.frexp(h0)
+    j = e_gap - e_h0 - (m_gap < m_h0)
+    # An infinite gap stays at least 2h however often h doubles.
+    if not math.isfinite(gap) or abs(j) + 1 > max_iters:
+        raise NonTermination(f"threshold search did not settle within {max_iters} iterations")
+    h = math.ldexp(h0, j)
+    return h, assign_clusters(ts, h, frame_ids=frame_ids)
 
 
 def select_top_k_clusters(clusters: Sequence[Cluster], k: int) -> list[Cluster]:
@@ -144,7 +142,7 @@ def select_top_k_clusters(clusters: Sequence[Cluster], k: int) -> list[Cluster]:
     Size ties at the cut are broken in favor of the earlier start time.
     """
     if len(clusters) < k:
-        raise TooFewClusters(f"have {len(clusters)} clusters, need {k}")
+        raise PipelineError(f"have {len(clusters)} clusters, need {k}")
     kept = sorted(clusters, key=lambda c: (-c.size, c.start_time))[:k]
     kept.sort(key=lambda c: c.start_time)
     return kept
@@ -174,7 +172,7 @@ def select_keyframe(frames: Sequence[FrameRecord]) -> int:
     Distance is Euclidean; exact distance ties go to the earliest timestamp.
     """
     if len(frames) == 0:
-        raise EmptyCluster("cannot select a keyframe from an empty cluster")
+        raise PipelineError("cannot select a keyframe from an empty cluster")
     matrix = _feature_matrix(frames)
     ts = np.asarray([f.timestamp for f in frames], dtype=np.float64)
     row = _nearest_row(matrix, matrix.mean(axis=0), ts)
@@ -236,7 +234,7 @@ def uniform_keyframes(frames: Sequence[FrameRecord], k: int) -> SummaryManifest:
     frames = list(frames)
     n = len(frames)
     if n == 0:
-        raise EmptyInput("cannot summarize an empty session")
+        raise PipelineError("cannot summarize an empty session")
     if k < 1:
         raise ValueError("k must be at least 1")
     if k == 1:
@@ -271,7 +269,7 @@ def kmeans_keyframes(
     frames = list(frames)
     n = len(frames)
     if n < k:
-        raise InsufficientFrames(f"k-means needs at least k={k} frames, got {n}")
+        raise PipelineError(f"k-means needs at least k={k} frames, got {n}")
     if k < 1:
         raise ValueError("k must be at least 1")
     matrix = _feature_matrix(frames)

@@ -21,7 +21,7 @@ from robosum.controller import (
     initial_state,
     select_expression,
 )
-from robosum.errors import InsufficientLandmarks, NoFacialLandmarks
+from robosum.errors import PipelineError
 from robosum.model import NUM_LANDMARKS, IllPosedReason, LandmarkPoint, LandmarkSet, confident_subset
 
 CFG = ControllerConfig()
@@ -56,12 +56,17 @@ class TestEstimateDistance:
 
     def test_missing_hips(self):
         lm = landmarks(neck=(100, 100))
-        with pytest.raises(InsufficientLandmarks):
+        with pytest.raises(PipelineError, match="need the neck and at least one hip"):
             estimate_distance_m(lm, CFG)
 
     def test_missing_neck(self):
         lm = landmarks(r_hip=(100, 250))
-        with pytest.raises(InsufficientLandmarks):
+        with pytest.raises(PipelineError, match="need the neck and at least one hip"):
+            estimate_distance_m(lm, CFG)
+
+    def test_neck_on_hip(self):
+        lm = landmarks(neck=(320, 200), r_hip=(320, 200))
+        with pytest.raises(PipelineError, match="torso length is zero"):
             estimate_distance_m(lm, CFG)
 
 
@@ -90,7 +95,7 @@ class TestGazeAdjustment:
 
     def test_no_facial_points(self):
         lm = landmarks(neck=(100, 100))
-        with pytest.raises(NoFacialLandmarks):
+        with pytest.raises(PipelineError, match="no facial landmark available for gaze control"):
             gaze_adjustment(lm, W, H, CFG)
 
 
@@ -128,6 +133,15 @@ class TestFollowing:
         # torso 60 px -> 5 m away; the 3 m surplus is clamped to one step.
         state, cmd = controller_step(initial_state(), obs(0.0, full_person(torso=60.0)))
         assert cmd.forward_m == pytest.approx(CFG.forward_step_m)
+
+    def test_neck_on_every_hip_stands_still(self):
+        # Zero torso length: no distance to close, as with no hip at all.
+        on_hip = landmarks(nose=(300, 100), neck=(320, 200), r_hip=(320, 200))
+        no_hip = landmarks(nose=(300, 100), neck=(320, 200))
+        state, cmd = controller_step(initial_state(), obs(0.0, on_hip))
+        assert state.mode is Mode.FOLLOWING
+        assert cmd.forward_m == 0.0
+        assert (state, cmd) == controller_step(initial_state(), obs(0.0, no_hip))
 
     def test_partial_forward_inside_one_step(self):
         # torso 140 px -> ~2.1429 m; surplus under one step is commanded as-is.
@@ -347,9 +361,8 @@ class TestInvariants:
 def landmarks_and_floor(draw):
     """Random 18-slot sets (or none) plus a shared confidence floor.
 
-    Confidences are drawn in [0, 1] with some exactly at the floor. Each
-    slot's y lies in its own band, so no two points coincide and the torso
-    length the controller measures is never zero.
+    Confidences are drawn in [0, 1] with some exactly at the floor.
+    Coordinates often repeat, so points coincide, the neck on a hip too.
     """
     floor = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0))
     if draw(st.integers(0, 3)) == 0:
@@ -360,8 +373,8 @@ def landmarks_and_floor(draw):
         if draw(st.booleans()):
             points.append(None)
             continue
-        x = draw(st.floats(0.0, W))
-        y = 20.0 * i + draw(st.floats(0.0, 10.0))
+        x = draw(st.sampled_from([0.0, 320.0]) | st.floats(0.0, W))
+        y = draw(st.sampled_from([0.0, 200.0]) | st.floats(0.0, H))
         points.append(LandmarkPoint(x=x, y=y, confidence=draw(confidence)))
     return LandmarkSet(points=tuple(points)), floor
 

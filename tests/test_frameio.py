@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 from robosum import frameio
 from robosum.errors import (
-    BadMagic,
-    DimMismatch,
     FeatureFileError,
     OrderError,
     ParseError,
@@ -172,7 +170,7 @@ class TestFeatureFile:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "feat.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 8)
-        with pytest.raises(BadMagic):
+        with pytest.raises(FeatureFileError, match="expected magic b'FEAT', got b'NOPE'"):
             frameio.load_features(path)
 
     def test_dim_mismatch(self, tmp_path):
@@ -180,7 +178,7 @@ class TestFeatureFile:
 
         path = tmp_path / "feat.bin"
         path.write_bytes(struct.pack("<4sII", b"FEAT", 1, 100) + b"\x00" * 400)
-        with pytest.raises(DimMismatch):
+        with pytest.raises(FeatureFileError, match="expected dimension 157, got 100"):
             frameio.load_features(path)
 
     def test_range_violation_names_cell(self, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from robosum.content_filter import FilterConfig, classify_frame, filter_frames, variance_of_laplacian
-from robosum.errors import InvalidSpec
+from robosum.errors import PipelineError
 from robosum.model import IllPosedReason
 from robosum.scenario import (
     ActivitySegment,
@@ -176,7 +176,7 @@ class TestSegmentsDriveSummaries:
 
 class TestSpecValidation:
     def test_overlapping_segments_rejected(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(PipelineError, match="activity segments must be sorted and non-overlapping"):
             ScenarioSpec(
                 duration_s=10.0,
                 fps=1.0,
@@ -187,11 +187,11 @@ class TestSpecValidation:
             )
 
     def test_bad_activity_id_rejected(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(PipelineError, match=r"activity_id must be in \[0, 157\), got 157"):
             ActivitySegment(0.0, 5.0, activity_id=157)
 
     def test_overlapping_injections_rejected(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(PipelineError, match="ill-posed injections must not overlap"):
             ScenarioSpec(
                 duration_s=10.0,
                 fps=1.0,
@@ -209,7 +209,7 @@ class TestSpecValidation:
             activity_segments=(ActivitySegment(0.0, 10.0, activity_id=0),),
             person_trajectory=(Waypoint(t=0.0, x=10.0, y=170.0, torso_px=150.0),),
         )
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(PipelineError, match="cannot realize label"):
             generate_session(spec)
 
 
@@ -221,13 +221,13 @@ class TestSpecSerialization:
     def test_unknown_keys_rejected(self):
         obj = spec_to_dict(ScenarioSpec(duration_s=5.0, fps=1.0))
         obj["typo"] = 1
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(PipelineError, match=r"unknown keys \['typo'\]"):
             spec_from_dict(obj)
 
     def test_unknown_reason_rejected(self):
         obj = spec_to_dict(ScenarioSpec(duration_s=5.0, fps=1.0))
         obj["ill_posed_injections"] = [{"start_s": 0.0, "end_s": 1.0, "reason": "Sideways"}]
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(PipelineError, match="unknown ill-posed reason 'Sideways'"):
             spec_from_dict(obj)
 
 

@@ -3,14 +3,18 @@
 import json
 import socket
 import threading
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import robosum.service
+from conftest import landmarks
 from robosum import frameio
-from robosum.content_filter import filter_frames
-from robosum.errors import ConnectionLost
-from robosum.model import IllPosedReason
+from robosum.content_filter import classify_frame, filter_frames
+from robosum.errors import ConnectionLost, PipelineError
+from robosum.model import FeatureVector, IllPosedReason
 from robosum.scenario import ActivitySegment, Injection, ScenarioSpec, generate_session
 from robosum.service import (
     ServiceConfig,
@@ -23,7 +27,7 @@ from robosum.service import (
 from robosum.summarizer import SummarizerConfig, summarize
 
 
-@pytest.fixture
+@pytest.fixture(scope="module")
 def server():
     srv, thread = run_server_in_thread(ServiceConfig())
     host, port = srv.bound_address
@@ -207,12 +211,33 @@ class TestProtocolErrors:
 
 
 def all_replies(server, messages):
-    """Send every message, half-close, and read replies until the server closes."""
+    """Send every message (a dict, or a raw line as a string), half-close, and
+    read replies until the server closes.
+
+    A server that ends the session with lines still unread resets the
+    connection, so sending may fail and reading ends at the reset.
+    """
+    payload = "".join((m if isinstance(m, str) else dumps_wire(m)) + "\n" for m in messages)
+    received = b""
     with socket.create_connection(server) as sock:
-        sock.sendall("".join(dumps_wire(m) + "\n" for m in messages).encode("utf-8"))
-        sock.shutdown(socket.SHUT_WR)
-        with sock.makefile("rb") as fh:
-            return [json.loads(line) for line in fh]
+        try:
+            sock.sendall(payload.encode("utf-8"))
+            sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass
+        try:
+            while chunk := sock.recv(1 << 16):
+                received += chunk
+        except ConnectionResetError:
+            pass
+    return [json.loads(line) for line in received.splitlines()]
+
+
+def frame_messages(parsed, matrix):
+    return [
+        {"type": "frame", **frameio.frame_to_wire(rec, row), "features": [float(v) for v in matrix[row]]}
+        for rec, row in zip(parsed.frames, parsed.feat_rows)
+    ]
 
 
 class TestTerminalLine:
@@ -223,15 +248,21 @@ class TestTerminalLine:
         parsed, matrix = parsed_session(spec)
         well_posed, _ = filter_frames(frameio.attach_features(parsed, matrix))
         assert parsed.frames[5].frame_id in {f.frame_id for f in well_posed}
-        msgs = [
-            {"type": "frame", **frameio.frame_to_wire(rec, row), "features": [float(v) for v in matrix[row]]}
-            for rec, row in zip(parsed.frames, parsed.feat_rows)
-        ]
+        msgs = frame_messages(parsed, matrix)
         msgs = msgs[:10] + [msgs[5]] + msgs[10:] + [{"type": "end_session", "k": 2, "h0": 60.0}]
         replies = all_replies(server, msgs)
         assert [r["type"] for r in replies[:-1]] == ["action"] * (len(msgs) - 1)
         assert replies[-1]["type"] == "error"
         assert replies[-1]["code"] == "data_error"
+
+    def test_stream_ending_before_end_session_is_protocol_error(self, server):
+        parsed, matrix = parsed_session(session_spec())
+        replies = all_replies(server, frame_messages(parsed, matrix)[:1])
+        assert [r["type"] for r in replies] == ["action", "error"]
+        assert replies[-1] == {
+            "type": "error", "code": "protocol_error", "msg": "stream ended before end_session"
+        }
+        assert all_replies(server, []) == [replies[-1]]
 
     def test_unexpected_failure_is_internal_error(self, server, monkeypatch, caplog):
         def boom(frames, cfg=None):
@@ -287,3 +318,98 @@ class TestConnectionLoss:
             replay_session("127.0.0.1", port_box["port"], parsed, features=matrix)
         assert excinfo.value.last_acked_frame_id == parsed.frames[answered - 1].frame_id
         thread.join(timeout=5)
+
+
+
+POOL, POOL_MATRIX = parsed_session(
+    ScenarioSpec(
+        duration_s=16.0,
+        fps=1.0,
+        activity_segments=(ActivitySegment(0.0, 16.0, activity_id=3),),
+        ill_posed_injections=(Injection(4.0, 6.0, IllPosedReason.BLURRED),),
+        rng_seed=5,
+    )
+)
+# The confident neck sits on the only confident hip: zero torso length.
+ZERO_TORSO = landmarks(nose=(300, 100), neck=(320, 200), r_hip=(320, 200))
+GOOD_END_SESSIONS = ({"type": "end_session", "k": 2, "h0": 60.0}, {"type": "end_session", "k": 3, "h0": 0.5})
+BAD_END_SESSIONS = (
+    {"type": "end_session", "k": 0, "h0": 60.0},
+    {"type": "end_session", "k": 2},
+    {"type": "end_session", "k": 2, "h0": "60"},
+    {"type": "end_session", "k": 2, "h0": 60.0, "x": 1},
+)
+
+
+@st.composite
+def client_streams(draw):
+    """Lines a client sends before half-closing, and what the server must make of them.
+
+    Returns ``(lines, frames, terminal)``: ``frames`` are the records sent
+    before the first message that ends the session, and ``terminal`` the
+    line that must end the reply stream, or just its error code.
+    """
+    lines, frames, well_posed, terminal = [], [], [], None
+    sent = 0
+    kinds = ["frame"] * 4 + ["featureless", "resend", "no_score", "zero_torso", "junk", "not_a_frame"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
+        if kind == "junk":
+            lines.append(draw(st.sampled_from(["{oops", "[1, 2", "\u00ff"])))
+            terminal = terminal or "parse_error"
+            continue
+        if kind == "not_a_frame":
+            lines.append(draw(st.sampled_from(['{"type": "dance"}', '{"type": null}', '{"frame_id": 0}', "[1, 2]"])))
+            terminal = terminal or "protocol_error"
+            continue
+        if kind == "resend" and sent:
+            i = draw(st.integers(0, min(sent, len(POOL.frames)) - 1))
+        else:
+            i, sent = min(sent, len(POOL.frames) - 1), sent + 1
+        rec, row = POOL.frames[i], POOL.feat_rows[i]
+        if kind == "no_score":
+            rec = replace(rec, blur_variance=None)
+        elif kind == "zero_torso":
+            rec = replace(rec, landmarks=ZERO_TORSO)
+        features = None if kind == "featureless" else POOL_MATRIX[row]
+        msg = {
+            "type": "frame",
+            **frameio.frame_to_wire(rec, row),
+            "features": None if features is None else [float(v) for v in features],
+        }
+        lines.append(dumps_wire(msg))
+        if terminal is None and kind == "no_score":
+            terminal = "data_error"
+        elif terminal is None:
+            frames.append(rec)
+            if features is not None and classify_frame(rec) is None:
+                well_posed.append(replace(rec, features=FeatureVector(values=features)))
+    end = draw(st.sampled_from([None, *GOOD_END_SESSIONS, *BAD_END_SESSIONS]))
+    if end is not None:
+        lines.append(dumps_wire(end))
+    if terminal is not None or end is not None:
+        # The session is over; whatever follows must go unanswered.
+        lines += draw(st.lists(st.sampled_from([lines[0], dumps_wire(GOOD_END_SESSIONS[0])]), max_size=2))
+    if terminal is None and end in GOOD_END_SESSIONS:
+        try:
+            manifest = summarize(well_posed, SummarizerConfig(k=end["k"], h0=end["h0"]))
+            terminal = {"type": "summary", **manifest_to_dict(manifest)}
+        except PipelineError:
+            terminal = "data_error"
+    elif terminal is None:
+        terminal = "protocol_error"
+    return lines, frames, terminal
+
+
+@settings(max_examples=100, deadline=None)
+@given(client_streams())
+def test_every_stream_ends_with_one_terminal_line(server, stream):
+    lines, frames, terminal = stream
+    replies = all_replies(server, lines)
+    kinds = [r["type"] for r in replies]
+    assert kinds == ["action"] * len(frames) + [kinds[-1]]
+    assert kinds[-1] in ("summary", "error")
+    assert [dumps_wire(r) for r in replies[:-1]] == simulate_actions(frames)
+    if isinstance(terminal, dict):
+        assert replies[-1] == terminal
+    else:
+        assert replies[-1]["code"] == terminal

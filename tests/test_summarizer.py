@@ -4,18 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import feature_from_pattern, features, frame
 from robosum.errors import (
-    EmptyInput,
     InfeasibleK,
-    InsufficientFrames,
     MissingFeatures,
+    NonTermination,
     PipelineError,
     TimestampsNotIncreasing,
-    TooFewClusters,
 )
 from robosum.model import Cluster, FEATURE_DIM, FeatureVector
 from robosum.summarizer import (
@@ -53,6 +51,18 @@ def keyframe_oracle(frame_ids, timestamps, matrix):
     return best[2]
 
 
+def search_threshold(ts, k, h0, max_iters):
+    """Reference threshold search: double or halve h from h0 until m(h) >= k > m(2h)."""
+    gaps = np.diff(ts)
+    h = float(h0)
+    for _ in range(max_iters):
+        m = 1 + int(np.count_nonzero(gaps >= h))
+        if m >= k and 1 + int(np.count_nonzero(gaps >= 2.0 * h)) < k:
+            return h
+        h = 2.0 * h if m >= k else h / 2.0
+    raise NonTermination(f"threshold search did not settle within {max_iters} iterations")
+
+
 increasing_times = st.lists(
     st.floats(min_value=0.001, max_value=500.0), min_size=1, max_size=80
 ).map(lambda gaps: list(np.cumsum(gaps)))
@@ -79,7 +89,7 @@ class TestAssignClusters:
         assert clusters[0].frame_ids == (0, 1, 2, 3)
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(PipelineError, match="no timestamps supplied"):
             assign_clusters([], 10.0)
 
     def test_custom_frame_ids(self):
@@ -150,10 +160,40 @@ class TestAdaptThreshold:
         assert len(clusters) == len(assign_clusters(ts, h_star))
 
     def test_iteration_budget_exhaustion_is_loud(self):
-        from robosum.errors import NonTermination
-
         with pytest.raises(NonTermination):
             adapt_threshold([0.0, 100.0, 200.0, 300.0], k=2, h0=500.0, max_iters=1)
+
+    @given(
+        st.lists(
+            st.sampled_from([1e-9, 0.5, 1.0, 60.0, 3600.0]) | st.floats(1e-9, 1e9),
+            min_size=1,
+            max_size=60,
+        ),
+        st.data(),
+        st.floats(min_value=1e-12, max_value=1e12),
+        st.integers(min_value=1, max_value=64),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_closed_form_equals_doubling_halving_search(self, gaps, data, h0, max_iters):
+        ts = np.unique(np.concatenate(([0.0], np.cumsum(gaps))))  # large sums absorb tiny gaps
+        assume(ts.size >= 2)
+        k = data.draw(st.integers(min_value=2, max_value=ts.size), label="k")
+        try:
+            expected = search_threshold(ts, k, h0, max_iters)
+        except NonTermination as exc:
+            with pytest.raises(NonTermination, match=str(exc)):
+                adapt_threshold(ts, k=k, h0=h0, max_iters=max_iters)
+            return
+        h_star, clusters = adapt_threshold(ts, k=k, h0=h0, max_iters=max_iters)
+        assert h_star.hex() == expected.hex()
+        assert clusters == assign_clusters(ts, expected)
+
+    def test_infinite_gap_never_settles(self):
+        ts = [0.0, 1.0, math.inf]
+        with pytest.raises(NonTermination):
+            search_threshold(ts, 2, 60.0, 64)
+        with pytest.raises(NonTermination):
+            adapt_threshold(ts, k=2, h0=60.0)
 
     @given(increasing_times)
     @settings(max_examples=60, deadline=None)
@@ -193,7 +233,7 @@ class TestSelectTopK:
         assert [c.index for c in kept] == [1, 2]
 
     def test_too_few(self):
-        with pytest.raises(TooFewClusters):
+        with pytest.raises(PipelineError, match="have 2 clusters, need 3"):
             select_top_k_clusters(self._clusters([1, 1]), 3)
 
 
@@ -369,7 +409,7 @@ class TestUniformBaseline:
         assert [e.frame_id for e in manifest.entries] == [0, 1, 2, 3]
 
     def test_empty(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(PipelineError, match="cannot summarize an empty session"):
             uniform_keyframes([], 3)
 
 
@@ -417,5 +457,5 @@ class TestKMeansBaseline:
 
     def test_insufficient_frames(self):
         frames = _session([0.0], np.full((1, FEATURE_DIM), 0.5))
-        with pytest.raises(InsufficientFrames):
+        with pytest.raises(PipelineError, match="k-means needs at least k=2 frames, got 1"):
             kmeans_keyframes(frames, 2)
