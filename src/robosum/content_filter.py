@@ -138,31 +138,31 @@ def classify_frame(
             raise MissingBlurScore(rec.frame_id)
         pixels = _checked_image(image)
 
-    visible = confident_subset(rec.landmarks, cfg.min_point_confidence)
-    if visible is None:
+    pts = confident_subset(rec.landmarks, cfg.min_point_confidence)
+    if pts is None:
         return IllPosedReason.PEOPLE_ABSENT
     blur = rec.blur_variance if pixels is None else _laplacian_variance(pixels)
     if blur < cfg.blur_threshold:
         return IllPosedReason.BLURRED
 
-    present = [p for p in visible.points if p is not None]
-    ys = [p.y for p in present]
-    xs = [p.x for p in present]
+    present = [p for p in pts if p is not None]
+    ys = [p[1] for p in present]
+    xs = [p[0] for p in present]
     bbox_height = max(ys) - min(ys)
     if bbox_height < cfg.min_torso_fraction * rec.height:
         return IllPosedReason.TOO_SMALL
 
-    neck = visible.points[NECK]
-    center_x = neck.x if neck is not None else (min(xs) + max(xs)) / 2.0
+    neck = pts[NECK]
+    center_x = neck[0] if neck is not None else (min(xs) + max(xs)) / 2.0
     margin = cfg.corner_margin_fraction * rec.width
     if center_x <= margin or center_x >= rec.width - margin:
         return IllPosedReason.AT_CORNER
 
-    nose = visible.points[NOSE]
-    if nose is not None and nose.y < cfg.forehead_margin_fraction * rec.height:
+    nose = pts[NOSE]
+    if nose is not None and nose[1] < cfg.forehead_margin_fraction * rec.height:
         return IllPosedReason.FOREHEAD_CROPPED
 
-    if all(visible.points[i] is None for i in EYE_INDICES):
+    if all(pts[i] is None for i in EYE_INDICES):
         return IllPosedReason.EYES_INVISIBLE
 
     return None

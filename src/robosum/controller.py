@@ -25,6 +25,7 @@ from .model import (
     R_HIP,
     FrameRecord,
     LandmarkSet,
+    Rows,
     confident_subset,
 )
 
@@ -60,12 +61,6 @@ class Observation:
     width: int
     height: int
     landmarks: LandmarkSet | None = None
-
-
-def observation_from_frame(rec: FrameRecord) -> Observation:
-    return Observation(
-        timestamp=rec.timestamp, width=rec.width, height=rec.height, landmarks=rec.landmarks
-    )
 
 
 @dataclass(frozen=True)
@@ -162,13 +157,13 @@ class ActionCommand:
             raise ValueError("forward_m must be non-negative")
 
 
-def _torso_px(lm: LandmarkSet) -> float | None:
+def _torso_px(pts: Rows) -> float | None:
     """Mean neck-to-hip pixel distance over the present hips; None without both."""
-    neck = lm.points[NECK]
-    hips = [p for p in (lm.points[R_HIP], lm.points[L_HIP]) if p is not None]
+    neck = pts[NECK]
+    hips = [p for p in (pts[R_HIP], pts[L_HIP]) if p is not None]
     if neck is None or not hips:
         return None
-    return sum(math.hypot(h.x - neck.x, h.y - neck.y) for h in hips) / len(hips)
+    return sum(math.hypot(h[0] - neck[0], h[1] - neck[1]) for h in hips) / len(hips)
 
 
 def estimate_distance_m(lm: LandmarkSet, cfg: ControllerConfig) -> float:
@@ -177,7 +172,7 @@ def estimate_distance_m(lm: LandmarkSet, cfg: ControllerConfig) -> float:
     The torso length is the mean of the neck-to-hip pixel distances over
     the present hips; distance is calibration_alpha_px_m / torso_px.
     """
-    torso_px = _torso_px(lm)
+    torso_px = _torso_px(lm.rows())
     if torso_px is None:
         raise PipelineError("need the neck and at least one hip")
     if torso_px <= 0:
@@ -193,34 +188,39 @@ def gaze_adjustment(
     Uses the nose when present, otherwise the centroid of the present
     facial points. Positive pitch tilts up.
     """
-    nose = lm.points[NOSE]
+    return _gaze(lm.rows(), width, height, cfg)
+
+
+def _gaze(pts: Rows, width: int, height: int, cfg: ControllerConfig) -> tuple[float, float]:
+    """:func:`gaze_adjustment` given the set's rows."""
+    nose = pts[NOSE]
     if nose is not None:
-        ref_x, ref_y = nose.x, nose.y
+        ref_x, ref_y = nose[0], nose[1]
     else:
-        pts = [lm.points[i] for i in FACIAL_INDICES if lm.points[i] is not None]
-        if not pts:
+        face = [pts[i] for i in FACIAL_INDICES if pts[i] is not None]
+        if not face:
             raise PipelineError("no facial landmark available for gaze control")
-        ref_x = sum(p.x for p in pts) / len(pts)
-        ref_y = sum(p.y for p in pts) / len(pts)
+        ref_x = sum(p[0] for p in face) / len(face)
+        ref_y = sum(p[1] for p in face) / len(face)
     pan = (ref_x / width - cfg.gaze_target_x_frac) * cfg.fov_h_deg
     pitch_delta = (cfg.gaze_target_y_frac - ref_y / height) * cfg.fov_v_deg
     return pan, pitch_delta
 
 
 def select_expression(
-    state: ControllerState, obs: Observation, cfg: ControllerConfig | None = None
+    state: ControllerState, obs: Observation | FrameRecord, cfg: ControllerConfig | None = None
 ) -> Expression:
     """Facial expression for the state just entered and the current view."""
     cfg = cfg or ControllerConfig()
     return _expression(state, confident_subset(obs.landmarks, cfg.min_point_confidence))
 
 
-def _expression(state: ControllerState, visible: LandmarkSet | None) -> Expression:
-    """:func:`select_expression` given the view's confident landmarks."""
+def _expression(state: ControllerState, visible: Rows | None) -> Expression:
+    """:func:`select_expression` given the rows of the view's confident landmarks."""
     if state.mode is Mode.SEARCHING:
         return Expression.AWARE_LEFT if state.search_direction is Side.LEFT else Expression.AWARE_RIGHT
     if visible is not None:
-        if any(visible.points[i] is not None for i in EYE_INDICES):
+        if any(visible[i] is not None for i in EYE_INDICES):
             return Expression.ACTIVE
         return Expression.EXPECTING
     return Expression.DEFAULT_STILL
@@ -230,8 +230,8 @@ def _clamp(value: float, lo: float, hi: float) -> float:
     return max(lo, min(hi, value))
 
 
-def _person_side(lm: LandmarkSet, width: int) -> Side:
-    xs = [p.x for p in lm.points if p is not None]
+def _person_side(pts: Rows, width: int) -> Side:
+    xs = [p[0] for p in pts if p is not None]
     center = (min(xs) + max(xs)) / 2.0
     return Side.LEFT if center < width / 2.0 else Side.RIGHT
 
@@ -248,17 +248,17 @@ def _noop(state: ControllerState) -> ActionCommand:
 
 
 def _follow(
-    state: ControllerState, obs: Observation, visible: LandmarkSet, cfg: ControllerConfig
+    state: ControllerState, obs: Observation | FrameRecord, visible: Rows, cfg: ControllerConfig
 ) -> tuple[ControllerState, ActionCommand]:
     side = _person_side(visible, obs.width)
-    facial = [i for i in FACIAL_INDICES if visible.points[i] is not None]
+    facial = [i for i in FACIAL_INDICES if visible[i] is not None]
     rotate = 0.0
     pitch_target: float | None = None
     forward = 0.0
     new_pitch = state.current_pitch
 
     if facial:
-        pan, pitch_delta = gaze_adjustment(visible, obs.width, obs.height, cfg)
+        pan, pitch_delta = _gaze(visible, obs.width, obs.height, cfg)
         rotate = _clamp(pan, -MAX_ROTATE_DEG, MAX_ROTATE_DEG)
         new_pitch = _clamp(
             state.current_pitch + pitch_delta, -cfg.max_pitch_deg, cfg.max_pitch_deg
@@ -266,10 +266,11 @@ def _follow(
         if new_pitch != state.current_pitch:
             pitch_target = new_pitch
         # No torso to measure (no neck or hip, or the neck on every hip): stay put.
-        if _torso_px(visible):
-            distance = estimate_distance_m(visible, cfg)
+        torso_px = _torso_px(visible)
+        if torso_px:
+            distance = cfg.calibration_alpha_px_m / torso_px
             forward = min(max(distance - cfg.stop_distance_m, 0.0), cfg.forward_step_m)
-    elif visible.points[NECK] is not None:
+    elif visible[NECK] is not None:
         # Face hidden but neck seen: raise the head to look for the face.
         new_pitch = min(state.current_pitch + cfg.face_raise_pitch_deg, cfg.max_pitch_deg)
         if new_pitch != state.current_pitch:
@@ -295,7 +296,7 @@ def _follow(
 
 
 def _search(
-    state: ControllerState, obs: Observation, cfg: ControllerConfig
+    state: ControllerState, obs: Observation | FrameRecord, cfg: ControllerConfig
 ) -> tuple[ControllerState, ActionCommand]:
     turns = state.turns_done if state.mode is Mode.SEARCHING else 0
     if turns >= 2 * cfg.turns_per_revolution:
@@ -339,9 +340,9 @@ def _search(
 
 
 def controller_step(
-    state: ControllerState, obs: Observation, cfg: ControllerConfig | None = None
+    state: ControllerState, obs: Observation | FrameRecord, cfg: ControllerConfig | None = None
 ) -> tuple[ControllerState, ActionCommand]:
-    """Advance the state machine by one observation.
+    """Advance the state machine by one observation (or frame record, which has the same fields).
 
     Total over valid inputs: every observation yields exactly one command.
     """

@@ -20,10 +20,10 @@ import numpy as np
 
 from .errors import FeatureFileError, OrderError, ParseError, RangeViolation
 from .model import (
+    ABSENT,
     FEATURE_DIM,
     NUM_LANDMARKS,
     FrameRecord,
-    LandmarkPoint,
     LandmarkSet,
     SummaryEntry,
     SummaryManifest,
@@ -51,27 +51,24 @@ def _landmarks_from_wire(raw, line: int | None) -> LandmarkSet | None:
         return None
     if not isinstance(raw, list) or len(raw) != NUM_LANDMARKS:
         raise ParseError(f"landmarks must be null or an array of {NUM_LANDMARKS} entries", line)
-    points: list[LandmarkPoint | None] = []
+    flat: list[float] = []
     for i, entry in enumerate(raw):
         if entry is None:
-            points.append(None)
+            flat += ABSENT
             continue
         if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError(f"landmark {i} must be null or [x, y, conf]", line)
-        x = _require_number(entry[0], f"landmark {i} x", line)
-        y = _require_number(entry[1], f"landmark {i} y", line)
-        conf = _require_number(entry[2], f"landmark {i} conf", line)
-        try:
-            points.append(LandmarkPoint(x=x, y=y, confidence=conf))
-        except ValueError as exc:
-            raise ParseError(str(exc), line) from exc
-    return LandmarkSet(points=tuple(points))
-
-
-def _landmarks_to_wire(lm: LandmarkSet | None):
-    if lm is None:
-        return None
-    return [None if p is None else [p.x, p.y, p.confidence] for p in lm.points]
+        x, y, conf = entry
+        # JSON coordinates are nearly always floats; check each only otherwise.
+        if not (type(x) is float and type(y) is float and type(conf) is float):
+            x = _require_number(x, f"landmark {i} x", line)
+            y = _require_number(y, f"landmark {i} y", line)
+            conf = _require_number(conf, f"landmark {i} conf", line)
+        if x != x and y != y and conf != conf:
+            # JSON NaN literals, not an absent point (that is null).
+            raise ParseError(f"landmark coordinates must be finite, got ({x}, {y})", line)
+        flat += (x, y, conf)
+    return LandmarkSet(points=np.array(flat).reshape(NUM_LANDMARKS, 3))
 
 
 def frame_from_wire(
@@ -115,7 +112,7 @@ def frame_to_wire(rec: FrameRecord, feat_row: int | None = None) -> dict:
         "t": rec.timestamp,
         "w": rec.width,
         "h": rec.height,
-        "landmarks": _landmarks_to_wire(rec.landmarks),
+        "landmarks": None if rec.landmarks is None else rec.landmarks.rows(),
         "blur_var": rec.blur_variance,
         "feat_row": feat_row,
     }
@@ -343,7 +340,9 @@ def load_pgm(path: str | Path) -> np.ndarray:
     while len(tokens) < 3 and pos < len(data):
         ch = data[pos : pos + 1]
         if ch == b"#":
-            pos = data.index(b"\n", pos) + 1
+            pos = data.find(b"\n", pos) + 1
+            if pos == 0:
+                break
         elif ch.isspace():
             pos += 1
         else:
@@ -354,7 +353,12 @@ def load_pgm(path: str | Path) -> np.ndarray:
             pos = end
     if len(tokens) < 3:
         raise ParseError(f"{path}: truncated PGM header")
-    width, height, maxval = (int(t) for t in tokens)
+    try:
+        width, height, maxval = (int(t) for t in tokens)
+    except ValueError:
+        raise ParseError(f"{path}: PGM header fields must be integers, got {tokens!r}") from None
+    if width < 0 or height < 0:
+        raise ParseError(f"{path}: negative PGM dimensions {width}x{height}")
     if maxval != 255:
         raise ParseError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
     pos += 1  # single whitespace byte after maxval

@@ -43,54 +43,63 @@ FACIAL_INDICES = (NOSE, R_EYE, L_EYE, R_EAR, L_EAR)
 EYE_INDICES = (R_EYE, L_EYE)
 
 
-@dataclass(frozen=True)
-class LandmarkPoint:
-    """One detected body keypoint: pixel position plus detector confidence."""
+#: The row of an absent point.
+ABSENT = (math.nan, math.nan, math.nan)
 
-    x: float
-    y: float
-    confidence: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"landmark coordinates must be finite, got ({self.x}, {self.y})")
-        if self.x < 0 or self.y < 0:
-            raise ValueError(f"landmark coordinates must be non-negative, got ({self.x}, {self.y})")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"landmark confidence must be in [0, 1], got {self.confidence}")
+#: A set's points as ``[x, y, conf]`` lists of Python floats, None where absent.
+Rows = list[list[float] | None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LandmarkSet:
-    """The 18 body keypoints of one person; absent points are ``None``.
+    """The 18 body keypoints of one person as a read-only (18, 3) float64 array.
 
-    Index semantics are fixed by the module-level constants (``NOSE`` is 0,
-    ``NECK`` is 1, ... ``L_EAR`` is 17).
+    Row ``i`` holds the x, y pixel position and the detector confidence of
+    the point at index ``i`` (``NOSE`` is 0, ``NECK`` is 1, ... ``L_EAR`` is
+    17); an all-NaN row (:data:`ABSENT`) marks an absent point. A present
+    point has finite, non-negative coordinates and a confidence in [0, 1].
     """
 
-    points: tuple[LandmarkPoint | None, ...]
+    points: np.ndarray
 
     def __post_init__(self):
-        pts = tuple(self.points)
-        if len(pts) != NUM_LANDMARKS:
-            raise ValueError(f"expected {NUM_LANDMARKS} landmark slots, got {len(pts)}")
-        object.__setattr__(self, "points", pts)
+        arr = np.array(self.points, dtype=np.float64)
+        if arr.shape != (NUM_LANDMARKS, 3):
+            raise ValueError(f"expected {NUM_LANDMARKS} landmark rows of [x, y, conf], got shape {arr.shape}")
+        for x, y, conf in arr.tolist():
+            if x != x and y != y and conf != conf:
+                continue
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"landmark coordinates must be finite, got ({x}, {y})")
+            if x < 0 or y < 0:
+                raise ValueError(f"landmark coordinates must be non-negative, got ({x}, {y})")
+            if not 0.0 <= conf <= 1.0:
+                raise ValueError(f"landmark confidence must be in [0, 1], got {conf}")
+        arr.flags.writeable = False
+        object.__setattr__(self, "points", arr)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LandmarkSet):
+            return NotImplemented
+        return bool(np.array_equal(self.points, other.points, equal_nan=True))
+
+    def rows(self) -> Rows:
+        """The points as ``[x, y, conf]`` lists of Python floats; None where absent."""
+        return [None if p[0] != p[0] else p for p in self.points.tolist()]
 
 
-def confident_subset(lm: LandmarkSet | None, min_confidence: float) -> LandmarkSet | None:
-    """Drop points below the confidence floor; None when nothing survives.
+def confident_subset(lm: LandmarkSet | None, min_confidence: float) -> Rows | None:
+    """The set's rows with points below the confidence floor made None.
 
-    This is the one "visible landmark" rule: the content filter and the
-    controller both see a person exactly when it returns a set.
+    None when nothing survives. This is the one "visible landmark" rule:
+    the content filter and the controller both see a person exactly when
+    it returns rows.
     """
     if lm is None:
         return None
-    pts = tuple(
-        p if (p is not None and p.confidence >= min_confidence) else None for p in lm.points
-    )
-    if all(p is None for p in pts):
-        return None
-    return LandmarkSet(points=pts)
+    # An absent row's NaN confidence fails the comparison, so it stays None.
+    pts = [p if p[2] >= min_confidence else None for p in lm.points.tolist()]
+    return None if pts.count(None) == NUM_LANDMARKS else pts
 
 
 @dataclass(frozen=True, eq=False)

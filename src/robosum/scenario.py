@@ -22,6 +22,7 @@ import numpy as np
 from .content_filter import FilterConfig
 from .errors import PipelineError
 from .model import (
+    ABSENT,
     FEATURE_DIM,
     L_ANKLE,
     L_EAR,
@@ -45,7 +46,6 @@ from .model import (
     FeatureVector,
     FrameRecord,
     IllPosedReason,
-    LandmarkPoint,
     LandmarkSet,
 )
 
@@ -195,13 +195,13 @@ def _build_landmarks(
         R_ANKLE: (cx - 0.12 * torso, neck_y + _BODY_DROP * torso),
         L_ANKLE: (cx + 0.12 * torso, neck_y + _BODY_DROP * torso),
     }
-    points: list[LandmarkPoint | None] = [None] * NUM_LANDMARKS
+    points = [ABSENT] * NUM_LANDMARKS
     for idx, (x, y) in spots.items():
         if drop_eyes and idx in (R_EYE, L_EYE):
             continue
         if 0 <= x < width and 0 <= y < height:
-            points[idx] = LandmarkPoint(x=x, y=y, confidence=_POINT_CONFIDENCE)
-    return LandmarkSet(points=tuple(points))
+            points[idx] = (x, y, _POINT_CONFIDENCE)
+    return LandmarkSet(points=points)
 
 
 def _geometry_for(
@@ -249,16 +249,17 @@ def _check_intended(
         if lm is not None:
             fail("landmarks present")
         return
-    if lm is None or all(p is None for p in lm.points):
+    pts = [] if lm is None else lm.rows()
+    if all(p is None for p in pts):
         fail("no visible landmarks")
-    ys = [p.y for p in lm.points if p is not None]
-    xs = [p.x for p in lm.points if p is not None]
+    ys = [p[1] for p in pts if p is not None]
+    xs = [p[0] for p in pts if p is not None]
     bbox_h = max(ys) - min(ys)
     margin = cfg.corner_margin_fraction * w
-    neck = lm.points[NECK]
-    center_x = neck.x if neck is not None else (min(xs) + max(xs)) / 2.0
-    nose = lm.points[NOSE]
-    eyes_visible = lm.points[R_EYE] is not None or lm.points[L_EYE] is not None
+    neck = pts[NECK]
+    center_x = neck[0] if neck is not None else (min(xs) + max(xs)) / 2.0
+    nose = pts[NOSE]
+    eyes_visible = pts[R_EYE] is not None or pts[L_EYE] is not None
 
     if reason is IllPosedReason.BLURRED:
         if blur >= cfg.blur_threshold:
@@ -279,10 +280,10 @@ def _check_intended(
     if not margin < center_x < w - margin:
         fail("person unintentionally at a corner")
     if reason is IllPosedReason.FOREHEAD_CROPPED:
-        if nose is None or nose.y >= cfg.forehead_margin_fraction * h:
+        if nose is None or nose[1] >= cfg.forehead_margin_fraction * h:
             fail("nose not above the forehead margin")
         return
-    if nose is not None and nose.y < cfg.forehead_margin_fraction * h:
+    if nose is not None and nose[1] < cfg.forehead_margin_fraction * h:
         fail("forehead unintentionally cropped")
     if reason is IllPosedReason.EYES_INVISIBLE:
         if eyes_visible:

@@ -4,8 +4,9 @@ One connection is one session. For every ``frame`` message the server runs
 the content filter and one controller step and replies with an ``action``
 message; well-posed frames with inline features accumulate until an
 ``end_session`` message triggers summarization and a ``summary`` reply.
-Protocol violations and data errors get an ``error`` reply and close only
-the offending connection; any other failure is logged and answered with an
+Protocol violations (a line longer than :data:`MAX_LINE_BYTES` among them)
+and data errors get an ``error`` reply and close only the offending
+connection; any other failure is logged and answered with an
 ``internal_error`` reply, and a stream that ends before ``end_session`` gets
 a ``protocol_error`` reply, so every connection ends with exactly one
 ``summary`` or ``error`` line unless the client goes away first. Replies
@@ -35,7 +36,6 @@ from .controller import (
     ControllerConfig,
     controller_step,
     initial_state,
-    observation_from_frame,
 )
 from .errors import ConnectionLost, ParseError, PipelineError
 from .frameio import FEATURE_DIM, ParseResult, frame_from_wire, frame_to_wire, manifest_to_dict
@@ -45,6 +45,10 @@ from .summarizer import SummarizerConfig, summarize
 logger = logging.getLogger(__name__)
 
 _FRAME_EXTRA_KEYS = frozenset({"type", "features"})
+
+#: Longest accepted message line in bytes, newline included. A frame with
+#: 157 inline features takes about 4 KB.
+MAX_LINE_BYTES = 1 << 20
 
 
 def dumps_wire(obj: dict) -> str:
@@ -72,7 +76,7 @@ def simulate_actions(
     state = initial_state()
     lines = []
     for rec in frames:
-        state, cmd = controller_step(state, observation_from_frame(rec), cfg)
+        state, cmd = controller_step(state, rec, cfg)
         lines.append(dumps_wire(action_to_wire(rec.frame_id, cmd)))
     return lines
 
@@ -89,11 +93,11 @@ class ServiceConfig:
 def _decode_inline_features(raw, line_no: int | None) -> FeatureVector | None:
     if raw is None:
         return None
-    if not isinstance(raw, list) or len(raw) != FEATURE_DIM:
+    if not isinstance(raw, list) or len(raw) != FEATURE_DIM or not {*map(type, raw)} <= {int, float}:
         raise ParseError(f"features must be null or an array of {FEATURE_DIM} numbers", line_no)
     try:
         return FeatureVector(values=np.asarray(raw, dtype=np.float64))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(f"bad feature vector: {exc}", line_no) from exc
 
 
@@ -117,8 +121,11 @@ class _SessionHandler(socketserver.StreamRequestHandler):
         featureless_well_posed = 0
         line_no = 0
         try:
-            for raw in self.rfile:
+            while raw := self.rfile.readline(MAX_LINE_BYTES):
                 line_no += 1
+                if len(raw) == MAX_LINE_BYTES and not raw.endswith(b"\n"):
+                    self._fail("protocol_error", f"line {line_no}: longer than {MAX_LINE_BYTES} bytes")
+                    return
                 try:
                     msg = json.loads(raw.decode("utf-8"))
                 except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -133,9 +140,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                         rec, _ = frame_from_wire(msg, line=line_no, extra_keys=_FRAME_EXTRA_KEYS)
                         features = _decode_inline_features(msg.get("features"), line_no)
                         reason = classify_frame(rec, cfg.filter_config)
-                        state, cmd = controller_step(
-                            state, observation_from_frame(rec), cfg.controller_config
-                        )
+                        state, cmd = controller_step(state, rec, cfg.controller_config)
                     except PipelineError as exc:
                         self._fail("data_error", str(exc))
                         return

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from robosum.model import (
+    ABSENT,
     FEATURE_DIM,
     NUM_LANDMARKS,
     FeatureVector,
     FrameRecord,
-    LandmarkPoint,
     LandmarkSet,
 )
 
@@ -38,12 +38,12 @@ _NAME_TO_INDEX = {
 
 def landmarks(**named) -> LandmarkSet:
     """Build a LandmarkSet from name=(x, y) or name=(x, y, conf) pairs."""
-    points: list[LandmarkPoint | None] = [None] * NUM_LANDMARKS
+    points = [ABSENT] * NUM_LANDMARKS
     for name, value in named.items():
         x, y, *rest = value
         conf = rest[0] if rest else 0.9
-        points[_NAME_TO_INDEX[name]] = LandmarkPoint(x=float(x), y=float(y), confidence=conf)
-    return LandmarkSet(points=tuple(points))
+        points[_NAME_TO_INDEX[name]] = (x, y, conf)
+    return LandmarkSet(points=points)
 
 
 def centered_person(

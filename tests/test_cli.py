@@ -118,6 +118,17 @@ class TestDataErrors:
                      "--out", str(tmp_path / "s.json")])
         assert code == 2
 
+    def test_malformed_pgm_header_is_exit_2(self, tmp_path, capsys):
+        spec_path = write_spec(tmp_path, small_spec())
+        frames = tmp_path / "frames.jsonl"
+        images = tmp_path / "imgs"
+        assert main(["gen", "--spec", str(spec_path), "--out", str(frames), "--images", str(images)]) == 0
+        (images / "0.pgm").write_bytes(b"P5\nab 3\n255\n" + b"\x00" * 9)
+        code = main(["filter", "--frames", str(frames), "--images", str(images),
+                     "--out", str(tmp_path / "wp.jsonl"), "--report", str(tmp_path / "report.json")])
+        assert code == 2
+        assert "PGM header" in capsys.readouterr().err
+
     def test_missing_input_file_is_exit_2(self, tmp_path):
         code = main(["summarize", "--frames", str(tmp_path / "nope.jsonl"),
                      "--features", str(tmp_path / "nope.bin"), "--out", str(tmp_path / "s.json")])

@@ -130,8 +130,8 @@ class TestClassifyFrame:
         lm = centered_person()
         shifted = landmarks(
             **{
-                name: (pt.x - 280, pt.y)
-                for name, pt in {
+                name: (x - 280, y)
+                for name, (x, y, _) in {
                     "nose": lm.points[model.NOSE],
                     "r_eye": lm.points[model.R_EYE],
                     "l_eye": lm.points[model.L_EYE],

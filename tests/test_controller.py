@@ -22,7 +22,7 @@ from robosum.controller import (
     select_expression,
 )
 from robosum.errors import PipelineError
-from robosum.model import NUM_LANDMARKS, IllPosedReason, LandmarkPoint, LandmarkSet, confident_subset
+from robosum.model import ABSENT, NUM_LANDMARKS, IllPosedReason, LandmarkSet, confident_subset
 
 CFG = ControllerConfig()
 W, H = 640, 480
@@ -371,12 +371,12 @@ def landmarks_and_floor(draw):
     points = []
     for i in range(NUM_LANDMARKS):
         if draw(st.booleans()):
-            points.append(None)
+            points.append(ABSENT)
             continue
         x = draw(st.sampled_from([0.0, 320.0]) | st.floats(0.0, W))
         y = draw(st.sampled_from([0.0, 200.0]) | st.floats(0.0, H))
-        points.append(LandmarkPoint(x=x, y=y, confidence=draw(confidence)))
-    return LandmarkSet(points=tuple(points)), floor
+        points.append((x, y, draw(confidence)))
+    return LandmarkSet(points=points), floor
 
 
 @settings(max_examples=300, deadline=None)

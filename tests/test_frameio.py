@@ -17,22 +17,22 @@ from robosum.errors import (
     RangeViolation,
 )
 from robosum.model import (
+    ABSENT,
     FEATURE_DIM,
+    NUM_LANDMARKS,
     FeatureVector,
     FrameRecord,
-    LandmarkPoint,
     LandmarkSet,
     SummaryEntry,
     SummaryManifest,
 )
 
 point_strategy = st.one_of(
-    st.none(),
-    st.builds(
-        LandmarkPoint,
-        x=st.floats(min_value=0.0, max_value=2000.0, allow_nan=False),
-        y=st.floats(min_value=0.0, max_value=2000.0, allow_nan=False),
-        confidence=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    st.just(ABSENT),
+    st.tuples(
+        st.floats(min_value=0.0, max_value=2000.0, allow_nan=False),
+        st.floats(min_value=0.0, max_value=2000.0, allow_nan=False),
+        st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
     ),
 )
 
@@ -42,7 +42,7 @@ record_strategy = st.builds(
     timestamp=st.floats(min_value=0.0, max_value=10**6, allow_nan=False),
     width=st.integers(min_value=1, max_value=4096),
     height=st.integers(min_value=1, max_value=4096),
-    landmarks=st.one_of(st.none(), st.builds(lambda pts: LandmarkSet(points=tuple(pts)), st.lists(point_strategy, min_size=18, max_size=18))),
+    landmarks=st.one_of(st.none(), st.builds(lambda pts: LandmarkSet(points=pts), st.lists(point_strategy, min_size=18, max_size=18))),
     blur_variance=st.one_of(st.none(), st.floats(min_value=0.0, max_value=10**6, allow_nan=False)),
     features=st.one_of(
         st.none(),
@@ -152,6 +152,74 @@ class TestFramesJsonl:
         parsed = frameio.ParseResult(frames=(rec,), feat_rows=(3,), duplicates_dropped=0)
         with pytest.raises(ParseError):
             frameio.attach_features(parsed, np.zeros((2, FEATURE_DIM), dtype=np.float32))
+
+
+def old_point_rules(raw) -> str | None:
+    """Reference: the former per-point checks, entry by entry.
+
+    Returns the message of the first fault, or None when the landmarks are valid.
+    """
+    for i, entry in enumerate(raw):
+        if entry is None:
+            continue
+        if not isinstance(entry, list) or len(entry) != 3:
+            return f"landmark {i} must be null or [x, y, conf]"
+        for value, name in zip(entry, ("x", "y", "conf")):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                return f"landmark {i} {name} must be a number, got {value!r}"
+        x, y, conf = (float(v) for v in entry)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return f"landmark coordinates must be finite, got ({x}, {y})"
+        if x < 0 or y < 0:
+            return f"landmark coordinates must be non-negative, got ({x}, {y})"
+        if not 0.0 <= conf <= 1.0:
+            return f"landmark confidence must be in [0, 1], got {conf}"
+    return None
+
+
+good_xy = st.floats(0.0, 4096.0) | st.integers(0, 4096)
+good_conf = st.floats(0.0, 1.0) | st.sampled_from([0, 1])
+bad_value = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -1, -0.0, math.nextafter(1.0, 2.0), 2, -1e-300, True, False, "1.0", None, [1.0]]
+)
+faulty_entry = st.one_of(
+    st.tuples(bad_value, good_xy, good_conf).map(list),
+    st.tuples(good_xy, bad_value, good_conf).map(list),
+    st.tuples(good_xy, good_xy, bad_value).map(list),
+    st.just([math.nan, math.nan, math.nan]),
+    st.lists(good_conf, max_size=5).filter(lambda e: len(e) != 3),
+    st.sampled_from(["x", 1.0, True, {}]),
+)
+wire_entry = st.none() | st.tuples(good_xy, good_xy, good_conf).map(list) | faulty_entry
+
+
+@given(
+    st.lists(wire_entry, min_size=NUM_LANDMARKS, max_size=NUM_LANDMARKS),
+    st.integers(0, NUM_LANDMARKS - 1),
+    faulty_entry,
+    st.sampled_from(["as drawn", "one entry", "all valid"]),
+)
+@settings(max_examples=600, deadline=None)
+def test_landmark_decoder_matches_the_per_point_rules(raw, slot, fault, shape):
+    if shape != "as drawn":
+        raw = [e if old_point_rules([e]) is None else None for e in raw]
+    if shape == "one entry":
+        raw[slot] = fault
+    obj = {"frame_id": 0, "t": 0.0, "w": 640, "h": 480, "landmarks": raw, "blur_var": None, "feat_row": None}
+    # NaN and Infinity travel as JSON literals.
+    text = json.dumps(obj)
+    expected = old_point_rules(raw)
+    try:
+        rec, _ = frameio.frame_from_wire(json.loads(text))
+    except ParseError as exc:
+        assert expected is not None, str(exc)
+        if sum(old_point_rules([e]) is not None for e in raw) == 1:
+            assert str(exc) == expected
+        return
+    assert expected is None
+    wire = json.dumps(frameio.frame_to_wire(rec)["landmarks"])
+    assert wire == json.dumps([None if e is None else [float(v) for v in e] for e in raw])
+    assert frameio.frame_from_wire(json.loads(json.dumps(frameio.frame_to_wire(rec))))[0] == rec
 
 
 class TestFeatureFile:
@@ -268,6 +336,16 @@ class TestPgm:
     def test_rejects_non_pgm(self, tmp_path):
         path = tmp_path / "frame.pgm"
         path.write_bytes(b"JFIF....")
+        with pytest.raises(ParseError):
+            frameio.load_pgm(path)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"P5\nab 3\n255\n", b"P5\n# comment without newline", b"P5\n-3 3\n255\n", b"P5\n3 -3\n255\n"],
+    )
+    def test_malformed_header_is_parse_error(self, tmp_path, data):
+        path = tmp_path / "frame.pgm"
+        path.write_bytes(data + b"\x00" * 16)
         with pytest.raises(ParseError):
             frameio.load_pgm(path)
 

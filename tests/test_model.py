@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from robosum.model import (
+    ABSENT,
     FEATURE_DIM,
     Cluster,
     FeatureVector,
     FrameRecord,
-    LandmarkPoint,
     LandmarkSet,
     SummaryEntry,
     SummaryManifest,
+    confident_subset,
 )
 import robosum
 from robosum import model
@@ -28,18 +29,51 @@ def test_index_constants_are_the_documented_convention():
 
 def test_landmark_set_requires_exactly_18_slots():
     with pytest.raises(ValueError):
-        LandmarkSet(points=(None,) * 17)
+        LandmarkSet(points=[ABSENT] * 17)
     with pytest.raises(ValueError):
-        LandmarkSet(points=(None,) * 19)
+        LandmarkSet(points=[ABSENT] * 19)
+    with pytest.raises(ValueError):
+        LandmarkSet(points=np.zeros((18, 2)))
+
+
+def point_set(*row):
+    """A set whose nose is ``row`` and whose other points are absent."""
+    return LandmarkSet(points=[row] + [ABSENT] * 17)
 
 
 def test_landmark_point_validation():
+    with pytest.raises(ValueError, match="non-negative"):
+        point_set(-1.0, 0.0, 0.5)
+    with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+        point_set(0.0, 0.0, 1.5)
+    with pytest.raises(ValueError, match="finite"):
+        point_set(float("nan"), 0.0, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        point_set(0.0, float("inf"), 0.5)
+    with pytest.raises(ValueError, match=r"got nan"):
+        point_set(3.0, 4.0, float("nan"))
+    assert point_set(*ABSENT).rows() == [None] * 18
+    assert point_set(0.0, 0.0, 0.0).rows()[0] == [0.0, 0.0, 0.0]
+
+
+def test_landmark_set_is_read_only_copy_with_nan_aware_equality():
+    src = np.array([(1.0, 2.0, 0.5)] + [ABSENT] * 17)
+    lm = LandmarkSet(points=src)
+    src[0, 0] = 9.0
+    assert lm.points[0, 0] == 1.0
+    assert lm.points.dtype == np.float64
     with pytest.raises(ValueError):
-        LandmarkPoint(x=-1.0, y=0.0, confidence=0.5)
-    with pytest.raises(ValueError):
-        LandmarkPoint(x=0.0, y=0.0, confidence=1.5)
-    with pytest.raises(ValueError):
-        LandmarkPoint(x=float("nan"), y=0.0, confidence=0.5)
+        lm.points[0, 0] = 3.0
+    assert lm == point_set(1.0, 2.0, 0.5)
+    assert lm != point_set(1.0, 2.0, 0.25)
+
+
+def test_confident_subset_keeps_points_at_or_above_the_floor():
+    lm = LandmarkSet(points=[(1.0, 2.0, 0.3), (3.0, 4.0, 0.25)] + [ABSENT] * 16)
+    assert confident_subset(lm, 0.3) == [[1.0, 2.0, 0.3]] + [None] * 17
+    assert confident_subset(lm, 0.0) == [[1.0, 2.0, 0.3], [3.0, 4.0, 0.25]] + [None] * 16
+    assert confident_subset(lm, 0.5) is None
+    assert confident_subset(None, 0.0) is None
 
 
 def test_feature_vector_validation():

@@ -264,6 +264,35 @@ class TestTerminalLine:
         }
         assert all_replies(server, []) == [replies[-1]]
 
+    def test_features_must_be_json_numbers(self, server):
+        parsed, matrix = parsed_session(session_spec())
+        good = frame_messages(parsed, matrix)[0]
+        for bad in ("0.5", True):
+            replies = all_replies(server, [dict(good, features=[bad] + good["features"][1:])])
+            assert replies == [{
+                "type": "error",
+                "code": "data_error",
+                "msg": "line 1: features must be null or an array of 157 numbers",
+            }]
+        integral = dict(good, features=[0, 1] + good["features"][2:])
+        assert [r["type"] for r in all_replies(server, [integral])] == ["action", "error"]
+
+    def test_line_bound(self, server):
+        parsed, matrix = parsed_session(session_spec())
+        line = dumps_wire(frame_messages(parsed, matrix)[0])
+        bound = robosum.service.MAX_LINE_BYTES
+        # JSON allows trailing spaces: pad the frame to exactly the bound, newline included.
+        replies = all_replies(server, [line.ljust(bound - 1)])
+        assert [r["type"] for r in replies] == ["action", "error"]
+        # One byte more; sent without a newline so the server reads it all before closing.
+        with socket.create_connection(server) as sock:
+            sock.sendall(line.ljust(bound).encode("utf-8"))
+            sock.shutdown(socket.SHUT_WR)
+            reply = sock.makefile("rb").read()
+        assert json.loads(reply) == {
+            "type": "error", "code": "protocol_error", "msg": f"line 1: longer than {bound} bytes"
+        }
+
     def test_unexpected_failure_is_internal_error(self, server, monkeypatch, caplog):
         def boom(frames, cfg=None):
             raise RuntimeError("boom")
