@@ -164,11 +164,8 @@ def _cmd_gen(args, cfg: AppConfig) -> int:
         frames = stripped
 
     with open(args.out, "w", encoding="utf-8") as fh:
-        if args.features:
-            matrix = frameio.write_frames_jsonl(frames, fh)
-        else:
-            frameio.write_frames_jsonl(frames, fh, feat_rows=[None] * len(frames))
-            matrix = None
+        feat_rows = None if args.features else [None] * len(frames)
+        matrix = frameio.write_frames_jsonl(frames, fh, feat_rows=feat_rows)
     if args.features:
         frameio.save_features(
             matrix if matrix is not None else np.zeros((0, frameio.FEATURE_DIM), dtype=np.float32),

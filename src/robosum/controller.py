@@ -12,7 +12,7 @@ config), so traces are reproducible by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 from .errors import PipelineError
@@ -88,22 +88,7 @@ class ControllerConfig:
     min_point_confidence: float = 0.3
 
     def __post_init__(self):
-        numeric = (
-            self.stop_distance_m,
-            self.forward_step_m,
-            self.search_turn_deg,
-            self.search_pitch_deg,
-            self.idle_duration_s,
-            self.turns_per_revolution,
-            self.gaze_target_x_frac,
-            self.gaze_target_y_frac,
-            self.fov_h_deg,
-            self.fov_v_deg,
-            self.calibration_alpha_px_m,
-            self.face_raise_pitch_deg,
-            self.max_pitch_deg,
-        )
-        if any(v <= 0 for v in numeric):
+        if any(getattr(self, f.name) <= 0 for f in fields(self) if f.name != "min_point_confidence"):
             raise ValueError("all controller parameters must be positive")
         if self.turns_per_revolution * self.search_turn_deg != 360.0:
             raise ValueError("turns_per_revolution * search_turn_deg must equal 360")
@@ -157,13 +142,16 @@ class ActionCommand:
             raise ValueError("forward_m must be non-negative")
 
 
-def _torso_px(pts: Rows) -> float | None:
-    """Mean neck-to-hip pixel distance over the present hips; None without both."""
+def _distance_m(pts: Rows, cfg: ControllerConfig) -> float:
+    """:func:`estimate_distance_m` given the set's rows."""
     neck = pts[NECK]
     hips = [p for p in (pts[R_HIP], pts[L_HIP]) if p is not None]
     if neck is None or not hips:
-        return None
-    return sum(math.hypot(h[0] - neck[0], h[1] - neck[1]) for h in hips) / len(hips)
+        raise PipelineError("need the neck and at least one hip")
+    torso_px = sum(math.hypot(h[0] - neck[0], h[1] - neck[1]) for h in hips) / len(hips)
+    if torso_px <= 0:
+        raise PipelineError("neck and hip coincide; torso length is zero")
+    return cfg.calibration_alpha_px_m / torso_px
 
 
 def estimate_distance_m(lm: LandmarkSet, cfg: ControllerConfig) -> float:
@@ -172,23 +160,7 @@ def estimate_distance_m(lm: LandmarkSet, cfg: ControllerConfig) -> float:
     The torso length is the mean of the neck-to-hip pixel distances over
     the present hips; distance is calibration_alpha_px_m / torso_px.
     """
-    torso_px = _torso_px(lm.rows())
-    if torso_px is None:
-        raise PipelineError("need the neck and at least one hip")
-    if torso_px <= 0:
-        raise PipelineError("neck and hip coincide; torso length is zero")
-    return cfg.calibration_alpha_px_m / torso_px
-
-
-def gaze_adjustment(
-    lm: LandmarkSet, width: int, height: int, cfg: ControllerConfig
-) -> tuple[float, float]:
-    """Pan and pitch deltas (degrees) that move the face toward upper-center.
-
-    Uses the nose when present, otherwise the centroid of the present
-    facial points. Positive pitch tilts up.
-    """
-    return _gaze(lm.rows(), width, height, cfg)
+    return _distance_m(lm.rows(), cfg)
 
 
 def _gaze(pts: Rows, width: int, height: int, cfg: ControllerConfig) -> tuple[float, float]:
@@ -205,6 +177,17 @@ def _gaze(pts: Rows, width: int, height: int, cfg: ControllerConfig) -> tuple[fl
     pan = (ref_x / width - cfg.gaze_target_x_frac) * cfg.fov_h_deg
     pitch_delta = (cfg.gaze_target_y_frac - ref_y / height) * cfg.fov_v_deg
     return pan, pitch_delta
+
+
+def gaze_adjustment(
+    lm: LandmarkSet, width: int, height: int, cfg: ControllerConfig
+) -> tuple[float, float]:
+    """Pan and pitch deltas (degrees) that move the face toward upper-center.
+
+    Uses the nose when present, otherwise the centroid of the present
+    facial points. Positive pitch tilts up.
+    """
+    return _gaze(lm.rows(), width, height, cfg)
 
 
 def select_expression(
@@ -265,11 +248,11 @@ def _follow(
         )
         if new_pitch != state.current_pitch:
             pitch_target = new_pitch
-        # No torso to measure (no neck or hip, or the neck on every hip): stay put.
-        torso_px = _torso_px(visible)
-        if torso_px:
-            distance = cfg.calibration_alpha_px_m / torso_px
+        try:
+            distance = _distance_m(visible, cfg)
             forward = min(max(distance - cfg.stop_distance_m, 0.0), cfg.forward_step_m)
+        except PipelineError:
+            pass  # No torso to measure (no neck or hip, or the neck on every hip): stay put.
     elif visible[NECK] is not None:
         # Face hidden but neck seen: raise the head to look for the face.
         new_pitch = min(state.current_pitch + cfg.face_raise_pitch_deg, cfg.max_pitch_deg)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -23,6 +23,7 @@ from .model import (
     ABSENT,
     FEATURE_DIM,
     NUM_LANDMARKS,
+    FeatureVector,
     FrameRecord,
     LandmarkSet,
     SummaryEntry,
@@ -43,7 +44,10 @@ def _require_int(value, name: str, line: int | None) -> int:
 def _require_number(value, name: str, line: int | None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{name} must be a number, got {value!r}", line)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ParseError(f"{name} is too large for a float", line) from exc
 
 
 def _landmarks_from_wire(raw, line: int | None) -> LandmarkSet | None:
@@ -58,12 +62,9 @@ def _landmarks_from_wire(raw, line: int | None) -> LandmarkSet | None:
             continue
         if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError(f"landmark {i} must be null or [x, y, conf]", line)
-        x, y, conf = entry
-        # JSON coordinates are nearly always floats; check each only otherwise.
-        if not (type(x) is float and type(y) is float and type(conf) is float):
-            x = _require_number(x, f"landmark {i} x", line)
-            y = _require_number(y, f"landmark {i} y", line)
-            conf = _require_number(conf, f"landmark {i} conf", line)
+        x = _require_number(entry[0], f"landmark {i} x", line)
+        y = _require_number(entry[1], f"landmark {i} y", line)
+        conf = _require_number(entry[2], f"landmark {i} conf", line)
         if x != x and y != y and conf != conf:
             # JSON NaN literals, not an absent point (that is null).
             raise ParseError(f"landmark coordinates must be finite, got ({x}, {y})", line)
@@ -197,10 +198,6 @@ def write_frames_jsonl(
 
 def attach_features(result: ParseResult, matrix: np.ndarray) -> list[FrameRecord]:
     """Resolve feature row indices against a loaded matrix."""
-    from dataclasses import replace
-
-    from .model import FeatureVector
-
     out = []
     for rec, row in zip(result.frames, result.feat_rows):
         if row is None:

@@ -15,7 +15,7 @@ order, making output byte-identical for a given spec.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -384,7 +384,9 @@ def frame_image(frame_id: int, blurred: bool, seed: int = 0, size: tuple[int, in
     return rng.integers(0, 256, size=size, dtype=np.uint8)
 
 
-def _take(obj: dict, known: dict, context: str) -> dict:
+def _take(obj: dict, cls: type, context: str) -> dict:
+    """Check ``obj``'s keys against the fields of ``cls``; those without a default are required."""
+    known = {f.name: f.default is MISSING for f in fields(cls)}
     unknown = set(obj) - set(known)
     if unknown:
         raise PipelineError(f"{context}: unknown keys {sorted(unknown)}")
@@ -398,38 +400,22 @@ def spec_from_dict(obj: dict) -> ScenarioSpec:
     """Build a ScenarioSpec from its JSON form; unknown keys are errors."""
     if not isinstance(obj, dict):
         raise PipelineError("scenario spec must be a JSON object")
-    known = {
-        "duration_s": True,
-        "fps": True,
-        "rng_seed": False,
-        "frame_width": False,
-        "frame_height": False,
-        "activity_segments": False,
-        "ill_posed_injections": False,
-        "person_trajectory": False,
-    }
-    _take(obj, known, "scenario spec")
+    _take(obj, ScenarioSpec, "scenario spec")
     try:
         segments = tuple(
-            ActivitySegment(
-                **_take(
-                    dict(seg),
-                    {"start_s": True, "end_s": True, "activity_id": True, "feature_noise_sigma": False},
-                    "activity segment",
-                )
-            )
+            ActivitySegment(**_take(dict(seg), ActivitySegment, "activity segment"))
             for seg in obj.get("activity_segments", ())
         )
         injections = []
         for inj in obj.get("ill_posed_injections", ()):
-            fields_ = _take(dict(inj), {"start_s": True, "end_s": True, "reason": True}, "injection")
+            fields_ = _take(dict(inj), Injection, "injection")
             try:
                 reason = IllPosedReason(fields_["reason"])
             except ValueError as exc:
                 raise PipelineError(f"unknown ill-posed reason {fields_['reason']!r}") from exc
             injections.append(Injection(start_s=fields_["start_s"], end_s=fields_["end_s"], reason=reason))
         waypoints = tuple(
-            Waypoint(**_take(dict(wp), {"t": True, "x": True, "y": True, "torso_px": True}, "waypoint"))
+            Waypoint(**_take(dict(wp), Waypoint, "waypoint"))
             for wp in obj.get("person_trajectory", ())
         )
         return ScenarioSpec(

@@ -97,7 +97,7 @@ def _decode_inline_features(raw, line_no: int | None) -> FeatureVector | None:
         raise ParseError(f"features must be null or an array of {FEATURE_DIM} numbers", line_no)
     try:
         return FeatureVector(values=np.asarray(raw, dtype=np.float64))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ParseError(f"bad feature vector: {exc}", line_no) from exc
 
 
@@ -125,6 +125,10 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                 line_no += 1
                 if len(raw) == MAX_LINE_BYTES and not raw.endswith(b"\n"):
                     self._fail("protocol_error", f"line {line_no}: longer than {MAX_LINE_BYTES} bytes")
+                    # Closing with the line's rest unread would reset the link before
+                    # the client reads the error, so read it away, a bounded chunk at a time.
+                    while (rest := self.rfile.readline(MAX_LINE_BYTES)) and not rest.endswith(b"\n"):
+                        pass
                     return
                 try:
                     msg = json.loads(raw.decode("utf-8"))
@@ -164,7 +168,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                         summarizer_cfg = SummarizerConfig(
                             k=k, h0=float(h0), max_adapt_iters=cfg.max_adapt_iters
                         )
-                    except (KeyError, TypeError, ValueError) as exc:
+                    except (KeyError, TypeError, ValueError, OverflowError) as exc:
                         self._fail("protocol_error", f"bad end_session: {exc}")
                         return
                     try:

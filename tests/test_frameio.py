@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -147,6 +148,19 @@ class TestFramesJsonl:
             with pytest.raises(ParseError):
                 frameio.parse_frames_jsonl(io.StringIO(json.dumps(broken) + "\n"))
 
+    def test_integer_too_large_for_a_float_rejected(self):
+        obj = frameio.frame_to_wire(FrameRecord(frame_id=0, timestamp=0.0, width=10, height=10))
+        huge_x = [[10.0, 20.0, 0.9], [10**400, 20.0, 0.9]] + [None] * 16
+        cases = (
+            ("t", 10**400, "t is too large for a float"),
+            ("blur_var", 10**400, "blur_var is too large for a float"),
+            ("landmarks", huge_x, "landmark 1 x is too large for a float"),
+        )
+        for key, value, msg in cases:
+            line = json.dumps(dict(obj, **{key: value})) + "\n"
+            with pytest.raises(ParseError, match=f"^line 1: {msg}$"):
+                frameio.parse_frames_jsonl(io.StringIO(line))
+
     def test_attach_features_range_check(self):
         rec = FrameRecord(frame_id=0, timestamp=0.0, width=10, height=10)
         parsed = frameio.ParseResult(frames=(rec,), feat_rows=(3,), duplicates_dropped=0)
@@ -167,6 +181,8 @@ def old_point_rules(raw) -> str | None:
         for value, name in zip(entry, ("x", "y", "conf")):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 return f"landmark {i} {name} must be a number, got {value!r}"
+            if isinstance(value, int) and abs(value) > sys.float_info.max:
+                return f"landmark {i} {name} is too large for a float"
         x, y, conf = (float(v) for v in entry)
         if not (math.isfinite(x) and math.isfinite(y)):
             return f"landmark coordinates must be finite, got ({x}, {y})"
@@ -180,7 +196,7 @@ def old_point_rules(raw) -> str | None:
 good_xy = st.floats(0.0, 4096.0) | st.integers(0, 4096)
 good_conf = st.floats(0.0, 1.0) | st.sampled_from([0, 1])
 bad_value = st.floats() | st.sampled_from(
-    [math.nan, math.inf, -math.inf, -1, -0.0, math.nextafter(1.0, 2.0), 2, -1e-300, True, False, "1.0", None, [1.0]]
+    [math.nan, math.inf, -math.inf, -1, -0.0, math.nextafter(1.0, 2.0), 2, -1e-300, 10**400, True, False, "1.0", None, [1.0]]
 )
 faulty_entry = st.one_of(
     st.tuples(bad_value, good_xy, good_conf).map(list),

@@ -276,6 +276,12 @@ class TestTerminalLine:
             }]
         integral = dict(good, features=[0, 1] + good["features"][2:])
         assert [r["type"] for r in all_replies(server, [integral])] == ["action", "error"]
+        huge = dict(good, features=[10**400] + good["features"][1:])
+        assert all_replies(server, [huge]) == [{
+            "type": "error",
+            "code": "data_error",
+            "msg": "line 1: bad feature vector: int too large to convert to float",
+        }]
 
     def test_line_bound(self, server):
         parsed, matrix = parsed_session(session_spec())
@@ -284,14 +290,19 @@ class TestTerminalLine:
         # JSON allows trailing spaces: pad the frame to exactly the bound, newline included.
         replies = all_replies(server, [line.ljust(bound - 1)])
         assert [r["type"] for r in replies] == ["action", "error"]
-        # One byte more; sent without a newline so the server reads it all before closing.
-        with socket.create_connection(server) as sock:
-            sock.sendall(line.ljust(bound).encode("utf-8"))
-            sock.shutdown(socket.SHUT_WR)
-            reply = sock.makefile("rb").read()
-        assert json.loads(reply) == {
-            "type": "error", "code": "protocol_error", "msg": f"line 1: longer than {bound} bytes"
-        }
+        # One byte more; then a 41 MiB line, more than the socket buffers hold,
+        # so the client is still sending when the server answers. Either way the
+        # client sends the whole line before it reads, and must read the error.
+        for more_mib in (0, 40):
+            with socket.create_connection(server) as sock:
+                sock.sendall(line.ljust(bound).encode("utf-8"))
+                for _ in range(more_mib):
+                    sock.sendall(b" " * (1 << 20))
+                sock.sendall(b"\n")
+                reply = sock.makefile("rb").read()
+            assert json.loads(reply) == {
+                "type": "error", "code": "protocol_error", "msg": f"line 1: longer than {bound} bytes"
+            }
 
     def test_unexpected_failure_is_internal_error(self, server, monkeypatch, caplog):
         def boom(frames, cfg=None):
@@ -367,6 +378,7 @@ BAD_END_SESSIONS = (
     {"type": "end_session", "k": 2},
     {"type": "end_session", "k": 2, "h0": "60"},
     {"type": "end_session", "k": 2, "h0": 60.0, "x": 1},
+    {"type": "end_session", "k": 2, "h0": 10**400},
 )
 
 
