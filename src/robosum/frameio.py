@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -23,11 +23,11 @@ from .model import (
     ABSENT,
     FEATURE_DIM,
     NUM_LANDMARKS,
-    FeatureVector,
     FrameRecord,
     LandmarkSet,
     SummaryEntry,
     SummaryManifest,
+    _checked_feature_row,
 )
 
 _FRAME_KEYS = ("frame_id", "t", "w", "h", "landmarks", "blur_var", "feat_row")
@@ -55,6 +55,30 @@ def _landmarks_from_wire(raw, line: int | None) -> LandmarkSet | None:
         return None
     if not isinstance(raw, list) or len(raw) != NUM_LANDMARKS:
         raise ParseError(f"landmarks must be null or an array of {NUM_LANDMARKS} entries", line)
+    # One pass over the entries and one C-level type check of all 54 values;
+    # anything else (bools, strings, overflow, NaN in a present point) goes to
+    # the per-entry rules below, which name the fault.
+    flat: list = []
+    for entry in raw:
+        if entry is None:
+            flat += ABSENT
+        elif type(entry) is list and len(entry) == 3:
+            flat += entry
+        else:
+            break
+    else:
+        if {*map(type, flat)} <= {int, float}:
+            try:
+                points = np.array(flat, dtype=np.float64)
+            except OverflowError:
+                pass
+            else:
+                if np.count_nonzero(np.isnan(points)) == 3 * raw.count(None):
+                    return LandmarkSet(points=points.reshape(NUM_LANDMARKS, 3))
+    return _landmarks_entry_by_entry(raw, line)
+
+
+def _landmarks_entry_by_entry(raw: list, line: int | None) -> LandmarkSet:
     flat: list[float] = []
     for i, entry in enumerate(raw):
         if entry is None:
@@ -196,16 +220,44 @@ def write_frames_jsonl(
     return np.stack(rows).astype(np.float32)
 
 
+def check_feat_rows(result: ParseResult, count: int) -> None:
+    """Raise :class:`ParseError` at the first frame whose ``feat_row`` is past a ``count``-row matrix."""
+    for rec, row in zip(result.frames, result.feat_rows):
+        if row is not None and row >= count:
+            raise ParseError(f"frame {rec.frame_id}: feat_row {row} beyond matrix of {count} rows")
+
+
+def _check_feature_matrix(matrix: np.ndarray) -> None:
+    """Every component of an n x 157 matrix must lie in [0, 1]; NaN never does."""
+    if matrix.ndim != 2 or matrix.shape[1] != FEATURE_DIM:
+        raise FeatureFileError(f"expected an n x {FEATURE_DIM} matrix, got shape {matrix.shape}")
+    bad = ~((matrix >= 0.0) & (matrix <= 1.0))
+    if bool(bad.any()):
+        row, col = (int(v) for v in np.argwhere(bad)[0])
+        raise RangeViolation(row, col, float(matrix[row, col]))
+
+
 def attach_features(result: ParseResult, matrix: np.ndarray) -> list[FrameRecord]:
-    """Resolve feature row indices against a loaded matrix."""
+    """Resolve feature row indices against a feature matrix.
+
+    The matrix is checked once as a whole and copied once, read-only, so
+    later writes to ``matrix`` cannot reach a frame; each frame's
+    :class:`~robosum.model.FeatureVector` holds a view of its row of that copy.
+    """
+    matrix = np.asarray(matrix)
+    if matrix.dtype.kind not in "fiu":
+        raise FeatureFileError(f"feature matrix must hold numbers, got dtype {matrix.dtype}")
+    checked = matrix.astype(np.float32)
+    _check_feature_matrix(checked)
+    checked.flags.writeable = False
+    check_feat_rows(result, checked.shape[0])
     out = []
     for rec, row in zip(result.frames, result.feat_rows):
         if row is None:
             out.append(rec)
             continue
-        if row >= matrix.shape[0]:
-            raise ParseError(f"frame {rec.frame_id}: feat_row {row} beyond matrix of {matrix.shape[0]} rows")
-        out.append(replace(rec, features=FeatureVector(values=matrix[row])))
+        features = _checked_feature_row(checked[row])
+        out.append(FrameRecord(rec.frame_id, rec.timestamp, rec.width, rec.height, rec.landmarks, rec.blur_variance, features))
     return out
 
 
@@ -237,10 +289,7 @@ def load_features(path: str | Path) -> np.ndarray:
             f"expected {expected} payload bytes for {count} rows, got {len(payload)}"
         )
     matrix = np.frombuffer(payload, dtype="<f4").reshape(count, dim).astype(np.float32)
-    bad = ~((matrix >= 0.0) & (matrix <= 1.0))
-    if bool(bad.any()):
-        row, col = (int(v) for v in np.argwhere(bad)[0])
-        raise RangeViolation(row, col, float(matrix[row, col]))
+    _check_feature_matrix(matrix)
     return matrix
 
 

@@ -128,6 +128,17 @@ class FeatureVector:
         return bool(np.array_equal(self.values, other.values))
 
 
+def _checked_feature_row(row: np.ndarray) -> FeatureVector:
+    """A FeatureVector over ``row`` itself, with no copy and no check.
+
+    Only for a row view of a read-only float32 matrix whose shape and range
+    were already checked as a whole (see ``frameio.attach_features``).
+    """
+    vector = object.__new__(FeatureVector)
+    object.__setattr__(vector, "values", row)
+    return vector
+
+
 @dataclass(frozen=True)
 class FrameRecord:
     """Metadata for one captured frame.

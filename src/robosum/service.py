@@ -38,7 +38,7 @@ from .controller import (
     initial_state,
 )
 from .errors import ConnectionLost, ParseError, PipelineError
-from .frameio import FEATURE_DIM, ParseResult, frame_from_wire, frame_to_wire, manifest_to_dict
+from .frameio import FEATURE_DIM, ParseResult, check_feat_rows, frame_from_wire, frame_to_wire, manifest_to_dict
 from .model import FeatureVector, FrameRecord
 from .summarizer import SummarizerConfig, summarize
 
@@ -242,13 +242,16 @@ def replay_session(
     """Stream a recorded session to a server in lock-step and collect replies.
 
     ``rate`` is a real-time multiplier or ``"max"`` to ignore timestamps.
-    Raises :class:`ConnectionLost` (with the last acknowledged frame id)
-    if the server goes away mid-session.
+    A ``feat_row`` past the end of ``features`` raises :class:`ParseError`
+    before connecting. Raises :class:`ConnectionLost` (with the last
+    acknowledged frame id) if the server goes away mid-session.
     """
     if rate != "max":
         rate = float(rate)
         if rate <= 0:
             raise ValueError("rate must be positive or 'max'")
+    if features is not None:
+        check_feat_rows(parsed, len(features))
 
     sock = socket.create_connection((host, port))
     rfile = sock.makefile("rb")

@@ -2,12 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from robosum import frameio
 from robosum.cli import main
 from robosum.scenario import ActivitySegment, Injection, ScenarioSpec, spec_to_dict
-from robosum.model import IllPosedReason
+from robosum.model import FEATURE_DIM, IllPosedReason
 from robosum.service import ServiceConfig, run_server_in_thread
 
 
@@ -267,3 +268,21 @@ class TestSimulateAndReplay:
     def test_replay_bad_rate_is_usage_error(self, pipeline_files):
         _, frames, _ = pipeline_files
         assert main(["replay", "--addr", "127.0.0.1:1", "--frames", str(frames), "--rate", "-3"]) == 1
+
+    def test_replay_feat_row_past_the_matrix_is_exit_2_before_connecting(self, pipeline_files, capsys):
+        tmp_path, frames, _ = pipeline_files
+        short = tmp_path / "short.bin"
+        frameio.save_features(np.zeros((3, FEATURE_DIM), dtype=np.float32), short)
+        server, thread = run_server_in_thread(ServiceConfig())
+        connections = []
+        server.verify_request = lambda request, address: connections.append(address) or True
+        host, port = server.bound_address
+        try:
+            code = main(["replay", "--addr", f"{host}:{port}", "--frames", str(frames),
+                         "--features", str(short), "--rate", "max"])
+            assert code == 2
+            assert "feat_row 3 beyond matrix of 3 rows" in capsys.readouterr().err
+            assert connections == []
+        finally:
+            server.shutdown()
+            server.server_close()

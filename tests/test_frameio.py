@@ -164,8 +164,39 @@ class TestFramesJsonl:
     def test_attach_features_range_check(self):
         rec = FrameRecord(frame_id=0, timestamp=0.0, width=10, height=10)
         parsed = frameio.ParseResult(frames=(rec,), feat_rows=(3,), duplicates_dropped=0)
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="^frame 0: feat_row 3 beyond matrix of 2 rows$"):
             frameio.attach_features(parsed, np.zeros((2, FEATURE_DIM), dtype=np.float32))
+
+        parsed = frameio.ParseResult(frames=(rec,), feat_rows=(0,), duplicates_dropped=0)
+        for value in (1.5, -0.25, math.nan):
+            bad = np.zeros((4, FEATURE_DIM), dtype=np.float32)
+            bad[2, 9] = value
+            with pytest.raises(RangeViolation) as excinfo:
+                frameio.attach_features(parsed, bad)
+            assert (excinfo.value.row, excinfo.value.col) == (2, 9)
+        for shape in ((2, FEATURE_DIM - 1), (FEATURE_DIM,), (1, 1, FEATURE_DIM)):
+            with pytest.raises(FeatureFileError, match="n x 157 matrix"):
+                frameio.attach_features(parsed, np.zeros(shape, dtype=np.float32))
+        with pytest.raises(FeatureFileError, match="must hold numbers"):
+            frameio.attach_features(parsed, np.full((1, FEATURE_DIM), "0.5"))
+
+        frames = [FrameRecord(frame_id=i, timestamp=float(i), width=10, height=10) for i in range(4)]
+        parsed = frameio.ParseResult(frames=tuple(frames), feat_rows=(2, None, 0, 2), duplicates_dropped=0)
+        for dtype in (np.float32, np.float64):
+            matrix = np.random.default_rng(3).random((3, FEATURE_DIM)).astype(dtype)
+            expected = matrix.astype(np.float32)
+            attached = frameio.attach_features(parsed, matrix)
+            matrix[:] = 0.0
+            assert attached[1] is frames[1]
+            for rec, row in zip(attached, parsed.feat_rows):
+                if row is None:
+                    continue
+                values = rec.features.values
+                assert values.dtype == np.float32 and not values.flags.writeable
+                assert np.array_equal(values, expected[row])
+                with pytest.raises(ValueError):
+                    values[0] = 0.5
+            assert attached[0].features == attached[3].features
 
 
 def old_point_rules(raw) -> str | None:
@@ -193,7 +224,8 @@ def old_point_rules(raw) -> str | None:
     return None
 
 
-good_xy = st.floats(0.0, 4096.0) | st.integers(0, 4096)
+# Integers past 2**53 are not all floats; the decoder must round them as float() does.
+good_xy = st.floats(0.0, 4096.0) | st.integers(0, 4096) | st.integers(2**53, int(sys.float_info.max))
 good_conf = st.floats(0.0, 1.0) | st.sampled_from([0, 1])
 bad_value = st.floats() | st.sampled_from(
     [math.nan, math.inf, -math.inf, -1, -0.0, math.nextafter(1.0, 2.0), 2, -1e-300, 10**400, True, False, "1.0", None, [1.0]]
@@ -207,20 +239,28 @@ faulty_entry = st.one_of(
     st.sampled_from(["x", 1.0, True, {}]),
 )
 wire_entry = st.none() | st.tuples(good_xy, good_xy, good_conf).map(list) | faulty_entry
+# Faults that pass the entry shape check and are caught only by the value types,
+# the int-to-float conversion, or the NaN count.
+typed_fault = st.just([math.nan, math.nan, math.nan]) | st.sampled_from([True, False, "1.0", 10**400, -(10**400)]).flatmap(
+    lambda v: st.sampled_from([[v, 1.0, 0.5], [1.0, v, 0.5], [1.0, 2.0, v]])
+)
 
 
 @given(
     st.lists(wire_entry, min_size=NUM_LANDMARKS, max_size=NUM_LANDMARKS),
     st.integers(0, NUM_LANDMARKS - 1),
     faulty_entry,
-    st.sampled_from(["as drawn", "one entry", "all valid"]),
+    typed_fault,
+    st.sampled_from(["as drawn", "one entry", "one typed entry", "all valid"]),
 )
-@settings(max_examples=600, deadline=None)
-def test_landmark_decoder_matches_the_per_point_rules(raw, slot, fault, shape):
+@settings(max_examples=800, deadline=None)
+def test_landmark_decoder_matches_the_per_point_rules(raw, slot, fault, typed, shape):
     if shape != "as drawn":
         raw = [e if old_point_rules([e]) is None else None for e in raw]
     if shape == "one entry":
         raw[slot] = fault
+    if shape == "one typed entry":
+        raw[slot] = typed
     obj = {"frame_id": 0, "t": 0.0, "w": 640, "h": 480, "landmarks": raw, "blur_var": None, "feat_row": None}
     # NaN and Infinity travel as JSON literals.
     text = json.dumps(obj)
