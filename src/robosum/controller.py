@@ -12,16 +12,19 @@ config), so traces are reproducible by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .errors import PipelineError
 from .model import (
     EYE_INDICES,
     FACIAL_INDICES,
+    FLOAT_MAX,
+    L_EYE,
     L_HIP,
     NECK,
     NOSE,
+    R_EYE,
     R_HIP,
     FrameRecord,
     LandmarkSet,
@@ -88,8 +91,12 @@ class ControllerConfig:
     min_point_confidence: float = 0.3
 
     def __post_init__(self):
-        if any(getattr(self, f.name) <= 0 for f in fields(self) if f.name != "min_point_confidence"):
-            raise ValueError("all controller parameters must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not -FLOAT_MAX <= value <= FLOAT_MAX:
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+            if value <= 0 and f.name != "min_point_confidence":
+                raise ValueError("all controller parameters must be positive")
         if self.turns_per_revolution * self.search_turn_deg != 360.0:
             raise ValueError("turns_per_revolution * search_turn_deg must equal 360")
         if self.search_turn_deg > MAX_ROTATE_DEG:
@@ -163,15 +170,15 @@ def estimate_distance_m(lm: LandmarkSet, cfg: ControllerConfig) -> float:
     return _distance_m(lm.rows(), cfg)
 
 
-def _gaze(pts: Rows, width: int, height: int, cfg: ControllerConfig) -> tuple[float, float]:
-    """:func:`gaze_adjustment` given the set's rows."""
+def _gaze(pts: Rows, width: int, height: int, cfg: ControllerConfig) -> tuple[float, float] | None:
+    """:func:`gaze_adjustment` given the set's rows; None when no facial point is present."""
     nose = pts[NOSE]
     if nose is not None:
         ref_x, ref_y = nose[0], nose[1]
     else:
         face = [pts[i] for i in FACIAL_INDICES if pts[i] is not None]
         if not face:
-            raise PipelineError("no facial landmark available for gaze control")
+            return None
         ref_x = sum(p[0] for p in face) / len(face)
         ref_y = sum(p[1] for p in face) / len(face)
     pan = (ref_x / width - cfg.gaze_target_x_frac) * cfg.fov_h_deg
@@ -187,7 +194,10 @@ def gaze_adjustment(
     Uses the nose when present, otherwise the centroid of the present
     facial points. Positive pitch tilts up.
     """
-    return _gaze(lm.rows(), width, height, cfg)
+    gaze = _gaze(lm.rows(), width, height, cfg)
+    if gaze is None:
+        raise PipelineError("no facial landmark available for gaze control")
+    return gaze
 
 
 def select_expression(
@@ -195,13 +205,9 @@ def select_expression(
 ) -> Expression:
     """Facial expression for the state just entered and the current view."""
     cfg = cfg or ControllerConfig()
-    return _expression(state, confident_subset(obs.landmarks, cfg.min_point_confidence))
-
-
-def _expression(state: ControllerState, visible: Rows | None) -> Expression:
-    """:func:`select_expression` given the rows of the view's confident landmarks."""
     if state.mode is Mode.SEARCHING:
         return Expression.AWARE_LEFT if state.search_direction is Side.LEFT else Expression.AWARE_RIGHT
+    visible = confident_subset(obs.landmarks, cfg.min_point_confidence)
     if visible is not None:
         if any(visible[i] is not None for i in EYE_INDICES):
             return Expression.ACTIVE
@@ -210,38 +216,28 @@ def _expression(state: ControllerState, visible: Rows | None) -> Expression:
 
 
 def _clamp(value: float, lo: float, hi: float) -> float:
-    return max(lo, min(hi, value))
+    """``max(lo, min(hi, value))``: NaN gives ``hi``, and a value equal to a bound gives the bound."""
+    value = value if value < hi else hi
+    return value if value > lo else lo
 
 
-def _person_side(pts: Rows, width: int) -> Side:
-    xs = [p[0] for p in pts if p is not None]
-    center = (min(xs) + max(xs)) / 2.0
-    return Side.LEFT if center < width / 2.0 else Side.RIGHT
-
-
-def _noop(state: ControllerState) -> ActionCommand:
-    """Stand still; only reached while nobody is in sight."""
-    return ActionCommand(
-        rotate_deg=0.0,
-        pitch_deg=None,
-        forward_m=0.0,
-        expression=_expression(state, None),
-        new_mode=state.mode,
-    )
+#: The command of every idle step: stand still, show the default face.
+_IDLE_COMMAND = ActionCommand(0.0, None, 0.0, Expression.DEFAULT_STILL, Mode.IDLE)
 
 
 def _follow(
     state: ControllerState, obs: Observation | FrameRecord, visible: Rows, cfg: ControllerConfig
 ) -> tuple[ControllerState, ActionCommand]:
-    side = _person_side(visible, obs.width)
-    facial = [i for i in FACIAL_INDICES if visible[i] is not None]
+    xs = [p[0] for p in visible if p is not None]
+    side = Side.LEFT if (min(xs) + max(xs)) / 2.0 < obs.width / 2.0 else Side.RIGHT
     rotate = 0.0
     pitch_target: float | None = None
     forward = 0.0
     new_pitch = state.current_pitch
 
-    if facial:
-        pan, pitch_delta = _gaze(visible, obs.width, obs.height, cfg)
+    gaze = _gaze(visible, obs.width, obs.height, cfg)
+    if gaze is not None:
+        pan, pitch_delta = gaze
         rotate = _clamp(pan, -MAX_ROTATE_DEG, MAX_ROTATE_DEG)
         new_pitch = _clamp(
             state.current_pitch + pitch_delta, -cfg.max_pitch_deg, cfg.max_pitch_deg
@@ -259,23 +255,13 @@ def _follow(
         if new_pitch != state.current_pitch:
             pitch_target = new_pitch
 
-    new_state = replace(
-        state,
-        mode=Mode.FOLLOWING,
-        turns_done=0,
-        pitch_raised=False,
-        last_seen_side=side,
-        current_pitch=new_pitch,
-        idle_until=0.0,
+    seen_eye = visible[R_EYE] is not None or visible[L_EYE] is not None
+    return (
+        ControllerState(Mode.FOLLOWING, 0, False, state.search_direction, side, new_pitch, 0.0),
+        ActionCommand(
+            rotate, pitch_target, forward, Expression.ACTIVE if seen_eye else Expression.EXPECTING, Mode.FOLLOWING
+        ),
     )
-    cmd = ActionCommand(
-        rotate_deg=rotate,
-        pitch_deg=pitch_target,
-        forward_m=forward,
-        expression=_expression(new_state, visible),
-        new_mode=Mode.FOLLOWING,
-    )
-    return new_state, cmd
 
 
 def _search(
@@ -283,14 +269,11 @@ def _search(
 ) -> tuple[ControllerState, ActionCommand]:
     turns = state.turns_done if state.mode is Mode.SEARCHING else 0
     if turns >= 2 * cfg.turns_per_revolution:
-        new_state = replace(
-            state,
-            mode=Mode.IDLE,
-            turns_done=0,
-            pitch_raised=False,
-            idle_until=obs.timestamp + cfg.idle_duration_s,
+        idle_until = obs.timestamp + cfg.idle_duration_s
+        new_state = ControllerState(
+            Mode.IDLE, 0, False, state.search_direction, state.last_seen_side, state.current_pitch, idle_until
         )
-        return new_state, _noop(new_state)
+        return new_state, _IDLE_COMMAND
 
     direction = Side.RIGHT if state.last_seen_side is Side.UNKNOWN else state.last_seen_side
     rotate = cfg.search_turn_deg if direction is Side.RIGHT else -cfg.search_turn_deg
@@ -303,23 +286,11 @@ def _search(
         new_pitch = cfg.search_pitch_deg
         pitch_raised = True
 
-    new_state = replace(
-        state,
-        mode=Mode.SEARCHING,
-        turns_done=turns + 1,
-        pitch_raised=pitch_raised,
-        search_direction=direction,
-        current_pitch=new_pitch,
-        idle_until=0.0,
+    expression = Expression.AWARE_LEFT if direction is Side.LEFT else Expression.AWARE_RIGHT
+    return (
+        ControllerState(Mode.SEARCHING, turns + 1, pitch_raised, direction, state.last_seen_side, new_pitch, 0.0),
+        ActionCommand(rotate, pitch_target, 0.0, expression, Mode.SEARCHING),
     )
-    cmd = ActionCommand(
-        rotate_deg=rotate,
-        pitch_deg=pitch_target,
-        forward_m=0.0,
-        expression=_expression(new_state, None),
-        new_mode=Mode.SEARCHING,
-    )
-    return new_state, cmd
 
 
 def controller_step(
@@ -328,16 +299,19 @@ def controller_step(
     """Advance the state machine by one observation (or frame record, which has the same fields).
 
     Total over valid inputs: every observation yields exactly one command.
+    A step builds at most one new state and one command, each positionally
+    in field order.
     """
     cfg = cfg or ControllerConfig()
     visible = confident_subset(obs.landmarks, cfg.min_point_confidence)
 
-    if state.mode is Mode.IDLE and visible is None:
-        if obs.timestamp < state.idle_until:
-            return state, _noop(state)
-        # Idle period over with nobody in sight: start a fresh search cycle.
-        state = replace(state, mode=Mode.SEARCHING, turns_done=0, pitch_raised=False, idle_until=0.0)
-
     if visible is not None:
         return _follow(state, obs, visible, cfg)
+    if state.mode is Mode.IDLE:
+        if obs.timestamp < state.idle_until:
+            return state, _IDLE_COMMAND
+        # Idle period over with nobody in sight: start a fresh search cycle.
+        state = ControllerState(
+            Mode.SEARCHING, 0, False, state.search_direction, state.last_seen_side, state.current_pitch, 0.0
+        )
     return _search(state, obs, cfg)

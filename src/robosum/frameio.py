@@ -22,17 +22,21 @@ from .errors import FeatureFileError, OrderError, ParseError, RangeViolation
 from .model import (
     ABSENT,
     FEATURE_DIM,
+    FLOAT_MAX,
     NUM_LANDMARKS,
     FrameRecord,
     LandmarkSet,
     SummaryEntry,
     SummaryManifest,
     _checked_feature_row,
+    _checked_landmarks,
 )
 
 _FRAME_KEYS = ("frame_id", "t", "w", "h", "landmarks", "blur_var", "feat_row")
+_FRAME_KEY_SET = frozenset(_FRAME_KEYS)
 _FEATURE_MAGIC = b"FEAT"
 _HEADER = struct.Struct("<4sII")
+_NUMBER_TYPES = (float, int)
 
 
 def _require_int(value, name: str, line: int | None) -> int:
@@ -44,10 +48,9 @@ def _require_int(value, name: str, line: int | None) -> int:
 def _require_number(value, name: str, line: int | None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{name} must be a number, got {value!r}", line)
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise ParseError(f"{name} is too large for a float", line) from exc
+    if isinstance(value, int) and not -FLOAT_MAX <= value <= FLOAT_MAX:
+        raise ParseError(f"{name} is too large for a float", line)
+    return float(value)
 
 
 def _landmarks_from_wire(raw, line: int | None) -> LandmarkSet | None:
@@ -55,27 +58,35 @@ def _landmarks_from_wire(raw, line: int | None) -> LandmarkSet | None:
         return None
     if not isinstance(raw, list) or len(raw) != NUM_LANDMARKS:
         raise ParseError(f"landmarks must be null or an array of {NUM_LANDMARKS} entries", line)
-    # One pass over the entries and one C-level type check of all 54 values;
-    # anything else (bools, strings, overflow, NaN in a present point) goes to
-    # the per-entry rules below, which name the fault.
+    # One walk that checks each present point as it goes: the value types
+    # first (a bool is not a number), then 0 <= x, y <= FLOAT_MAX and
+    # 0 <= conf <= 1, which also reject NaN, ±inf and integers too large for
+    # a float. Any failing entry sends the whole set to the per-entry rules
+    # below, which name the fault.
     flat: list = []
     for entry in raw:
         if entry is None:
             flat += ABSENT
-        elif type(entry) is list and len(entry) == 3:
-            flat += entry
-        else:
-            break
-    else:
-        if {*map(type, flat)} <= {int, float}:
-            try:
-                points = np.array(flat, dtype=np.float64)
-            except OverflowError:
-                pass
-            else:
-                if np.count_nonzero(np.isnan(points)) == 3 * raw.count(None):
-                    return LandmarkSet(points=points.reshape(NUM_LANDMARKS, 3))
-    return _landmarks_entry_by_entry(raw, line)
+            continue
+        if type(entry) is list and len(entry) == 3:
+            x, y, conf = entry
+            if (
+                type(x) in _NUMBER_TYPES
+                and type(y) in _NUMBER_TYPES
+                and type(conf) in _NUMBER_TYPES
+                and 0 <= x <= FLOAT_MAX
+                and 0 <= y <= FLOAT_MAX
+                and 0 <= conf <= 1
+            ):
+                flat += entry
+                continue
+        return _landmarks_entry_by_entry(raw, line)
+    points = np.array(flat, dtype=np.float64)
+    # In place, not a view: a reshaped view would keep a second array object
+    # alive per set. The size is unchanged, so nothing is reallocated.
+    points.resize((NUM_LANDMARKS, 3))
+    points.flags.writeable = False
+    return _checked_landmarks(points)
 
 
 def _landmarks_entry_by_entry(raw: list, line: int | None) -> LandmarkSet:
@@ -102,13 +113,12 @@ def frame_from_wire(
     """Decode one wire object into (record, feature row index)."""
     if not isinstance(obj, dict):
         raise ParseError("frame message must be a JSON object", line)
-    allowed = set(_FRAME_KEYS) | set(extra_keys)
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ParseError(f"unknown keys {sorted(unknown)}", line)
-    missing = [k for k in _FRAME_KEYS if k not in obj]
-    if missing:
-        raise ParseError(f"missing keys {missing}", line)
+    keys = obj.keys()
+    allowed = _FRAME_KEY_SET | extra_keys
+    if not keys <= allowed:
+        raise ParseError(f"unknown keys {sorted(keys - allowed)}", line)
+    if not keys >= _FRAME_KEY_SET:
+        raise ParseError(f"missing keys {[k for k in _FRAME_KEYS if k not in obj]}", line)
 
     blur = obj["blur_var"]
     feat_row = obj["feat_row"]

@@ -7,6 +7,7 @@ concurrent tasks. Serialization lives in :mod:`robosum.frameio`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,6 +36,11 @@ R_EAR = 16
 L_EAR = 17
 
 NUM_LANDMARKS = 18
+
+#: The largest finite float. Comparing a number with it is exact, so
+#: ``-FLOAT_MAX <= v <= FLOAT_MAX`` is false for NaN, for ±inf and for an
+#: integer too large for a float.
+FLOAT_MAX = sys.float_info.max
 
 #: Landmark indices counted as "facial": nose, both eyes, both ears.
 FACIAL_INDICES = (NOSE, R_EYE, L_EYE, R_EAR, L_EAR)
@@ -86,6 +92,18 @@ class LandmarkSet:
     def rows(self) -> Rows:
         """The points as ``[x, y, conf]`` lists of Python floats; None where absent."""
         return [None if p[0] != p[0] else p for p in self.points.tolist()]
+
+
+def _checked_landmarks(points: np.ndarray) -> LandmarkSet:
+    """A LandmarkSet over ``points`` itself, with no copy and no check.
+
+    Only for a read-only (18, 3) float64 array whose rows were already
+    checked against the rules of :class:`LandmarkSet` (see
+    ``frameio._landmarks_from_wire``).
+    """
+    lm = object.__new__(LandmarkSet)
+    object.__setattr__(lm, "points", points)
+    return lm
 
 
 def confident_subset(lm: LandmarkSet | None, min_confidence: float) -> Rows | None:

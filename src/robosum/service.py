@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import socket
 import socketserver
 import threading
@@ -68,6 +69,30 @@ def action_to_wire(frame_id: int, cmd: ActionCommand) -> dict:
     }
 
 
+def _json_number(value) -> str:
+    """``json.dumps(value)`` for a number or None.
+
+    ``json`` writes an int and a finite float with their ``__repr__``; NaN,
+    ±inf, bools and subclasses are left to the encoder itself.
+    """
+    if type(value) is int or (type(value) is float and math.isfinite(value)):
+        return repr(value)
+    return "null" if value is None else json.dumps(value)
+
+
+def action_line(frame_id: int, cmd: ActionCommand) -> str:
+    """The action reply line for a command: the bytes of ``dumps_wire(action_to_wire(frame_id, cmd))``.
+
+    Used by both :func:`simulate_actions` and the server, so an offline trace
+    and a live session write the same bytes.
+    """
+    return (
+        f'{{"type":"action","frame_id":{_json_number(frame_id)},"rotate_deg":{_json_number(cmd.rotate_deg)},'
+        f'"pitch_deg":{_json_number(cmd.pitch_deg)},"forward_m":{_json_number(cmd.forward_m)},'
+        f'"expression":"{cmd.expression.value}","mode":"{cmd.new_mode.value}"}}'
+    )
+
+
 def simulate_actions(
     frames: Sequence[FrameRecord], cfg: ControllerConfig | None = None
 ) -> list[str]:
@@ -77,7 +102,7 @@ def simulate_actions(
     lines = []
     for rec in frames:
         state, cmd = controller_step(state, rec, cfg)
-        lines.append(dumps_wire(action_to_wire(rec.frame_id, cmd)))
+        lines.append(action_line(rec.frame_id, cmd))
     return lines
 
 
@@ -104,13 +129,13 @@ def _decode_inline_features(raw, line_no: int | None) -> FeatureVector | None:
 class _SessionHandler(socketserver.StreamRequestHandler):
     """One TCP connection == one session with private state."""
 
-    def _reply(self, obj: dict) -> None:
-        self.wfile.write((dumps_wire(obj) + "\n").encode("utf-8"))
+    def _reply(self, line: str) -> None:
+        self.wfile.write((line + "\n").encode("utf-8"))
         self.wfile.flush()
 
     def _fail(self, code: str, msg: str) -> None:
         try:
-            self._reply({"type": "error", "code": code, "msg": msg})
+            self._reply(dumps_wire({"type": "error", "code": code, "msg": msg}))
         except OSError:
             pass
 
@@ -148,7 +173,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                     except PipelineError as exc:
                         self._fail("data_error", str(exc))
                         return
-                    self._reply(action_to_wire(rec.frame_id, cmd))
+                    self._reply(action_line(rec.frame_id, cmd))
                     if reason is None:
                         if features is None:
                             featureless_well_posed += 1
@@ -181,7 +206,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                             "session summarized; %d well-posed frames lacked features",
                             featureless_well_posed,
                         )
-                    self._reply({"type": "summary", **manifest_to_dict(manifest)})
+                    self._reply(dumps_wire({"type": "summary", **manifest_to_dict(manifest)}))
                     return
                 else:
                     self._fail("protocol_error", f"unknown message type {kind!r}")

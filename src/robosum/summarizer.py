@@ -25,7 +25,7 @@ from .errors import (
     PipelineError,
     TimestampsNotIncreasing,
 )
-from .model import Cluster, FrameRecord, SummaryEntry, SummaryManifest
+from .model import FLOAT_MAX, Cluster, FrameRecord, SummaryEntry, SummaryManifest
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class SummarizerConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if not (math.isfinite(self.h0) and self.h0 > 0):
+        if not 0 < self.h0 <= FLOAT_MAX:
             raise ValueError("h0 must be a positive finite number of seconds")
         if self.max_adapt_iters < 1:
             raise ValueError("max_adapt_iters must be at least 1")

@@ -82,6 +82,21 @@ class TestUsageErrors:
         )
         assert code == 1
 
+    def test_non_finite_config_value_is_usage_error(self, tmp_path, pipeline_files, capsys):
+        # json.load reads the NaN and Infinity literals, so a config file can carry them.
+        _, frames, _ = pipeline_files
+        cases = (
+            ('{"filter": {"blur_threshold": NaN}}', "blur_threshold must be a finite non-negative number, got nan"),
+            ('{"controller": {"fov_h_deg": Infinity}}', "fov_h_deg must be a finite number, got inf"),
+            ('{"summarizer": {"h0": 1' + "0" * 400 + '}}', "h0 must be a positive finite number of seconds"),
+        )
+        for text, msg in cases:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(text)
+            code = main(["--config", str(cfg), "simulate", "--frames", str(frames), "--out", str(tmp_path / "t.jsonl")])
+            assert code == 1
+            assert msg in capsys.readouterr().err
+
     def test_help_everywhere(self, capsys):
         assert main(["--help"]) == 0
         for sub, flags in (

@@ -1,5 +1,6 @@
 """Blur scoring against a naive oracle and rejection-rule precedence."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -251,6 +252,17 @@ class TestFilterFrames:
         _, report = filter_frames(frames, images=provider)
         assert requested == [1, 3, 5]
         assert report.total == 6
+
+    def test_config_values_must_be_finite(self):
+        # A NaN threshold would turn the Blurred rule off: ``blur < nan`` is always false.
+        for value in (math.nan, math.inf, -math.inf, 10**400, -1.0):
+            with pytest.raises(ValueError, match="blur_threshold must be a finite non-negative number"):
+                FilterConfig(blur_threshold=value)
+        for name in ("min_torso_fraction", "corner_margin_fraction", "forehead_margin_fraction", "min_point_confidence"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError):
+                    FilterConfig(**{name: value})
+        assert FilterConfig(blur_threshold=0).blur_threshold == 0
 
     def test_report_must_balance(self):
         with pytest.raises(ValueError):

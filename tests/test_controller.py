@@ -1,10 +1,14 @@
 """State machine behavior: following, searching, idling, and expressions."""
 
+import math
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import frame, landmarks
+from robosum import controller
 from robosum.content_filter import FilterConfig, classify_frame
 from robosum.controller import (
     MAX_ROTATE_DEG,
@@ -247,6 +251,15 @@ class TestSearchCycle:
         assert state.turns_done == 0
         state, cmd = controller_step(state, obs(7.0, None))
         assert state.turns_done == 1
+        # A detection also re-arms the head raise after one fruitless revolution.
+        for t in range(8, 20):
+            state, cmd = controller_step(state, obs(float(t), None))
+        assert state.turns_done == 13 and state.pitch_raised and cmd.pitch_deg == CFG.search_pitch_deg
+        state, _ = controller_step(state, obs(20.0, full_person()))
+        assert not state.pitch_raised
+        for t in range(21, 34):
+            state, cmd = controller_step(state, obs(float(t), None))
+        assert state.turns_done == 13 and cmd.pitch_deg == CFG.search_pitch_deg
 
     def test_cumulative_rotation_bounded_by_two_revolutions(self):
         state = initial_state()
@@ -356,6 +369,13 @@ class TestInvariants:
         cfg = ControllerConfig(search_turn_deg=20.0, turns_per_revolution=18)
         assert cfg.turns_per_revolution * cfg.search_turn_deg == 360.0
 
+    @pytest.mark.parametrize("name", [f.name for f in fields(ControllerConfig)])
+    def test_config_values_must_be_finite(self, name):
+        # fov_h_deg=inf, for one, made every pan NaN.
+        for value in (math.nan, math.inf, -math.inf, 10**400):
+            with pytest.raises(ValueError, match=f"^{name} must be a finite number, got "):
+                ControllerConfig(**{name: value})
+
 
 @st.composite
 def landmarks_and_floor(draw):
@@ -388,3 +408,17 @@ def test_filter_and_controller_share_one_visibility_rule(case):
     assert (reason is IllPosedReason.PEOPLE_ABSENT) == (visible is None)
     _, cmd = controller_step(initial_state(), obs(0.0, lm), ControllerConfig(min_point_confidence=floor))
     assert (cmd.new_mode is Mode.FOLLOWING) == (visible is not None)
+
+
+clamp_value = st.floats() | st.integers(-50, 50) | st.sampled_from([45, 45.0, -45, -45.0, 30.0, -30.0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(clamp_value, st.sampled_from([-45, -45.0, -30.0]), st.sampled_from([45, 45.0, 30.0]))
+def test_clamp_is_max_of_min(value, lo, hi):
+    # The arithmetic of the step is pinned to max(lo, min(hi, value)): NaN
+    # gives hi, and a value equal to a bound gives the bound itself, so an
+    # int bound from the config stays an int on the wire.
+    expected = max(lo, min(hi, value))
+    got = controller._clamp(value, lo, hi)
+    assert type(got) is type(expected) and got == expected

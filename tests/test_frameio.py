@@ -28,6 +28,10 @@ from robosum.model import (
     SummaryManifest,
 )
 
+#: The smallest integer above the float limit, and the largest one float() still rounds to it.
+TOO_LARGE = int(sys.float_info.max) + 1
+ROUNDS_TO_MAX = 2**1024 - 2**970 - 1
+
 point_strategy = st.one_of(
     st.just(ABSENT),
     st.tuples(
@@ -149,17 +153,21 @@ class TestFramesJsonl:
                 frameio.parse_frames_jsonl(io.StringIO(json.dumps(broken) + "\n"))
 
     def test_integer_too_large_for_a_float_rejected(self):
+        # float() rounds the integers from TOO_LARGE to ROUNDS_TO_MAX down to
+        # the float limit instead of raising; they are still too large.
+        assert float(ROUNDS_TO_MAX) == sys.float_info.max
         obj = frameio.frame_to_wire(FrameRecord(frame_id=0, timestamp=0.0, width=10, height=10))
-        huge_x = [[10.0, 20.0, 0.9], [10**400, 20.0, 0.9]] + [None] * 16
-        cases = (
-            ("t", 10**400, "t is too large for a float"),
-            ("blur_var", 10**400, "blur_var is too large for a float"),
-            ("landmarks", huge_x, "landmark 1 x is too large for a float"),
-        )
-        for key, value, msg in cases:
-            line = json.dumps(dict(obj, **{key: value})) + "\n"
-            with pytest.raises(ParseError, match=f"^line 1: {msg}$"):
-                frameio.parse_frames_jsonl(io.StringIO(line))
+        for huge in (10**400, TOO_LARGE, ROUNDS_TO_MAX, -TOO_LARGE):
+            huge_x = [[10.0, 20.0, 0.9], [huge, 20.0, 0.9]] + [None] * 16
+            cases = (
+                ("t", huge, "t is too large for a float"),
+                ("blur_var", huge, "blur_var is too large for a float"),
+                ("landmarks", huge_x, "landmark 1 x is too large for a float"),
+            )
+            for key, value, msg in cases:
+                line = json.dumps(dict(obj, **{key: value})) + "\n"
+                with pytest.raises(ParseError, match=f"^line 1: {msg}$"):
+                    frameio.parse_frames_jsonl(io.StringIO(line))
 
     def test_attach_features_range_check(self):
         rec = FrameRecord(frame_id=0, timestamp=0.0, width=10, height=10)
@@ -227,8 +235,9 @@ def old_point_rules(raw) -> str | None:
 # Integers past 2**53 are not all floats; the decoder must round them as float() does.
 good_xy = st.floats(0.0, 4096.0) | st.integers(0, 4096) | st.integers(2**53, int(sys.float_info.max))
 good_conf = st.floats(0.0, 1.0) | st.sampled_from([0, 1])
-bad_value = st.floats() | st.sampled_from(
-    [math.nan, math.inf, -math.inf, -1, -0.0, math.nextafter(1.0, 2.0), 2, -1e-300, 10**400, True, False, "1.0", None, [1.0]]
+too_large = st.integers(TOO_LARGE, 2**1030) | st.sampled_from([TOO_LARGE, ROUNDS_TO_MAX, 10**400])
+bad_value = st.floats() | too_large | too_large.map(lambda v: -v) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -1, -0.0, math.nextafter(1.0, 2.0), 2, -1e-300, True, False, "1.0", None, [1.0]]
 )
 faulty_entry = st.one_of(
     st.tuples(bad_value, good_xy, good_conf).map(list),
@@ -239,9 +248,9 @@ faulty_entry = st.one_of(
     st.sampled_from(["x", 1.0, True, {}]),
 )
 wire_entry = st.none() | st.tuples(good_xy, good_xy, good_conf).map(list) | faulty_entry
-# Faults that pass the entry shape check and are caught only by the value types,
-# the int-to-float conversion, or the NaN count.
-typed_fault = st.just([math.nan, math.nan, math.nan]) | st.sampled_from([True, False, "1.0", 10**400, -(10**400)]).flatmap(
+# Faults that pass the entry shape check and are caught only by the value types
+# or the range checks (NaN, and integers above the float limit).
+typed_fault = st.just([math.nan, math.nan, math.nan]) | (st.sampled_from([True, False, "1.0"]) | too_large | too_large.map(lambda v: -v)).flatmap(
     lambda v: st.sampled_from([[v, 1.0, 0.5], [1.0, v, 0.5], [1.0, 2.0, v]])
 )
 

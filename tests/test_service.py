@@ -1,10 +1,12 @@
 """Wire protocol behavior: ordering, determinism, isolation, failures."""
 
 import json
+import math
 import socket
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,11 +15,14 @@ import robosum.service
 from conftest import landmarks
 from robosum import frameio
 from robosum.content_filter import classify_frame, filter_frames
+from robosum.controller import ActionCommand, Expression, Mode
 from robosum.errors import ConnectionLost, PipelineError
 from robosum.model import FeatureVector, IllPosedReason
 from robosum.scenario import ActivitySegment, Injection, ScenarioSpec, generate_session
 from robosum.service import (
     ServiceConfig,
+    action_line,
+    action_to_wire,
     dumps_wire,
     manifest_to_dict,
     replay_session,
@@ -454,3 +459,31 @@ def test_every_stream_ends_with_one_terminal_line(server, stream):
         assert replies[-1] == terminal
     else:
         assert replies[-1]["code"] == terminal
+
+
+# Ints of any size and sign, floats with NaN and ±inf, and the types a caller
+# might pass for a number: a float subclass and bools.
+wire_number = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 2**64, -(2**70), 10**400]),
+    st.floats().map(np.float64),
+    st.booleans(),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    st.integers() | st.sampled_from([-(2**63), 2**64, -(10**30)]),
+    wire_number,
+    st.none() | wire_number,
+    wire_number,
+    st.sampled_from(Expression),
+    st.sampled_from(Mode),
+)
+def test_action_line_matches_the_json_encoder(frame_id, rotate, pitch, forward, expression, mode):
+    # Built without ActionCommand's checks, so every value reaches the formatter.
+    cmd = object.__new__(ActionCommand)
+    for f, value in zip(fields(ActionCommand), (rotate, pitch, forward, expression, mode)):
+        object.__setattr__(cmd, f.name, value)
+    assert action_line(frame_id, cmd) == dumps_wire(action_to_wire(frame_id, cmd))
