@@ -107,7 +107,7 @@ def load_app_config(path: str | None) -> AppConfig:
             raise _UsageError(f"unknown keys in config section {name!r}: {sorted(bad)}")
         try:
             values[name] = cls(**section)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise _UsageError(f"bad value in config section {name!r}: {exc}") from exc
     return AppConfig(**values)
 
@@ -207,9 +207,7 @@ def _cmd_summarize(args, cfg: AppConfig) -> int:
     manifest = summarize(frames, sum_cfg)
     frameio.write_summary_manifest(manifest, args.out)
     if args.verbose and len(frames) >= 1 and math.isfinite(manifest.h_star) and manifest.h_star > 0:
-        clusters = assign_clusters(
-            [f.timestamp for f in frames], manifest.h_star, frame_ids=[f.frame_id for f in frames]
-        )
+        clusters = assign_clusters([f.timestamp for f in frames], manifest.h_star)
         print(cluster_occupancy_histogram(clusters), file=sys.stderr)
     if manifest.is_short_session:
         print(
@@ -245,12 +243,7 @@ def _cmd_simulate(args, cfg: AppConfig) -> int:
 
 def _cmd_serve(args, cfg: AppConfig) -> int:
     host, port = _parse_addr(args.addr)
-    service_cfg = service.ServiceConfig(
-        filter_config=cfg.filter,
-        controller_config=cfg.controller,
-        max_adapt_iters=cfg.summarizer.max_adapt_iters,
-    )
-    service.serve(host, port, service_cfg)
+    service.serve(host, port, service.ServiceConfig(filter_config=cfg.filter, controller_config=cfg.controller))
     return 0
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import ImageTooSmall, MissingBlurScore
-from .model import EYE_INDICES, FLOAT_MAX, NECK, NOSE, FrameRecord, IllPosedReason, confident_subset
+from .model import EYE_INDICES, FLOAT_MAX, NECK, NOSE, FrameRecord, IllPosedReason, check_config_fields, confident_subset
 
 #: Provider of grayscale pixels for frames lacking a precomputed blur score.
 ImageProvider = Callable[[FrameRecord], "np.ndarray | None"]
@@ -35,6 +35,7 @@ class FilterConfig:
     min_point_confidence: float = 0.3
 
     def __post_init__(self):
+        check_config_fields(self)
         if not 0 <= self.blur_threshold <= FLOAT_MAX:
             raise ValueError(f"blur_threshold must be a finite non-negative number, got {self.blur_threshold!r}")
         for name in ("min_torso_fraction", "corner_margin_fraction", "forehead_margin_fraction"):

@@ -17,7 +17,6 @@ from enum import Enum
 
 from .errors import PipelineError
 from .model import (
-    EYE_INDICES,
     FACIAL_INDICES,
     FLOAT_MAX,
     L_EYE,
@@ -29,6 +28,7 @@ from .model import (
     FrameRecord,
     LandmarkSet,
     Rows,
+    check_config_fields,
     confident_subset,
 )
 
@@ -91,6 +91,7 @@ class ControllerConfig:
     min_point_confidence: float = 0.3
 
     def __post_init__(self):
+        check_config_fields(self)
         for f in fields(self):
             value = getattr(self, f.name)
             if not -FLOAT_MAX <= value <= FLOAT_MAX:
@@ -171,7 +172,11 @@ def estimate_distance_m(lm: LandmarkSet, cfg: ControllerConfig) -> float:
 
 
 def _gaze(pts: Rows, width: int, height: int, cfg: ControllerConfig) -> tuple[float, float] | None:
-    """:func:`gaze_adjustment` given the set's rows; None when no facial point is present."""
+    """Pan and pitch deltas (degrees) that move the face toward upper-center.
+
+    Uses the nose when present, otherwise the centroid of the present
+    facial points; None when there is none. Positive pitch tilts up.
+    """
     nose = pts[NOSE]
     if nose is not None:
         ref_x, ref_y = nose[0], nose[1]
@@ -184,35 +189,6 @@ def _gaze(pts: Rows, width: int, height: int, cfg: ControllerConfig) -> tuple[fl
     pan = (ref_x / width - cfg.gaze_target_x_frac) * cfg.fov_h_deg
     pitch_delta = (cfg.gaze_target_y_frac - ref_y / height) * cfg.fov_v_deg
     return pan, pitch_delta
-
-
-def gaze_adjustment(
-    lm: LandmarkSet, width: int, height: int, cfg: ControllerConfig
-) -> tuple[float, float]:
-    """Pan and pitch deltas (degrees) that move the face toward upper-center.
-
-    Uses the nose when present, otherwise the centroid of the present
-    facial points. Positive pitch tilts up.
-    """
-    gaze = _gaze(lm.rows(), width, height, cfg)
-    if gaze is None:
-        raise PipelineError("no facial landmark available for gaze control")
-    return gaze
-
-
-def select_expression(
-    state: ControllerState, obs: Observation | FrameRecord, cfg: ControllerConfig | None = None
-) -> Expression:
-    """Facial expression for the state just entered and the current view."""
-    cfg = cfg or ControllerConfig()
-    if state.mode is Mode.SEARCHING:
-        return Expression.AWARE_LEFT if state.search_direction is Side.LEFT else Expression.AWARE_RIGHT
-    visible = confident_subset(obs.landmarks, cfg.min_point_confidence)
-    if visible is not None:
-        if any(visible[i] is not None for i in EYE_INDICES):
-            return Expression.ACTIVE
-        return Expression.EXPECTING
-    return Expression.DEFAULT_STILL
 
 
 def _clamp(value: float, lo: float, hi: float) -> float:

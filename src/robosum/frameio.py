@@ -30,6 +30,8 @@ from .model import (
     SummaryManifest,
     _checked_feature_row,
     _checked_landmarks,
+    require_int,
+    require_number,
 )
 
 _FRAME_KEYS = ("frame_id", "t", "w", "h", "landmarks", "blur_var", "feat_row")
@@ -39,25 +41,12 @@ _HEADER = struct.Struct("<4sII")
 _NUMBER_TYPES = (float, int)
 
 
-def _require_int(value, name: str, line: int | None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{name} must be an integer, got {value!r}", line)
-    return value
-
-
-def _require_number(value, name: str, line: int | None) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{name} must be a number, got {value!r}", line)
-    if isinstance(value, int) and not -FLOAT_MAX <= value <= FLOAT_MAX:
-        raise ParseError(f"{name} is too large for a float", line)
-    return float(value)
-
-
-def _landmarks_from_wire(raw, line: int | None) -> LandmarkSet | None:
+def _landmarks_from_wire(raw) -> LandmarkSet | None:
+    """The set a wire ``landmarks`` value encodes; ValueError names the first fault."""
     if raw is None:
         return None
     if not isinstance(raw, list) or len(raw) != NUM_LANDMARKS:
-        raise ParseError(f"landmarks must be null or an array of {NUM_LANDMARKS} entries", line)
+        raise ValueError(f"landmarks must be null or an array of {NUM_LANDMARKS} entries")
     # One walk that checks each present point as it goes: the value types
     # first (a bool is not a number), then 0 <= x, y <= FLOAT_MAX and
     # 0 <= conf <= 1, which also reject NaN, ±inf and integers too large for
@@ -80,7 +69,7 @@ def _landmarks_from_wire(raw, line: int | None) -> LandmarkSet | None:
             ):
                 flat += entry
                 continue
-        return _landmarks_entry_by_entry(raw, line)
+        return _landmarks_entry_by_entry(raw)
     points = np.array(flat, dtype=np.float64)
     # In place, not a view: a reshaped view would keep a second array object
     # alive per set. The size is unchanged, so nothing is reallocated.
@@ -89,20 +78,20 @@ def _landmarks_from_wire(raw, line: int | None) -> LandmarkSet | None:
     return _checked_landmarks(points)
 
 
-def _landmarks_entry_by_entry(raw: list, line: int | None) -> LandmarkSet:
+def _landmarks_entry_by_entry(raw: list) -> LandmarkSet:
     flat: list[float] = []
     for i, entry in enumerate(raw):
         if entry is None:
             flat += ABSENT
             continue
         if not isinstance(entry, list) or len(entry) != 3:
-            raise ParseError(f"landmark {i} must be null or [x, y, conf]", line)
-        x = _require_number(entry[0], f"landmark {i} x", line)
-        y = _require_number(entry[1], f"landmark {i} y", line)
-        conf = _require_number(entry[2], f"landmark {i} conf", line)
+            raise ValueError(f"landmark {i} must be null or [x, y, conf]")
+        x = require_number(entry[0], f"landmark {i} x")
+        y = require_number(entry[1], f"landmark {i} y")
+        conf = require_number(entry[2], f"landmark {i} conf")
         if x != x and y != y and conf != conf:
             # JSON NaN literals, not an absent point (that is null).
-            raise ParseError(f"landmark coordinates must be finite, got ({x}, {y})", line)
+            raise ValueError(f"landmark coordinates must be finite, got ({x}, {y})")
         flat += (x, y, conf)
     return LandmarkSet(points=np.array(flat).reshape(NUM_LANDMARKS, 3))
 
@@ -122,18 +111,16 @@ def frame_from_wire(
 
     blur = obj["blur_var"]
     feat_row = obj["feat_row"]
-    if feat_row is not None:
-        feat_row = _require_int(feat_row, "feat_row", line)
-        if feat_row < 0:
-            raise ParseError(f"feat_row must be non-negative, got {feat_row}", line)
     try:
+        if feat_row is not None and require_int(feat_row, "feat_row") < 0:
+            raise ValueError(f"feat_row must be non-negative, got {feat_row}")
         rec = FrameRecord(
-            frame_id=_require_int(obj["frame_id"], "frame_id", line),
-            timestamp=_require_number(obj["t"], "t", line),
-            width=_require_int(obj["w"], "w", line),
-            height=_require_int(obj["h"], "h", line),
-            landmarks=_landmarks_from_wire(obj["landmarks"], line),
-            blur_variance=None if blur is None else _require_number(blur, "blur_var", line),
+            frame_id=require_int(obj["frame_id"], "frame_id"),
+            timestamp=require_number(obj["t"], "t"),
+            width=require_int(obj["w"], "w"),
+            height=require_int(obj["h"], "h"),
+            landmarks=_landmarks_from_wire(obj["landmarks"]),
+            blur_variance=None if blur is None else require_number(blur, "blur_var"),
         )
     except ValueError as exc:
         raise ParseError(str(exc), line) from exc
@@ -334,16 +321,16 @@ def manifest_from_dict(obj: Mapping) -> SummaryManifest:
                 raise ParseError(f"unknown entry keys {sorted(extra)}")
             entries.append(
                 SummaryEntry(
-                    cluster_index=_require_int(item["cluster"], "cluster", None),
-                    frame_id=_require_int(item["frame_id"], "frame_id", None),
-                    timestamp=_require_number(item["t"], "t", None),
-                    cluster_size=_require_int(item["cluster_size"], "cluster_size", None),
+                    cluster_index=require_int(item["cluster"], "cluster"),
+                    frame_id=require_int(item["frame_id"], "frame_id"),
+                    timestamp=require_number(item["t"], "t"),
+                    cluster_size=require_int(item["cluster_size"], "cluster_size"),
                 )
             )
         return SummaryManifest(
-            k=_require_int(obj["k"], "k", None),
-            h_star=_require_number(obj["h_star"], "h_star", None),
-            cluster_count=_require_int(obj["m"], "m", None),
+            k=require_int(obj["k"], "k"),
+            h_star=require_number(obj["h_star"], "h_star"),
+            cluster_count=require_int(obj["m"], "m"),
             entries=tuple(entries),
         )
     except (KeyError, TypeError) as exc:

@@ -1,14 +1,16 @@
 """Shared domain types for the capture/filter/summarize pipeline.
 
 All types here are immutable value objects and safe to share between
-concurrent tasks. Serialization lives in :mod:`robosum.frameio`.
+concurrent tasks. Serialization lives in :mod:`robosum.frameio`. The one
+rule for what an integer and a number are (:func:`require_int`,
+:func:`require_number`, :func:`check_config_fields`) lives here too.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -41,6 +43,35 @@ NUM_LANDMARKS = 18
 #: ``-FLOAT_MAX <= v <= FLOAT_MAX`` is false for NaN, for ±inf and for an
 #: integer too large for a float.
 FLOAT_MAX = sys.float_info.max
+
+
+def require_int(value, name: str) -> int:
+    """``value`` itself if it is an int; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def require_number(value, name: str) -> float:
+    """``value`` as a float if it is an int or a float that fits one; a bool is neither."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if isinstance(value, int) and not -FLOAT_MAX <= value <= FLOAT_MAX:
+        raise ValueError(f"{name} is too large for a float")
+    return float(value)
+
+
+def check_config_fields(cfg) -> None:
+    """The number rule for a config dataclass: ``int`` fields hold ints, every other field an int or a float.
+
+    Only the types are checked; ranges (finiteness among them) are each
+    config's own.
+    """
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        check = require_int if f.type in ("int", int) or type(value) is int else require_number
+        check(value, f.name)
+
 
 #: Landmark indices counted as "facial": nose, both eyes, both ears.
 FACIAL_INDICES = (NOSE, R_EYE, L_EYE, R_EAR, L_EAR)

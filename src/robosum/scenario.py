@@ -376,12 +376,12 @@ def generate_session(
     return frames, truth
 
 
-def frame_image(frame_id: int, blurred: bool, seed: int = 0, size: tuple[int, int] = (32, 32)) -> np.ndarray:
-    """Grayscale pixels for one frame: flat when blurred, seeded noise otherwise."""
+def frame_image(frame_id: int, blurred: bool, seed: int = 0) -> np.ndarray:
+    """32x32 grayscale pixels for one frame: flat when blurred, seeded noise otherwise."""
     if blurred:
-        return np.full(size, 128, dtype=np.uint8)
+        return np.full((32, 32), 128, dtype=np.uint8)
     rng = np.random.default_rng((seed, frame_id))
-    return rng.integers(0, 256, size=size, dtype=np.uint8)
+    return rng.integers(0, 256, size=(32, 32), dtype=np.uint8)
 
 
 def _take(obj: dict, cls: type, context: str) -> dict:

@@ -112,7 +112,6 @@ class ServiceConfig:
 
     filter_config: FilterConfig = field(default_factory=FilterConfig)
     controller_config: ControllerConfig = field(default_factory=ControllerConfig)
-    max_adapt_iters: int = 64
 
 
 def _decode_inline_features(raw, line_no: int | None) -> FeatureVector | None:
@@ -184,16 +183,8 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                         unknown = set(msg) - {"type", "k", "h0"}
                         if unknown:
                             raise ValueError(f"unknown keys {sorted(unknown)}")
-                        k = msg["k"]
-                        h0 = msg["h0"]
-                        if isinstance(k, bool) or not isinstance(k, int):
-                            raise ValueError(f"k must be an integer, got {k!r}")
-                        if isinstance(h0, bool) or not isinstance(h0, (int, float)):
-                            raise ValueError(f"h0 must be a number, got {h0!r}")
-                        summarizer_cfg = SummarizerConfig(
-                            k=k, h0=float(h0), max_adapt_iters=cfg.max_adapt_iters
-                        )
-                    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                        summarizer_cfg = SummarizerConfig(k=msg["k"], h0=msg["h0"])
+                    except (KeyError, ValueError) as exc:
                         self._fail("protocol_error", f"bad end_session: {exc}")
                         return
                     try:

@@ -25,24 +25,27 @@ from .errors import (
     PipelineError,
     TimestampsNotIncreasing,
 )
-from .model import FLOAT_MAX, Cluster, FrameRecord, SummaryEntry, SummaryManifest
+from .model import FLOAT_MAX, Cluster, FrameRecord, SummaryEntry, SummaryManifest, check_config_fields
+
+#: Most doubling or halving steps from ``h0`` the threshold search may take.
+#: A search that needs more (``h`` at least 2**64 times ``h0`` or at most
+#: 2**-64 times it) raises :class:`NonTermination`.
+MAX_THRESHOLD_STEPS = 64
 
 
 @dataclass(frozen=True)
 class SummarizerConfig:
-    """Keyframe count and threshold-search parameters."""
+    """Keyframe count and initial gap threshold."""
 
     k: int = 8
     h0: float = 60.0
-    max_adapt_iters: int = 64
 
     def __post_init__(self):
+        check_config_fields(self)
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if not 0 < self.h0 <= FLOAT_MAX:
             raise ValueError("h0 must be a positive finite number of seconds")
-        if self.max_adapt_iters < 1:
-            raise ValueError("max_adapt_iters must be at least 1")
 
 
 def _as_timestamp_array(timestamps: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -56,28 +59,18 @@ def _as_timestamp_array(timestamps: Sequence[float] | np.ndarray) -> np.ndarray:
     return ts
 
 
-def assign_clusters(
-    timestamps: Sequence[float] | np.ndarray,
-    h: float,
-    frame_ids: Sequence[int] | None = None,
-) -> list[Cluster]:
+def assign_clusters(timestamps: Sequence[float] | np.ndarray, h: float) -> list[Cluster]:
     """Partition strictly increasing timestamps at gaps of ``h`` or more.
 
     The first frame opens cluster 1; each later frame joins its
     predecessor's cluster iff the gap to it is below ``h``, otherwise it
-    opens the next cluster. ``frame_ids`` defaults to sequence positions.
+    opens the next cluster. A cluster's ``frame_ids`` are the positions of
+    its timestamps.
     """
     ts = _as_timestamp_array(timestamps)
     if not h > 0:
         raise ValueError(f"gap threshold must be positive, got {h}")
     n = ts.size
-    if frame_ids is None:
-        ids: Sequence[int] = range(n)
-    else:
-        ids = frame_ids
-        if len(ids) != n:
-            raise ValueError("frame_ids and timestamps must have equal length")
-
     breaks = np.flatnonzero(np.diff(ts) >= h) + 1
     bounds = np.concatenate(([0], breaks, [n]))
     clusters = []
@@ -86,7 +79,7 @@ def assign_clusters(
         clusters.append(
             Cluster(
                 index=j + 1,
-                frame_ids=tuple(ids[a:b]),
+                frame_ids=tuple(range(a, b)),
                 start_time=float(ts[a]),
                 end_time=float(ts[b - 1]),
             )
@@ -95,11 +88,7 @@ def assign_clusters(
 
 
 def adapt_threshold(
-    timestamps: Sequence[float] | np.ndarray,
-    k: int,
-    h0: float = 60.0,
-    max_iters: int = 64,
-    frame_ids: Sequence[int] | None = None,
+    timestamps: Sequence[float] | np.ndarray, k: int, h0: float = 60.0
 ) -> tuple[float, list[Cluster]]:
     """Gap threshold ``h = h0 * 2**j`` giving at least ``k`` clusters while ``2h`` gives fewer.
 
@@ -109,31 +98,31 @@ def adapt_threshold(
     exponents of ``G`` and ``h0``. It is the threshold a search that
     doubles or halves ``h0`` one step at a time settles on (bit for bit
     while ``h`` is a normal float), and :class:`NonTermination` is raised
-    when that search would need more than ``max_iters`` steps
-    (``|j| + 1``). A request for a single cluster is satisfied by one
+    when that search would need more than :data:`MAX_THRESHOLD_STEPS`
+    steps (``|j| + 1``). A request for a single cluster is satisfied by one
     cluster spanning all frames (threshold reported as ``inf``, since no
     finite threshold gives fewer than one cluster).
     """
     ts = _as_timestamp_array(timestamps)
     if k < 1:
         raise ValueError("k must be at least 1")
-    if not (math.isfinite(h0) and h0 > 0):
+    if not 0 < h0 <= FLOAT_MAX:
         raise ValueError("h0 must be positive and finite")
     n = ts.size
     if n < k:
         raise InfeasibleK(n=n, k=k)
     if k == 1:
-        return math.inf, assign_clusters(ts, math.inf, frame_ids=frame_ids)
+        return math.inf, assign_clusters(ts, math.inf)
 
     gap = float(np.partition(np.diff(ts), n - k)[n - k])
     m_gap, e_gap = math.frexp(gap)
     m_h0, e_h0 = math.frexp(h0)
     j = e_gap - e_h0 - (m_gap < m_h0)
     # An infinite gap stays at least 2h however often h doubles.
-    if not math.isfinite(gap) or abs(j) + 1 > max_iters:
-        raise NonTermination(f"threshold search did not settle within {max_iters} iterations")
+    if not math.isfinite(gap) or abs(j) + 1 > MAX_THRESHOLD_STEPS:
+        raise NonTermination(f"threshold search did not settle within {MAX_THRESHOLD_STEPS} iterations")
     h = math.ldexp(h0, j)
-    return h, assign_clusters(ts, h, frame_ids=frame_ids)
+    return h, assign_clusters(ts, h)
 
 
 def select_top_k_clusters(clusters: Sequence[Cluster], k: int) -> list[Cluster]:
@@ -166,6 +155,12 @@ def _nearest_row(matrix: np.ndarray, center: np.ndarray, timestamps: np.ndarray)
     return int(tied[np.argmin(timestamps[tied])])
 
 
+def _keyframe(frames: Sequence[FrameRecord]) -> FrameRecord:
+    matrix = _feature_matrix(frames)
+    ts = np.asarray([f.timestamp for f in frames], dtype=np.float64)
+    return frames[_nearest_row(matrix, matrix.mean(axis=0), ts)]
+
+
 def select_keyframe(frames: Sequence[FrameRecord]) -> int:
     """Frame id of the cluster member nearest the cluster's mean features.
 
@@ -173,10 +168,7 @@ def select_keyframe(frames: Sequence[FrameRecord]) -> int:
     """
     if len(frames) == 0:
         raise PipelineError("cannot select a keyframe from an empty cluster")
-    matrix = _feature_matrix(frames)
-    ts = np.asarray([f.timestamp for f in frames], dtype=np.float64)
-    row = _nearest_row(matrix, matrix.mean(axis=0), ts)
-    return frames[row].frame_id
+    return _keyframe(frames).frame_id
 
 
 def summarize(
@@ -197,24 +189,19 @@ def summarize(
 
     _require_features(frames)
     ts = _as_timestamp_array([f.timestamp for f in frames])
-    ids = [f.frame_id for f in frames]
 
     if n < cfg.k:
         entries = tuple(
-            SummaryEntry(cluster_index=i + 1, frame_id=ids[i], timestamp=float(ts[i]), cluster_size=1)
-            for i in range(n)
+            SummaryEntry(cluster_index=i + 1, frame_id=f.frame_id, timestamp=float(ts[i]), cluster_size=1)
+            for i, f in enumerate(frames)
         )
         return SummaryManifest(k=cfg.k, h_star=0.0, cluster_count=n, entries=entries)
 
-    h_star, clusters = adapt_threshold(
-        ts, cfg.k, h0=cfg.h0, max_iters=cfg.max_adapt_iters, frame_ids=ids
-    )
-    kept = clusters if len(clusters) == cfg.k else select_top_k_clusters(clusters, cfg.k)
-
-    by_id = {f.frame_id: f for f in frames}
+    h_star, clusters = adapt_threshold(ts, cfg.k, h0=cfg.h0)
     entries = []
-    for cluster in kept:
-        keyframe = by_id[select_keyframe([by_id[fid] for fid in cluster.frame_ids])]
+    for cluster in select_top_k_clusters(clusters, cfg.k):
+        a = cluster.frame_ids[0]
+        keyframe = _keyframe(frames[a : a + cluster.size])
         entries.append(
             SummaryEntry(
                 cluster_index=cluster.index,
@@ -320,14 +307,14 @@ def kmeans_keyframes(
     return SummaryManifest(k=k, h_star=0.0, cluster_count=k, entries=tuple(entries))
 
 
-def cluster_occupancy_histogram(clusters: Iterable[Cluster], width: int = 50) -> str:
-    """Plain-text bar chart of cluster sizes, for verbose CLI output."""
+def cluster_occupancy_histogram(clusters: Iterable[Cluster]) -> str:
+    """Plain-text bar chart of cluster sizes, for verbose CLI output; the largest bar is 50 characters."""
     clusters = list(clusters)
     if not clusters:
         return "(no clusters)"
     largest = max(c.size for c in clusters)
     lines = []
     for c in clusters:
-        bar = "#" * max(1, round(c.size / largest * width))
+        bar = "#" * max(1, round(c.size / largest * 50))
         lines.append(f"cluster {c.index:>3} [{c.start_time:>10.1f}s .. {c.end_time:>10.1f}s] {c.size:>6} {bar}")
     return "\n".join(lines)

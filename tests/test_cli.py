@@ -97,6 +97,24 @@ class TestUsageErrors:
             assert code == 1
             assert msg in capsys.readouterr().err
 
+    def test_config_value_of_the_wrong_number_type_is_usage_error(self, tmp_path, pipeline_files, capsys):
+        # A JSON boolean is not a number, and an int field takes only JSON integers.
+        _, frames, _ = pipeline_files
+        cases = (
+            (
+                {"controller": {"max_pitch_deg": True, "face_raise_pitch_deg": True}},
+                "face_raise_pitch_deg must be a number, got True",
+            ),
+            ({"summarizer": {"k": 2.5}}, "k must be an integer, got 2.5"),
+            ({"filter": {"blur_threshold": False}}, "blur_threshold must be a number, got False"),
+        )
+        for obj, msg in cases:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(obj))
+            code = main(["--config", str(cfg), "simulate", "--frames", str(frames), "--out", str(tmp_path / "t.jsonl")])
+            assert code == 1
+            assert msg in capsys.readouterr().err
+
     def test_help_everywhere(self, capsys):
         assert main(["--help"]) == 0
         for sub, flags in (

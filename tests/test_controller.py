@@ -21,9 +21,7 @@ from robosum.controller import (
     Side,
     controller_step,
     estimate_distance_m,
-    gaze_adjustment,
     initial_state,
-    select_expression,
 )
 from robosum.errors import PipelineError
 from robosum.model import ABSENT, NUM_LANDMARKS, IllPosedReason, LandmarkSet, confident_subset
@@ -75,53 +73,62 @@ class TestEstimateDistance:
 
 
 class TestGazeAdjustment:
+    """The pan and pitch a step commands toward a face at upper-center."""
+
     def test_on_target_is_zero(self):
-        lm = landmarks(nose=(0.5 * W, 0.25 * H))
-        assert gaze_adjustment(lm, W, H, CFG) == (0.0, 0.0)
+        state, cmd = controller_step(initial_state(), obs(0.0, landmarks(nose=(0.5 * W, 0.25 * H))))
+        assert cmd.rotate_deg == 0.0
+        assert cmd.pitch_deg is None
+        assert state.current_pitch == 0.0
 
     def test_pan_right_quarter(self):
-        lm = landmarks(nose=(0.75 * W, 0.25 * H))
-        pan, pitch = gaze_adjustment(lm, W, H, CFG)
-        assert pan == pytest.approx(15.5)
-        assert pitch == pytest.approx(0.0)
+        _, cmd = controller_step(initial_state(), obs(0.0, landmarks(nose=(0.75 * W, 0.25 * H))))
+        assert cmd.rotate_deg == pytest.approx(15.5)
+        assert cmd.pitch_deg is None
 
     def test_pitch_down_for_low_face(self):
-        lm = landmarks(nose=(0.5 * W, 0.75 * H))
-        pan, pitch = gaze_adjustment(lm, W, H, CFG)
-        assert pan == pytest.approx(0.0)
-        assert pitch == pytest.approx(-19.0)
+        state, cmd = controller_step(initial_state(), obs(0.0, landmarks(nose=(0.5 * W, 0.75 * H))))
+        assert cmd.rotate_deg == 0.0
+        assert cmd.pitch_deg == pytest.approx(-19.0)
+        assert state.current_pitch == cmd.pitch_deg
 
     def test_centroid_fallback_without_nose(self):
-        lm = landmarks(r_ear=(100, 100), l_ear=(200, 140))
-        pan, pitch = gaze_adjustment(lm, W, H, CFG)
-        assert pan == pytest.approx((150 / W - 0.5) * CFG.fov_h_deg)
-        assert pitch == pytest.approx((0.25 - 120 / H) * CFG.fov_v_deg)
+        lm = landmarks(r_ear=(100, 60), l_ear=(200, 100))
+        _, cmd = controller_step(initial_state(), obs(0.0, lm))
+        assert cmd.rotate_deg == pytest.approx((150 / W - 0.5) * CFG.fov_h_deg)
+        assert cmd.pitch_deg == pytest.approx((0.25 - 80 / H) * CFG.fov_v_deg)
 
     def test_no_facial_points(self):
-        lm = landmarks(neck=(100, 100))
-        with pytest.raises(PipelineError, match="no facial landmark available for gaze control"):
-            gaze_adjustment(lm, W, H, CFG)
+        # No face to aim at: no pan, and the neck raises the head to look for one.
+        state, cmd = controller_step(initial_state(), obs(0.0, landmarks(neck=(100, 100))))
+        assert cmd.rotate_deg == 0.0
+        assert cmd.pitch_deg == CFG.face_raise_pitch_deg
+        assert state.current_pitch == CFG.face_raise_pitch_deg
 
 
 class TestSelectExpression:
+    """The expression each step shows for the mode it enters and the view."""
+
     def test_active_with_eyes(self):
-        state = ControllerState(mode=Mode.FOLLOWING)
-        assert select_expression(state, obs(0.0, full_person()), CFG) is Expression.ACTIVE
+        _, cmd = controller_step(initial_state(), obs(0.0, full_person()))
+        assert cmd.expression is Expression.ACTIVE
 
     def test_expecting_for_back_view(self):
         lm = landmarks(neck=(320, 200), r_hip=(310, 350), l_hip=(330, 350))
-        state = ControllerState(mode=Mode.FOLLOWING)
-        assert select_expression(state, obs(0.0, lm), CFG) is Expression.EXPECTING
+        _, cmd = controller_step(initial_state(), obs(0.0, lm))
+        assert cmd.expression is Expression.EXPECTING
 
     def test_idle_is_default_still(self):
         state = ControllerState(mode=Mode.IDLE, idle_until=100.0)
-        assert select_expression(state, obs(0.0, None), CFG) is Expression.DEFAULT_STILL
+        _, cmd = controller_step(state, obs(0.0, None))
+        assert cmd.new_mode is Mode.IDLE
+        assert cmd.expression is Expression.DEFAULT_STILL
 
     def test_searching_matches_direction(self):
-        left = ControllerState(mode=Mode.SEARCHING, search_direction=Side.LEFT)
-        right = ControllerState(mode=Mode.SEARCHING, search_direction=Side.RIGHT)
-        assert select_expression(left, obs(0.0, None), CFG) is Expression.AWARE_LEFT
-        assert select_expression(right, obs(0.0, None), CFG) is Expression.AWARE_RIGHT
+        for side, expression in ((Side.LEFT, Expression.AWARE_LEFT), (Side.RIGHT, Expression.AWARE_RIGHT)):
+            state, cmd = controller_step(ControllerState(last_seen_side=side), obs(0.0, None))
+            assert state.search_direction is side
+            assert cmd.expression is expression
 
 
 class TestFollowing:
@@ -373,7 +380,9 @@ class TestInvariants:
     def test_config_values_must_be_finite(self, name):
         # fov_h_deg=inf, for one, made every pan NaN.
         for value in (math.nan, math.inf, -math.inf, 10**400):
-            with pytest.raises(ValueError, match=f"^{name} must be a finite number, got "):
+            # An int field rejects a float before its range is checked.
+            kind = "an integer" if name == "turns_per_revolution" and isinstance(value, float) else "a finite number"
+            with pytest.raises(ValueError, match=f"^{name} must be {kind}, got "):
                 ControllerConfig(**{name: value})
 
 

@@ -384,6 +384,8 @@ BAD_END_SESSIONS = (
     {"type": "end_session", "k": 2, "h0": "60"},
     {"type": "end_session", "k": 2, "h0": 60.0, "x": 1},
     {"type": "end_session", "k": 2, "h0": 10**400},
+    {"type": "end_session", "k": True, "h0": 60.0},
+    {"type": "end_session", "k": 2, "h0": True},
 )
 
 

@@ -17,6 +17,7 @@ from robosum.errors import (
 )
 from robosum.model import Cluster, FEATURE_DIM, FeatureVector
 from robosum.summarizer import (
+    MAX_THRESHOLD_STEPS,
     SummarizerConfig,
     adapt_threshold,
     assign_clusters,
@@ -92,9 +93,9 @@ class TestAssignClusters:
         with pytest.raises(PipelineError, match="no timestamps supplied"):
             assign_clusters([], 10.0)
 
-    def test_custom_frame_ids(self):
-        clusters = assign_clusters([0.0, 100.0], 50.0, frame_ids=[42, 43])
-        assert [c.frame_ids for c in clusters] == [(42,), (43,)]
+    def test_frame_ids_are_positions(self):
+        clusters = assign_clusters([1000.0, 1100.0, 1110.0], 50.0)
+        assert [c.frame_ids for c in clusters] == [(0,), (1, 2)]
 
     def test_rejects_unsorted_timestamps(self):
         with pytest.raises(ValueError):
@@ -160,8 +161,19 @@ class TestAdaptThreshold:
         assert len(clusters) == len(assign_clusters(ts, h_star))
 
     def test_iteration_budget_exhaustion_is_loud(self):
+        ts = [0.0, 100.0, 200.0, 300.0]
+        # Halving 1e30 down to a gap of 100 takes about 94 steps.
+        with pytest.raises(NonTermination, match=f"within {MAX_THRESHOLD_STEPS} iterations"):
+            adapt_threshold(ts, k=2, h0=1e30)
+        # The budget is 64 steps: 63 halvings settle in the 64th, 64 would need a 65th.
+        assert adapt_threshold(ts, k=2, h0=100.0 * 2.0**63)[0] == 100.0
         with pytest.raises(NonTermination):
-            adapt_threshold([0.0, 100.0, 200.0, 300.0], k=2, h0=500.0, max_iters=1)
+            adapt_threshold(ts, k=2, h0=100.0 * 2.0**64)
+
+    def test_h0_must_be_positive_and_finite(self):
+        for h0 in (0.0, -1.0, math.nan, math.inf, 10**400):
+            with pytest.raises(ValueError, match="h0 must be positive and finite"):
+                adapt_threshold([0.0, 100.0, 200.0], k=2, h0=h0)
 
     @given(
         st.lists(
@@ -171,20 +183,19 @@ class TestAdaptThreshold:
         ),
         st.data(),
         st.floats(min_value=1e-12, max_value=1e12),
-        st.integers(min_value=1, max_value=64),
     )
     @settings(max_examples=400, deadline=None)
-    def test_closed_form_equals_doubling_halving_search(self, gaps, data, h0, max_iters):
+    def test_closed_form_equals_doubling_halving_search(self, gaps, data, h0):
         ts = np.unique(np.concatenate(([0.0], np.cumsum(gaps))))  # large sums absorb tiny gaps
         assume(ts.size >= 2)
         k = data.draw(st.integers(min_value=2, max_value=ts.size), label="k")
         try:
-            expected = search_threshold(ts, k, h0, max_iters)
+            expected = search_threshold(ts, k, h0, MAX_THRESHOLD_STEPS)
         except NonTermination as exc:
             with pytest.raises(NonTermination, match=str(exc)):
-                adapt_threshold(ts, k=k, h0=h0, max_iters=max_iters)
+                adapt_threshold(ts, k=k, h0=h0)
             return
-        h_star, clusters = adapt_threshold(ts, k=k, h0=h0, max_iters=max_iters)
+        h_star, clusters = adapt_threshold(ts, k=k, h0=h0)
         assert h_star.hex() == expected.hex()
         assert clusters == assign_clusters(ts, expected)
 
@@ -289,9 +300,9 @@ class TestSelectKeyframe:
             assert got == want
 
 
-def _session(timestamps, feature_rows):
+def _session(timestamps, feature_rows, first_id=0):
     return [
-        frame(i, float(t), feats=FeatureVector(values=row))
+        frame(first_id + i, float(t), feats=FeatureVector(values=row))
         for i, (t, row) in enumerate(zip(timestamps, feature_rows))
     ]
 
@@ -352,17 +363,15 @@ class TestSummarize:
             local = np.random.default_rng(seed)
             n = int(local.integers(6, 80))
             ts = np.cumsum(local.random(n) * 40 + 0.1)
-            frames = _session(ts, local.random((n, FEATURE_DIM)))
+            # Frame ids differ from positions, so a mix-up of the two shows.
+            frames = _session(ts, local.random((n, FEATURE_DIM)), first_id=1000)
             k = int(local.integers(2, 6))
             manifest = summarize(frames, SummarizerConfig(k=min(k, n), h0=20.0))
-            by_index = {
-                c.index: c
-                for c in assign_clusters(ts, manifest.h_star, frame_ids=[f.frame_id for f in frames])
-            }
+            by_index = {c.index: c for c in assign_clusters(ts, manifest.h_star)}
             assert manifest.cluster_count == len(by_index)
             for entry in manifest.entries:
                 cluster = by_index[entry.cluster_index]
-                assert entry.frame_id in cluster.frame_ids
+                assert entry.frame_id in [frames[i].frame_id for i in cluster.frame_ids]
                 assert entry.cluster_size == cluster.size
 
     def test_missing_features_rejected(self):
