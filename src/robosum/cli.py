@@ -20,7 +20,7 @@ from . import frameio, scenario, service
 from .content_filter import FilterConfig, filter_frames
 from .controller import ControllerConfig
 from .errors import PipelineError
-from .model import IllPosedReason
+from .model import IllPosedReason, read_fields
 from .summarizer import (
     SummarizerConfig,
     assign_clusters,
@@ -68,9 +68,20 @@ def _rate(text: str):
 
 @dataclasses.dataclass(frozen=True)
 class AppConfig:
-    filter: FilterConfig
-    summarizer: SummarizerConfig
-    controller: ControllerConfig
+    """One config section per field; each field's default factory is its section's class."""
+
+    filter: FilterConfig = dataclasses.field(default_factory=FilterConfig)
+    summarizer: SummarizerConfig = dataclasses.field(default_factory=SummarizerConfig)
+    controller: ControllerConfig = dataclasses.field(default_factory=ControllerConfig)
+
+
+def _config_section(cls, obj, name: str):
+    what = f"config section {name!r}"
+    kwargs = read_fields(cls, obj, what)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from exc
 
 
 def load_app_config(path: str | None) -> AppConfig:
@@ -79,10 +90,8 @@ def load_app_config(path: str | None) -> AppConfig:
     The file may define "filter", "summarizer", and "controller" sections;
     unknown sections or keys are errors so typos cannot silently pass.
     """
-    sections = {"filter": FilterConfig, "summarizer": SummarizerConfig, "controller": ControllerConfig}
-    values = {"filter": FilterConfig(), "summarizer": SummarizerConfig(), "controller": ControllerConfig()}
     if path is None:
-        return AppConfig(**values)
+        return AppConfig()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -90,26 +99,12 @@ def load_app_config(path: str | None) -> AppConfig:
         raise _UsageError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _UsageError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise _UsageError("config file must hold a JSON object")
-    unknown = set(obj) - set(sections)
-    if unknown:
-        raise _UsageError(f"unknown config sections {sorted(unknown)}")
-    for name, cls in sections.items():
-        if name not in obj:
-            continue
-        section = obj[name]
-        if not isinstance(section, dict):
-            raise _UsageError(f"config section {name!r} must be an object")
-        field_names = {f.name for f in dataclasses.fields(cls)}
-        bad = set(section) - field_names
-        if bad:
-            raise _UsageError(f"unknown keys in config section {name!r}: {sorted(bad)}")
-        try:
-            values[name] = cls(**section)
-        except ValueError as exc:
-            raise _UsageError(f"bad value in config section {name!r}: {exc}") from exc
-    return AppConfig(**values)
+    try:
+        given = read_fields(AppConfig, obj, "config file")
+        classes = {f.name: f.default_factory for f in dataclasses.fields(AppConfig)}
+        return AppConfig(**{name: _config_section(classes[name], value, name) for name, value in given.items()})
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _image_provider(directory: str | None):

@@ -71,8 +71,8 @@ class ControllerConfig:
     """Movement and gaze parameters.
 
     ``calibration_alpha_px_m`` converts torso pixel length to meters via
-    distance = alpha / torso_px and must be calibrated per camera. The
-    search geometry requires turns_per_revolution * search_turn_deg == 360.
+    distance = alpha / torso_px and must be calibrated per camera. A search
+    revolution is 360 / ``search_turn_deg`` turns, which must be a whole number.
     """
 
     stop_distance_m: float = 2.0
@@ -80,7 +80,6 @@ class ControllerConfig:
     search_turn_deg: float = 30.0
     search_pitch_deg: float = 15.0
     idle_duration_s: float = 900.0
-    turns_per_revolution: int = 12
     gaze_target_x_frac: float = 0.5
     gaze_target_y_frac: float = 0.25
     fov_h_deg: float = 62.0
@@ -91,19 +90,21 @@ class ControllerConfig:
     min_point_confidence: float = 0.3
 
     def __post_init__(self):
-        check_config_fields(self)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not -FLOAT_MAX <= value <= FLOAT_MAX:
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-            if value <= 0 and f.name != "min_point_confidence":
-                raise ValueError("all controller parameters must be positive")
-        if self.turns_per_revolution * self.search_turn_deg != 360.0:
-            raise ValueError("turns_per_revolution * search_turn_deg must equal 360")
+        check_config_fields(self, finite=True)
+        if any(getattr(self, f.name) <= 0 for f in fields(self) if f.name != "min_point_confidence"):
+            raise ValueError("all controller parameters must be positive")
+        # round() cannot take the 360 / turn = inf of a tiny turn.
+        if not 360 / self.search_turn_deg <= FLOAT_MAX or self.turns_per_revolution * self.search_turn_deg != 360.0:
+            raise ValueError("360 / search_turn_deg must be a whole number of turns")
         if self.search_turn_deg > MAX_ROTATE_DEG:
             raise ValueError(f"search_turn_deg must not exceed {MAX_ROTATE_DEG}")
         if not 0.0 <= self.min_point_confidence <= 1.0:
             raise ValueError("min_point_confidence must lie in [0, 1]")
+
+    @property
+    def turns_per_revolution(self) -> int:
+        """Search turns in one full revolution."""
+        return round(360 / self.search_turn_deg)
 
 
 @dataclass(frozen=True)

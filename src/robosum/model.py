@@ -3,14 +3,15 @@
 All types here are immutable value objects and safe to share between
 concurrent tasks. Serialization lives in :mod:`robosum.frameio`. The one
 rule for what an integer and a number are (:func:`require_int`,
-:func:`require_number`, :func:`check_config_fields`) lives here too.
+:func:`require_number`, :func:`check_config_fields`) and for which keys a
+settings object may hold (:func:`read_fields`) live here too.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -61,16 +62,41 @@ def require_number(value, name: str) -> float:
     return float(value)
 
 
-def check_config_fields(cfg) -> None:
-    """The number rule for a config dataclass: ``int`` fields hold ints, every other field an int or a float.
+#: Field annotations that hold a number, as types and as strings.
+_NUMBER_TYPES = ("int", int, "float", float)
 
-    Only the types are checked; ranges (finiteness among them) are each
-    config's own.
+
+def check_config_fields(cfg, finite: bool = False) -> None:
+    """The number rule for a settings dataclass: ``int`` fields hold ints, ``float`` fields an int or a float.
+
+    With ``finite`` those must also be finite; an int too large for a float
+    is not. Other fields are not looked at, and other ranges are each class's own.
     """
     for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        check = require_int if f.type in ("int", int) or type(value) is int else require_number
-        check(value, f.name)
+        if f.type in _NUMBER_TYPES:
+            value = getattr(cfg, f.name)
+            check = require_int if f.type in ("int", int) or type(value) is int else require_number
+            check(value, f.name)
+            if finite and not -FLOAT_MAX <= value <= FLOAT_MAX:
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+
+
+def read_fields(cls, obj, what: str) -> dict:
+    """``obj`` as keyword arguments for the dataclass ``cls``, its values unchecked.
+
+    ``obj`` must be a dict of field names of ``cls`` that holds every field
+    without a default; otherwise a ValueError names ``what``.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    required = {f.name: f.default is MISSING and f.default_factory is MISSING for f in fields(cls)}
+    unknown = obj.keys() - required.keys()
+    if unknown:
+        raise ValueError(f"{what}: unknown keys {sorted(unknown)}")
+    missing = [name for name, needed in required.items() if needed and name not in obj]
+    if missing:
+        raise ValueError(f"{what}: missing keys {missing}")
+    return dict(obj)
 
 
 #: Landmark indices counted as "facial": nose, both eyes, both ears.

@@ -15,7 +15,7 @@ order, making output byte-identical for a given spec.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,6 +47,8 @@ from .model import (
     FrameRecord,
     IllPosedReason,
     LandmarkSet,
+    check_config_fields,
+    read_fields,
 )
 
 _POINT_CONFIDENCE = 0.9
@@ -62,6 +64,14 @@ _BODY_DROP = 2.0
 _BBOX_FACTOR = _BODY_DROP + _EYE_RISE  # full-body bounding-box height / torso
 
 
+def _check_numbers(part) -> None:
+    """The model's number rule and finiteness for a spec part, raised as a PipelineError."""
+    try:
+        check_config_fields(part, finite=True)
+    except ValueError as exc:
+        raise PipelineError(str(exc)) from None
+
+
 @dataclass(frozen=True)
 class ActivitySegment:
     """A time range during which one indoor activity dominates."""
@@ -72,6 +82,7 @@ class ActivitySegment:
     feature_noise_sigma: float = 0.05
 
     def __post_init__(self):
+        _check_numbers(self)
         if not self.start_s < self.end_s:
             raise PipelineError(f"segment [{self.start_s}, {self.end_s}) is empty or reversed")
         if not 0 <= self.activity_id < FEATURE_DIM:
@@ -82,15 +93,20 @@ class ActivitySegment:
 
 @dataclass(frozen=True)
 class Injection:
-    """A time range whose frames violate exactly one rejection rule."""
+    """A time range whose frames violate exactly one rejection rule; ``reason`` may be its JSON value."""
 
     start_s: float
     end_s: float
     reason: IllPosedReason
 
     def __post_init__(self):
+        _check_numbers(self)
         if not self.start_s < self.end_s:
             raise PipelineError(f"injection [{self.start_s}, {self.end_s}) is empty or reversed")
+        try:
+            object.__setattr__(self, "reason", IllPosedReason(self.reason))
+        except ValueError:
+            raise PipelineError(f"unknown ill-posed reason {self.reason!r}") from None
 
 
 @dataclass(frozen=True)
@@ -103,6 +119,7 @@ class Waypoint:
     torso_px: float
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.x < 0 or self.y < 0 or self.torso_px <= 0:
             raise PipelineError("waypoint needs non-negative position and positive torso length")
 
@@ -121,10 +138,13 @@ class ScenarioSpec:
     frame_height: int = 480
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.fps <= 0:
             raise PipelineError("fps must be positive")
         if self.duration_s < 0:
             raise PipelineError("duration_s must be non-negative")
+        if self.rng_seed < 0:
+            raise PipelineError("rng_seed must be non-negative")
         if self.frame_width < 8 or self.frame_height < 8:
             raise PipelineError("frame dimensions are too small to place a person")
         segments = tuple(self.activity_segments)
@@ -384,75 +404,27 @@ def frame_image(frame_id: int, blurred: bool, seed: int = 0) -> np.ndarray:
     return rng.integers(0, 256, size=(32, 32), dtype=np.uint8)
 
 
-def _take(obj: dict, cls: type, context: str) -> dict:
-    """Check ``obj``'s keys against the fields of ``cls``; those without a default are required."""
-    known = {f.name: f.default is MISSING for f in fields(cls)}
-    unknown = set(obj) - set(known)
-    if unknown:
-        raise PipelineError(f"{context}: unknown keys {sorted(unknown)}")
-    missing = [k for k, required in known.items() if required and k not in obj]
-    if missing:
-        raise PipelineError(f"{context}: missing keys {missing}")
-    return obj
+#: The list fields of a spec and the part each item is read into.
+_SPEC_PARTS = {"activity_segments": ActivitySegment, "ill_posed_injections": Injection, "person_trajectory": Waypoint}
 
 
-def spec_from_dict(obj: dict) -> ScenarioSpec:
+def spec_from_dict(obj) -> ScenarioSpec:
     """Build a ScenarioSpec from its JSON form; unknown keys are errors."""
-    if not isinstance(obj, dict):
-        raise PipelineError("scenario spec must be a JSON object")
-    _take(obj, ScenarioSpec, "scenario spec")
     try:
-        segments = tuple(
-            ActivitySegment(**_take(dict(seg), ActivitySegment, "activity segment"))
-            for seg in obj.get("activity_segments", ())
-        )
-        injections = []
-        for inj in obj.get("ill_posed_injections", ()):
-            fields_ = _take(dict(inj), Injection, "injection")
-            try:
-                reason = IllPosedReason(fields_["reason"])
-            except ValueError as exc:
-                raise PipelineError(f"unknown ill-posed reason {fields_['reason']!r}") from exc
-            injections.append(Injection(start_s=fields_["start_s"], end_s=fields_["end_s"], reason=reason))
-        waypoints = tuple(
-            Waypoint(**_take(dict(wp), Waypoint, "waypoint"))
-            for wp in obj.get("person_trajectory", ())
-        )
-        return ScenarioSpec(
-            duration_s=obj["duration_s"],
-            fps=obj["fps"],
-            activity_segments=segments,
-            ill_posed_injections=tuple(injections),
-            person_trajectory=waypoints,
-            rng_seed=obj.get("rng_seed", 0),
-            frame_width=obj.get("frame_width", 640),
-            frame_height=obj.get("frame_height", 480),
-        )
-    except TypeError as exc:
-        raise PipelineError(f"malformed scenario spec: {exc}") from exc
+        kwargs = read_fields(ScenarioSpec, obj, "scenario spec")
+        for key, cls in _SPEC_PARTS.items():
+            items = kwargs.get(key, [])
+            if not isinstance(items, (list, tuple)):
+                raise ValueError(f"{key} must be a JSON array, got {type(items).__name__}")
+            kwargs[key] = tuple(cls(**read_fields(cls, item, f"{key}[{i}]")) for i, item in enumerate(items))
+    except ValueError as exc:
+        raise PipelineError(str(exc)) from exc
+    return ScenarioSpec(**kwargs)
 
 
 def spec_to_dict(spec: ScenarioSpec) -> dict:
-    return {
-        "duration_s": spec.duration_s,
-        "fps": spec.fps,
-        "rng_seed": spec.rng_seed,
-        "frame_width": spec.frame_width,
-        "frame_height": spec.frame_height,
-        "activity_segments": [
-            {
-                "start_s": s.start_s,
-                "end_s": s.end_s,
-                "activity_id": s.activity_id,
-                "feature_noise_sigma": s.feature_noise_sigma,
-            }
-            for s in spec.activity_segments
-        ],
-        "ill_posed_injections": [
-            {"start_s": i.start_s, "end_s": i.end_s, "reason": i.reason.value}
-            for i in spec.ill_posed_injections
-        ],
-        "person_trajectory": [
-            {"t": w.t, "x": w.x, "y": w.y, "torso_px": w.torso_px} for w in spec.person_trajectory
-        ],
-    }
+    """The JSON form of ``spec``, as :func:`spec_from_dict` reads it."""
+    obj = asdict(spec)
+    for inj in obj["ill_posed_injections"]:
+        inj["reason"] = inj["reason"].value
+    return obj

@@ -40,7 +40,7 @@ from .controller import (
 )
 from .errors import ConnectionLost, ParseError, PipelineError
 from .frameio import FEATURE_DIM, ParseResult, check_feat_rows, frame_from_wire, frame_to_wire, manifest_to_dict
-from .model import FeatureVector, FrameRecord
+from .model import FLOAT_MAX, FeatureVector, FrameRecord
 from .summarizer import SummarizerConfig, summarize
 
 logger = logging.getLogger(__name__)
@@ -264,8 +264,8 @@ def replay_session(
     """
     if rate != "max":
         rate = float(rate)
-        if rate <= 0:
-            raise ValueError("rate must be positive or 'max'")
+        if not 0 < rate <= FLOAT_MAX:
+            raise ValueError(f"rate must be a positive finite number or 'max', got {rate!r}")
     if features is not None:
         check_feat_rows(parsed, len(features))
 

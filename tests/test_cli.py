@@ -82,6 +82,23 @@ class TestUsageErrors:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "obj, msg",
+        [
+            ([{"filter": {}}], "config file must be a JSON object, got list"),
+            ({"filter": [["blur_threshold", 5]]}, "config section 'filter' must be a JSON object, got list"),
+            # Two sections have a min_point_confidence, so the message names the section.
+            ({"controller": {"min_point_confidence": 2}}, "config section 'controller': min_point_confidence must lie"),
+        ],
+    )
+    def test_config_fault_names_the_file_part(self, tmp_path, pipeline_files, capsys, obj, msg):
+        _, frames, _ = pipeline_files
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(obj))
+        code = main(["--config", str(cfg), "simulate", "--frames", str(frames), "--out", str(tmp_path / "t.jsonl")])
+        assert code == 1
+        assert msg in capsys.readouterr().err
+
     def test_non_finite_config_value_is_usage_error(self, tmp_path, pipeline_files, capsys):
         # json.load reads the NaN and Infinity literals, so a config file can carry them.
         _, frames, _ = pipeline_files
@@ -162,6 +179,36 @@ class TestDataErrors:
                      "--out", str(tmp_path / "wp.jsonl"), "--report", str(tmp_path / "report.json")])
         assert code == 2
         assert "PGM header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rng_seed", 1.5),
+            ("rng_seed", -1),
+            ("duration_s", float("nan")),
+            ("duration_s", float("inf")),
+            ("fps", float("nan")),
+            ("fps", True),
+            ("frame_width", 640.5),
+            ("activity_segments", 5),
+            ("activity_segments", ["ab"]),
+            ("activity_id", 12.5),
+            ("feature_noise_sigma", float("nan")),
+            ("start_s", "0"),
+        ],
+    )
+    def test_bad_spec_value_is_exit_2_naming_the_field(self, tmp_path, capsys, field, value):
+        # json.dumps writes NaN and Infinity literals, which json.load reads back.
+        obj = {"duration_s": 30.0, "fps": 1.0,
+               "activity_segments": [{"start_s": 0.0, "end_s": 20.0, "activity_id": 12}]}
+        target = obj["activity_segments"][0] if field in ("start_s", "activity_id", "feature_noise_sigma") else obj
+        target[field] = value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(obj))
+        frames = tmp_path / "frames.jsonl"
+        assert main(["gen", "--spec", str(spec_path), "--out", str(frames)]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
 
     def test_missing_input_file_is_exit_2(self, tmp_path):
         code = main(["summarize", "--frames", str(tmp_path / "nope.jsonl"),

@@ -369,20 +369,21 @@ class TestInvariants:
                           expression=Expression.ACTIVE, new_mode=Mode.FOLLOWING)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ControllerConfig(turns_per_revolution=10)
-        with pytest.raises(ValueError):
-            ControllerConfig(search_turn_deg=45.0, turns_per_revolution=8)
-        cfg = ControllerConfig(search_turn_deg=20.0, turns_per_revolution=18)
-        assert cfg.turns_per_revolution * cfg.search_turn_deg == 360.0
+        # The turn count is 360 / search_turn_deg, so the turn must divide 360.
+        with pytest.raises(ValueError, match="whole number of turns"):
+            ControllerConfig(search_turn_deg=7.0)
+        with pytest.raises(ValueError, match="whole number of turns"):
+            ControllerConfig(search_turn_deg=5e-324)
+        with pytest.raises(ValueError, match="must not exceed"):
+            ControllerConfig(search_turn_deg=45.0)
+        assert ControllerConfig(search_turn_deg=20.0).turns_per_revolution == 18
+        assert ControllerConfig().turns_per_revolution == 12
 
     @pytest.mark.parametrize("name", [f.name for f in fields(ControllerConfig)])
     def test_config_values_must_be_finite(self, name):
         # fov_h_deg=inf, for one, made every pan NaN.
         for value in (math.nan, math.inf, -math.inf, 10**400):
-            # An int field rejects a float before its range is checked.
-            kind = "an integer" if name == "turns_per_revolution" and isinstance(value, float) else "a finite number"
-            with pytest.raises(ValueError, match=f"^{name} must be {kind}, got "):
+            with pytest.raises(ValueError, match=f"^{name} must be a finite number, got "):
                 ControllerConfig(**{name: value})
 
 

@@ -1,5 +1,8 @@
 """Generator determinism, label soundness, and spec validation."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -215,13 +218,23 @@ class TestSpecValidation:
 
 class TestSpecSerialization:
     def test_round_trip(self):
-        spec = spec_with_all_reasons()
-        assert spec_from_dict(spec_to_dict(spec)) == spec
+        spec = replace(spec_with_all_reasons(), person_trajectory=(Waypoint(0.0, 320.0, 170.0, 150.0),))
+        assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
 
     def test_unknown_keys_rejected(self):
         obj = spec_to_dict(ScenarioSpec(duration_s=5.0, fps=1.0))
         obj["typo"] = 1
         with pytest.raises(PipelineError, match=r"unknown keys \['typo'\]"):
+            spec_from_dict(obj)
+
+    def test_missing_keys_rejected(self):
+        obj = spec_to_dict(ScenarioSpec(duration_s=5.0, fps=1.0))
+        del obj["fps"]
+        with pytest.raises(PipelineError, match=r"^scenario spec: missing keys \['fps'\]$"):
+            spec_from_dict(obj)
+        obj["fps"] = 1.0
+        obj["ill_posed_injections"] = [{"start_s": 0.0, "end_s": 1.0}]
+        with pytest.raises(PipelineError, match=r"^ill_posed_injections\[0\]: missing keys \['reason'\]$"):
             spec_from_dict(obj)
 
     def test_unknown_reason_rejected(self):

@@ -136,6 +136,17 @@ class TestReplay:
         assert summary["entries"] == []
         assert len(result.action_lines) == len(parsed.frames)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0])
+    def test_bad_rate_is_rejected_before_connecting(self, monkeypatch, rate):
+        # nan <= 0 is false, so a NaN rate once replayed at full speed.
+        def connect(*args, **kwargs):
+            raise AssertionError("replay_session connected")
+
+        monkeypatch.setattr(robosum.service.socket, "create_connection", connect)
+        parsed, matrix = parsed_session(session_spec())
+        with pytest.raises(ValueError, match="rate must be a positive finite number"):
+            replay_session("127.0.0.1", 1, parsed, features=matrix, rate=rate)
+
     def test_timed_rate_still_produces_ordered_replies(self, server):
         spec = ScenarioSpec(
             duration_s=5.0,
