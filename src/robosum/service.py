@@ -126,7 +126,8 @@ def _decode_inline_features(raw, line_no: int | None) -> FeatureVector | None:
 
 
 class _SessionHandler(socketserver.StreamRequestHandler):
-    """One TCP connection == one session with private state."""
+    """One TCP connection == one session with private state; each reply line is sent at once (TCP_NODELAY)."""
+    disable_nagle_algorithm = True  # Nagle would hold a reply until the client's next frame ACKs the last one.
 
     def _reply(self, line: str) -> None:
         self.wfile.write((line + "\n").encode("utf-8"))

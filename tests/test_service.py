@@ -147,6 +147,19 @@ class TestReplay:
         with pytest.raises(ValueError, match="rate must be a positive finite number"):
             replay_session("127.0.0.1", 1, parsed, features=matrix, rate=rate)
 
+    def test_replies_are_sent_without_delay(self, server, monkeypatch):
+        nodelay = []
+        handle = robosum.service._SessionHandler.handle
+
+        def probe(self):
+            nodelay.append(self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+            handle(self)
+
+        monkeypatch.setattr(robosum.service._SessionHandler, "handle", probe)
+        parsed, matrix = parsed_session(session_spec())
+        replay_session(*server, parsed, features=matrix, k=3, h0=60.0)
+        assert nodelay and all(nodelay)
+
     def test_timed_rate_still_produces_ordered_replies(self, server):
         spec = ScenarioSpec(
             duration_s=5.0,
