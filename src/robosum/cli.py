@@ -20,7 +20,7 @@ from . import frameio, scenario, service
 from .content_filter import FilterConfig, filter_frames
 from .controller import ControllerConfig
 from .errors import PipelineError
-from .model import IllPosedReason, read_fields
+from .model import IllPosedReason, build_fields, read_fields
 from .summarizer import (
     SummarizerConfig,
     assign_clusters,
@@ -43,20 +43,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError("must be a positive number")
-    return value
-
-
 def _rate(text: str):
     if text == "max":
         return "max"
@@ -73,15 +59,6 @@ class AppConfig:
     filter: FilterConfig = dataclasses.field(default_factory=FilterConfig)
     summarizer: SummarizerConfig = dataclasses.field(default_factory=SummarizerConfig)
     controller: ControllerConfig = dataclasses.field(default_factory=ControllerConfig)
-
-
-def _config_section(cls, obj, name: str):
-    what = f"config section {name!r}"
-    kwargs = read_fields(cls, obj, what)
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ValueError(f"{what}: {exc}") from exc
 
 
 def load_app_config(path: str | None) -> AppConfig:
@@ -102,7 +79,18 @@ def load_app_config(path: str | None) -> AppConfig:
     try:
         given = read_fields(AppConfig, obj, "config file")
         classes = {f.name: f.default_factory for f in dataclasses.fields(AppConfig)}
-        return AppConfig(**{name: _config_section(classes[name], value, name) for name, value in given.items()})
+        return AppConfig(
+            **{name: build_fields(classes[name], value, f"config section {name!r}") for name, value in given.items()}
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
+def _summarizer_config(args, cfg: AppConfig) -> SummarizerConfig:
+    """The config's summarizer section with any ``--k``/``--h0`` given on the command line."""
+    given = {name: value for name in ("k", "h0") if (value := getattr(args, name, None)) is not None}
+    try:
+        return dataclasses.replace(cfg.summarizer, **given)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -193,12 +181,8 @@ def _load_session_with_features(frames_path: str, features_path: str):
 
 
 def _cmd_summarize(args, cfg: AppConfig) -> int:
+    sum_cfg = _summarizer_config(args, cfg)
     frames = _load_session_with_features(args.frames, args.features)
-    sum_cfg = dataclasses.replace(
-        cfg.summarizer,
-        k=args.k if args.k is not None else cfg.summarizer.k,
-        h0=args.h0 if args.h0 is not None else cfg.summarizer.h0,
-    )
     manifest = summarize(frames, sum_cfg)
     frameio.write_summary_manifest(manifest, args.out)
     if args.verbose and len(frames) >= 1 and math.isfinite(manifest.h_star) and manifest.h_star > 0:
@@ -213,15 +197,16 @@ def _cmd_summarize(args, cfg: AppConfig) -> int:
 
 
 def _cmd_baseline(args, cfg: AppConfig) -> int:
+    k = _summarizer_config(args, cfg).k
     if args.method == "uniform":
         with open(args.frames, "r", encoding="utf-8") as fh:
             parsed = frameio.parse_frames_jsonl(fh)
-        manifest = uniform_keyframes(list(parsed.frames), args.k)
+        manifest = uniform_keyframes(list(parsed.frames), k)
     else:
         if not args.features:
             raise _UsageError("--features is required for the kmeans baseline")
         frames = _load_session_with_features(args.frames, args.features)
-        manifest = kmeans_keyframes(frames, args.k, seed=args.seed if args.seed is not None else 0)
+        manifest = kmeans_keyframes(frames, k, seed=args.seed if args.seed is not None else 0)
     frameio.write_summary_manifest(manifest, args.out)
     return 0
 
@@ -243,6 +228,7 @@ def _cmd_serve(args, cfg: AppConfig) -> int:
 
 
 def _cmd_replay(args, cfg: AppConfig) -> int:
+    sum_cfg = _summarizer_config(args, cfg)
     host, port = _parse_addr(args.addr)
     with open(args.frames, "r", encoding="utf-8") as fh:
         parsed = frameio.parse_frames_jsonl(fh)
@@ -255,8 +241,8 @@ def _cmd_replay(args, cfg: AppConfig) -> int:
             parsed,
             features=matrix,
             rate=args.rate,
-            k=args.k,
-            h0=args.h0,
+            k=sum_cfg.k,
+            h0=sum_cfg.h0,
             trace=out_fh,
         )
     finally:
@@ -297,8 +283,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("summarize", help="select keyframes by temporal clustering")
     p.add_argument("--frames", required=True, help="well-posed frames JSONL")
     p.add_argument("--features", required=True, help="feature matrix (FEAT binary)")
-    p.add_argument("--k", type=_positive_int, help="number of keyframes (default 8)")
-    p.add_argument("--h0", type=_positive_float, help="initial gap threshold in seconds (default 60)")
+    p.add_argument("--k", type=int, help="number of keyframes (default: the config's summarizer k)")
+    p.add_argument("--h0", type=float, help="initial gap threshold in seconds (default: the config's summarizer h0)")
     p.add_argument("--out", required=True, help="output summary manifest JSON")
     p.set_defaults(func=_cmd_summarize)
 
@@ -306,7 +292,7 @@ def build_parser() -> _Parser:
     p.add_argument("--method", required=True, choices=("uniform", "kmeans"))
     p.add_argument("--frames", required=True)
     p.add_argument("--features", help="feature matrix (required for kmeans)")
-    p.add_argument("--k", type=_positive_int, required=True)
+    p.add_argument("--k", type=int, help="number of keyframes (default: the config's summarizer k)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_baseline)
 
@@ -325,8 +311,8 @@ def build_parser() -> _Parser:
     p.add_argument("--rate", type=_rate, default="max", help="real-time multiplier or 'max'")
     p.add_argument("--features", help="feature matrix to inline into frame messages")
     p.add_argument("--out", help="write received replies to this JSONL file")
-    p.add_argument("--k", type=_positive_int, default=8, help="keyframe count for end_session")
-    p.add_argument("--h0", type=_positive_float, default=60.0, help="initial threshold for end_session")
+    p.add_argument("--k", type=int, help="keyframe count for end_session (default: the config's summarizer k)")
+    p.add_argument("--h0", type=float, help="initial threshold for end_session (default: the config's summarizer h0)")
     p.set_defaults(func=_cmd_replay)
 
     return parser

@@ -32,7 +32,6 @@ class FilterConfig:
     min_torso_fraction: float = 0.15
     corner_margin_fraction: float = 0.125
     forehead_margin_fraction: float = 0.08
-    min_point_confidence: float = 0.3
 
     def __post_init__(self):
         check_config_fields(self)
@@ -42,8 +41,6 @@ class FilterConfig:
             value = getattr(self, name)
             if not 0.0 < value < 0.5:
                 raise ValueError(f"{name} must lie in (0, 0.5), got {value}")
-        if not 0.0 <= self.min_point_confidence <= 1.0:
-            raise ValueError("min_point_confidence must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -139,7 +136,7 @@ def classify_frame(
             raise MissingBlurScore(rec.frame_id)
         pixels = _checked_image(image)
 
-    pts = confident_subset(rec.landmarks, cfg.min_point_confidence)
+    pts = confident_subset(rec.landmarks)
     if pts is None:
         return IllPosedReason.PEOPLE_ABSENT
     blur = rec.blur_variance if pixels is None else _laplacian_variance(pixels)

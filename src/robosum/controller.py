@@ -87,19 +87,16 @@ class ControllerConfig:
     calibration_alpha_px_m: float = 300.0
     face_raise_pitch_deg: float = 10.0
     max_pitch_deg: float = 45.0
-    min_point_confidence: float = 0.3
 
     def __post_init__(self):
         check_config_fields(self, finite=True)
-        if any(getattr(self, f.name) <= 0 for f in fields(self) if f.name != "min_point_confidence"):
+        if any(getattr(self, f.name) <= 0 for f in fields(self)):
             raise ValueError("all controller parameters must be positive")
         # round() cannot take the 360 / turn = inf of a tiny turn.
         if not 360 / self.search_turn_deg <= FLOAT_MAX or self.turns_per_revolution * self.search_turn_deg != 360.0:
             raise ValueError("360 / search_turn_deg must be a whole number of turns")
         if self.search_turn_deg > MAX_ROTATE_DEG:
             raise ValueError(f"search_turn_deg must not exceed {MAX_ROTATE_DEG}")
-        if not 0.0 <= self.min_point_confidence <= 1.0:
-            raise ValueError("min_point_confidence must lie in [0, 1]")
 
     @property
     def turns_per_revolution(self) -> int:
@@ -280,7 +277,7 @@ def controller_step(
     in field order.
     """
     cfg = cfg or ControllerConfig()
-    visible = confident_subset(obs.landmarks, cfg.min_point_confidence)
+    visible = confident_subset(obs.landmarks)
 
     if visible is not None:
         return _follow(state, obs, visible, cfg)

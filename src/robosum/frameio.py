@@ -96,16 +96,13 @@ def _landmarks_entry_by_entry(raw: list) -> LandmarkSet:
     return LandmarkSet(points=np.array(flat).reshape(NUM_LANDMARKS, 3))
 
 
-def frame_from_wire(
-    obj: Mapping, line: int | None = None, extra_keys: frozenset[str] = frozenset()
-) -> tuple[FrameRecord, int | None]:
+def frame_from_wire(obj: Mapping, line: int | None = None) -> tuple[FrameRecord, int | None]:
     """Decode one wire object into (record, feature row index)."""
     if not isinstance(obj, dict):
         raise ParseError("frame message must be a JSON object", line)
     keys = obj.keys()
-    allowed = _FRAME_KEY_SET | extra_keys
-    if not keys <= allowed:
-        raise ParseError(f"unknown keys {sorted(keys - allowed)}", line)
+    if not keys <= _FRAME_KEY_SET:
+        raise ParseError(f"unknown keys {sorted(keys - _FRAME_KEY_SET)}", line)
     if not keys >= _FRAME_KEY_SET:
         raise ParseError(f"missing keys {[k for k in _FRAME_KEYS if k not in obj]}", line)
 

@@ -4,7 +4,8 @@ All types here are immutable value objects and safe to share between
 concurrent tasks. Serialization lives in :mod:`robosum.frameio`. The one
 rule for what an integer and a number are (:func:`require_int`,
 :func:`require_number`, :func:`check_config_fields`) and for which keys a
-settings object may hold (:func:`read_fields`) live here too.
+settings object may hold (:func:`read_fields`, :func:`build_fields`) live
+here too.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 
 import numpy as np
+
+from .errors import PipelineError
 
 FEATURE_DIM = 157
 
@@ -99,6 +102,15 @@ def read_fields(cls, obj, what: str) -> dict:
     return dict(obj)
 
 
+def build_fields(cls, obj, what: str):
+    """``cls`` built from ``obj`` as :func:`read_fields` reads it; any fault is a ValueError naming ``what``."""
+    kwargs = read_fields(cls, obj, what)
+    try:
+        return cls(**kwargs)
+    except (ValueError, PipelineError) as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
 #: Landmark indices counted as "facial": nose, both eyes, both ears.
 FACIAL_INDICES = (NOSE, R_EYE, L_EYE, R_EAR, L_EAR)
 
@@ -163,8 +175,12 @@ def _checked_landmarks(points: np.ndarray) -> LandmarkSet:
     return lm
 
 
-def confident_subset(lm: LandmarkSet | None, min_confidence: float) -> Rows | None:
-    """The set's rows with points below the confidence floor made None.
+#: The detector confidence at and above which a landmark point counts as visible.
+MIN_POINT_CONFIDENCE = 0.3
+
+
+def confident_subset(lm: LandmarkSet | None) -> Rows | None:
+    """The set's rows with points below :data:`MIN_POINT_CONFIDENCE` made None.
 
     None when nothing survives. This is the one "visible landmark" rule:
     the content filter and the controller both see a person exactly when
@@ -173,7 +189,7 @@ def confident_subset(lm: LandmarkSet | None, min_confidence: float) -> Rows | No
     if lm is None:
         return None
     # An absent row's NaN confidence fails the comparison, so it stays None.
-    pts = [p if p[2] >= min_confidence else None for p in lm.points.tolist()]
+    pts = [p if p[2] >= MIN_POINT_CONFIDENCE else None for p in lm.points.tolist()]
     return None if pts.count(None) == NUM_LANDMARKS else pts
 
 

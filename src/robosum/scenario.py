@@ -24,6 +24,7 @@ from .errors import PipelineError
 from .model import (
     ABSENT,
     FEATURE_DIM,
+    FLOAT_MAX,
     L_ANKLE,
     L_EAR,
     L_ELBOW,
@@ -47,6 +48,7 @@ from .model import (
     FrameRecord,
     IllPosedReason,
     LandmarkSet,
+    build_fields,
     check_config_fields,
     read_fields,
 )
@@ -143,6 +145,8 @@ class ScenarioSpec:
             raise PipelineError("fps must be positive")
         if self.duration_s < 0:
             raise PipelineError("duration_s must be non-negative")
+        if not self.duration_s * self.fps <= FLOAT_MAX:
+            raise PipelineError(f"duration_s * fps must be finite, got {self.duration_s!r} * {self.fps!r}")
         if self.rng_seed < 0:
             raise PipelineError("rng_seed must be non-negative")
         if self.frame_width < 8 or self.frame_height < 8:
@@ -322,11 +326,6 @@ def generate_session(
     (defaults match the filter's defaults).
     """
     cfg = cfg or FilterConfig()
-    if cfg.min_point_confidence > _POINT_CONFIDENCE:
-        raise PipelineError(
-            f"labels are generated at confidence {_POINT_CONFIDENCE}, below the "
-            f"filter's min_point_confidence {cfg.min_point_confidence}"
-        )
     n = spec.frame_count
     rng = np.random.default_rng(spec.rng_seed)
 
@@ -416,7 +415,7 @@ def spec_from_dict(obj) -> ScenarioSpec:
             items = kwargs.get(key, [])
             if not isinstance(items, (list, tuple)):
                 raise ValueError(f"{key} must be a JSON array, got {type(items).__name__}")
-            kwargs[key] = tuple(cls(**read_fields(cls, item, f"{key}[{i}]")) for i, item in enumerate(items))
+            kwargs[key] = tuple(build_fields(cls, item, f"{key}[{i}]") for i, item in enumerate(items))
     except ValueError as exc:
         raise PipelineError(str(exc)) from exc
     return ScenarioSpec(**kwargs)

@@ -45,8 +45,6 @@ from .summarizer import SummarizerConfig, summarize
 
 logger = logging.getLogger(__name__)
 
-_FRAME_EXTRA_KEYS = frozenset({"type", "features"})
-
 #: Longest accepted message line in bytes, newline included. A frame with
 #: 157 inline features takes about 4 KB.
 MAX_LINE_BYTES = 1 << 20
@@ -163,11 +161,12 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                 if not isinstance(msg, dict) or "type" not in msg:
                     self._fail("protocol_error", f"line {line_no}: message must be an object with a type")
                     return
-                kind = msg["type"]
+                kind = msg.pop("type")
                 if kind == "frame":
                     try:
-                        rec, _ = frame_from_wire(msg, line=line_no, extra_keys=_FRAME_EXTRA_KEYS)
-                        features = _decode_inline_features(msg.get("features"), line_no)
+                        inline = msg.pop("features", None)
+                        rec, _ = frame_from_wire(msg, line=line_no)
+                        features = _decode_inline_features(inline, line_no)
                         reason = classify_frame(rec, cfg.filter_config)
                         state, cmd = controller_step(state, rec, cfg.controller_config)
                     except PipelineError as exc:
@@ -181,7 +180,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                             well_posed.append(replace(rec, features=features))
                 elif kind == "end_session":
                     try:
-                        unknown = set(msg) - {"type", "k", "h0"}
+                        unknown = set(msg) - {"k", "h0"}
                         if unknown:
                             raise ValueError(f"unknown keys {sorted(unknown)}")
                         summarizer_cfg = SummarizerConfig(k=msg["k"], h0=msg["h0"])
@@ -252,8 +251,8 @@ def replay_session(
     parsed: ParseResult,
     features: np.ndarray | None = None,
     rate: float | str = "max",
-    k: int = 8,
-    h0: float = 60.0,
+    k: int = SummarizerConfig.k,
+    h0: float = SummarizerConfig.h0,
     trace: IO[str] | None = None,
 ) -> ReplayResult:
     """Stream a recorded session to a server in lock-step and collect replies.
@@ -261,7 +260,8 @@ def replay_session(
     ``rate`` is a real-time multiplier or ``"max"`` to ignore timestamps.
     A ``feat_row`` past the end of ``features`` raises :class:`ParseError`
     before connecting. Raises :class:`ConnectionLost` (with the last
-    acknowledged frame id) if the server goes away mid-session.
+    acknowledged frame id) if the server goes away mid-session, and
+    :class:`ParseError` naming a reply line that is not a JSON object.
     """
     if rate != "max":
         rate = float(rate)
@@ -284,10 +284,16 @@ def replay_session(
             raise ConnectionLost(last_acked) from exc
         if not raw:
             raise ConnectionLost(last_acked)
-        reply = raw.decode("utf-8").rstrip("\n")
+        try:
+            reply = raw.decode("utf-8").rstrip("\n")
+            obj = json.loads(reply)
+        except ValueError:
+            obj = None
+        if not isinstance(obj, dict):
+            raise ParseError(f"server reply is not a JSON object: {raw.decode('utf-8', 'replace').rstrip()!r}")
         if trace is not None:
             trace.write(reply + "\n")
-        return reply, json.loads(reply).get("type") == "error"
+        return reply, obj.get("type") == "error"
 
     try:
         prev_t: float | None = None

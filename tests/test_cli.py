@@ -1,6 +1,8 @@
 """End-to-end CLI flows, exit codes, and flag/config handling."""
 
 import json
+import socket
+import threading
 
 import numpy as np
 import pytest
@@ -38,6 +40,27 @@ def small_spec():
     )
 
 
+def one_shot_server(reply):
+    """A loopback listener serving one connection: each line in is answered with ``reply(message)``.
+
+    Returns its ``HOST:PORT``, the list the messages are appended to, and its thread.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+    received = []
+
+    def run():
+        with listener, listener.accept()[0] as conn, conn.makefile("rwb") as stream:
+            for line in stream:
+                received.append(json.loads(line))
+                stream.write(reply(received[-1]).encode() + b"\n")
+                stream.flush()
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    host, port = listener.getsockname()
+    return f"{host}:{port}", received, thread
+
+
 @pytest.fixture
 def pipeline_files(tmp_path):
     spec_path = write_spec(tmp_path, small_spec())
@@ -55,6 +78,18 @@ class TestUsageErrors:
              "--out", str(tmp_path / "s.json")]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["summarize", "--features", "feat.bin", "--h0", "nan", "--out", "s.json"],
+        ["baseline", "--method", "uniform", "--k", "0", "--out", "s.json"],
+        ["replay", "--addr", "127.0.0.1:1", "--k", "0"],
+        ["replay", "--addr", "127.0.0.1:1", "--h0", "0"],
+    ])
+    def test_bad_k_or_h0_is_usage_error_before_any_input_is_used(self, tmp_path, capsys, argv):
+        # The frames file does not exist and nothing listens at the address, so reading
+        # either first would exit 2: exit 1 shows the check comes before both.
+        assert main([argv[0], "--frames", str(tmp_path / "missing.jsonl"), *argv[1:]]) == 1
+        assert "must be" in capsys.readouterr().err
 
     def test_missing_required_flag(self):
         assert main(["summarize"]) == 1
@@ -87,8 +122,8 @@ class TestUsageErrors:
         [
             ([{"filter": {}}], "config file must be a JSON object, got list"),
             ({"filter": [["blur_threshold", 5]]}, "config section 'filter' must be a JSON object, got list"),
-            # Two sections have a min_point_confidence, so the message names the section.
-            ({"controller": {"min_point_confidence": 2}}, "config section 'controller': min_point_confidence must lie"),
+            # A range fault names the section as well as the field.
+            ({"controller": {"max_pitch_deg": -1}}, "config section 'controller': all controller parameters must be"),
         ],
     )
     def test_config_fault_names_the_file_part(self, tmp_path, pipeline_files, capsys, obj, msg):
@@ -98,6 +133,14 @@ class TestUsageErrors:
         code = main(["--config", str(cfg), "simulate", "--frames", str(frames), "--out", str(tmp_path / "t.jsonl")])
         assert code == 1
         assert msg in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["filter", "controller"])
+    def test_visibility_floor_is_not_a_config_key(self, tmp_path, capsys, section):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {"min_point_confidence": 0.3}}))
+        code = main(["--config", str(cfg), "simulate", "--frames", "frames.jsonl", "--out", str(tmp_path / "t.jsonl")])
+        assert code == 1
+        assert f"config section '{section}': unknown keys ['min_point_confidence']" in capsys.readouterr().err
 
     def test_non_finite_config_value_is_usage_error(self, tmp_path, pipeline_files, capsys):
         # json.load reads the NaN and Infinity literals, so a config file can carry them.
@@ -195,14 +238,27 @@ class TestDataErrors:
             ("activity_id", 12.5),
             ("feature_noise_sigma", float("nan")),
             ("start_s", "0"),
+            # A dict value replaces top-level keys of the spec; ``field`` is then the text its error must hold.
+            ("duration_s * fps", {"duration_s": 1e200, "fps": 1e200}),
+            ("activity_segments[0]: activity_id", {"activity_segments": [{"start_s": 0, "end_s": 1, "activity_id": -1}]}),
+            ("person_trajectory[1]: waypoint", {"person_trajectory": [{"t": 0, "x": 1, "y": 1, "torso_px": 90},
+                                                                      {"t": 9, "x": 1, "y": 1, "torso_px": 0}]}),
+            ("person_trajectory[1]: torso_px", {"person_trajectory": [{"t": 0, "x": 1, "y": 1, "torso_px": 90},
+                                                                      {"t": 9, "x": 1, "y": 1, "torso_px": True}]}),
+            ("ill_posed_injections[1]: unknown ill-posed reason 'Sideways'",
+             {"ill_posed_injections": [{"start_s": 1, "end_s": 2, "reason": "Blurred"},
+                                       {"start_s": 3, "end_s": 4, "reason": "Sideways"}]}),
         ],
     )
     def test_bad_spec_value_is_exit_2_naming_the_field(self, tmp_path, capsys, field, value):
         # json.dumps writes NaN and Infinity literals, which json.load reads back.
         obj = {"duration_s": 30.0, "fps": 1.0,
                "activity_segments": [{"start_s": 0.0, "end_s": 20.0, "activity_id": 12}]}
-        target = obj["activity_segments"][0] if field in ("start_s", "activity_id", "feature_noise_sigma") else obj
-        target[field] = value
+        if isinstance(value, dict):
+            obj.update(value)
+        else:
+            target = obj["activity_segments"][0] if field in ("start_s", "activity_id", "feature_noise_sigma") else obj
+            target[field] = value
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(obj))
         frames = tmp_path / "frames.jsonl"
@@ -344,6 +400,30 @@ class TestSimulateAndReplay:
         finally:
             server.shutdown()
             server.server_close()
+
+    def test_replay_sends_the_configured_k_and_h0(self, pipeline_files):
+        tmp_path, frames, _ = pipeline_files
+        addr, received, thread = one_shot_server(
+            lambda msg: '{"type":"action"}' if msg["type"] == "frame" else '{"type":"summary"}'
+        )
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"summarizer": {"k": 4, "h0": 30.0}}))
+        assert main(["--config", str(cfg), "replay", "--addr", addr, "--frames", str(frames)]) == 0
+        thread.join(5)
+        assert not thread.is_alive()
+        assert received[-1] == {"type": "end_session", "k": 4, "h0": 30.0}
+        assert len(received) == 121
+
+    @pytest.mark.parametrize("reply", ["not json", "[1, 2]"])
+    def test_replay_reply_that_is_not_an_object_is_exit_2(self, pipeline_files, capsys, reply):
+        _, frames, _ = pipeline_files
+        addr, received, thread = one_shot_server(lambda msg: reply)
+        assert main(["replay", "--addr", addr, "--frames", str(frames)]) == 2
+        thread.join(5)
+        assert not thread.is_alive()
+        err = capsys.readouterr().err
+        assert f"server reply is not a JSON object: {reply!r}" in err and "Traceback" not in err
+        assert len(received) == 1
 
     def test_replay_bad_rate_is_usage_error(self, pipeline_files):
         _, frames, _ = pipeline_files

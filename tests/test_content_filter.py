@@ -101,7 +101,7 @@ class TestClassifyFrame:
 
     def test_all_points_below_confidence_is_people_absent(self):
         rec = frame(0, 0.0, lm=centered_person(conf=0.1), blur=500.0)
-        assert classify_frame(rec, FilterConfig(min_point_confidence=0.3)) is IllPosedReason.PEOPLE_ABSENT
+        assert classify_frame(rec) is IllPosedReason.PEOPLE_ABSENT
 
     def test_blur_below_threshold(self):
         rec = frame(0, 0.0, lm=centered_person(), blur=50.0)
@@ -258,7 +258,7 @@ class TestFilterFrames:
         for value in (math.nan, math.inf, -math.inf, 10**400, -1.0):
             with pytest.raises(ValueError, match="blur_threshold must be a finite non-negative number"):
                 FilterConfig(blur_threshold=value)
-        for name in ("min_torso_fraction", "corner_margin_fraction", "forehead_margin_fraction", "min_point_confidence"):
+        for name in ("min_torso_fraction", "corner_margin_fraction", "forehead_margin_fraction"):
             for value in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ValueError):
                     FilterConfig(**{name: value})

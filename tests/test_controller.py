@@ -24,7 +24,7 @@ from robosum.controller import (
     initial_state,
 )
 from robosum.errors import PipelineError
-from robosum.model import ABSENT, NUM_LANDMARKS, IllPosedReason, LandmarkSet, confident_subset
+from robosum.model import ABSENT, MIN_POINT_CONFIDENCE, NUM_LANDMARKS, IllPosedReason, LandmarkSet, confident_subset
 
 CFG = ControllerConfig()
 W, H = 640, 480
@@ -387,17 +387,25 @@ class TestInvariants:
                 ControllerConfig(**{name: value})
 
 
-@st.composite
-def landmarks_and_floor(draw):
-    """Random 18-slot sets (or none) plus a shared confidence floor.
+#: Confidences at the visibility floor and one float either side of it.
+AROUND_THE_FLOOR = (
+    math.nextafter(MIN_POINT_CONFIDENCE, 0.0),
+    MIN_POINT_CONFIDENCE,
+    math.nextafter(MIN_POINT_CONFIDENCE, 1.0),
+)
 
-    Confidences are drawn in [0, 1] with some exactly at the floor.
-    Coordinates often repeat, so points coincide, the neck on a hip too.
+
+@st.composite
+def landmark_sets(draw):
+    """Random 18-slot sets (or none).
+
+    Confidences are drawn in [0, 1], many of them at the floor or one float
+    either side of it. Coordinates often repeat, so points coincide, the
+    neck on a hip too.
     """
-    floor = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0))
     if draw(st.integers(0, 3)) == 0:
-        return None, floor
-    confidence = st.sampled_from([floor, 0.0, 1.0]) | st.floats(0.0, 1.0)
+        return None
+    confidence = st.sampled_from([*AROUND_THE_FLOOR, 0.0, 1.0]) | st.floats(0.0, 1.0)
     points = []
     for i in range(NUM_LANDMARKS):
         if draw(st.booleans()):
@@ -406,17 +414,16 @@ def landmarks_and_floor(draw):
         x = draw(st.sampled_from([0.0, 320.0]) | st.floats(0.0, W))
         y = draw(st.sampled_from([0.0, 200.0]) | st.floats(0.0, H))
         points.append((x, y, draw(confidence)))
-    return LandmarkSet(points=points), floor
+    return LandmarkSet(points=points)
 
 
 @settings(max_examples=300, deadline=None)
-@given(landmarks_and_floor())
-def test_filter_and_controller_share_one_visibility_rule(case):
-    lm, floor = case
-    visible = confident_subset(lm, floor)
-    reason = classify_frame(frame(0, 0.0, lm=lm, blur=500.0), FilterConfig(min_point_confidence=floor))
+@given(landmark_sets())
+def test_filter_and_controller_share_one_visibility_rule(lm):
+    visible = confident_subset(lm)
+    reason = classify_frame(frame(0, 0.0, lm=lm, blur=500.0), FilterConfig())
     assert (reason is IllPosedReason.PEOPLE_ABSENT) == (visible is None)
-    _, cmd = controller_step(initial_state(), obs(0.0, lm), ControllerConfig(min_point_confidence=floor))
+    _, cmd = controller_step(initial_state(), obs(0.0, lm), ControllerConfig())
     assert (cmd.new_mode is Mode.FOLLOWING) == (visible is not None)
 
 

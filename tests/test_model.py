@@ -1,5 +1,7 @@
 """Domain type invariants and landmark index semantics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from robosum.model import (
     FEATURE_DIM,
     Cluster,
     FeatureVector,
+    MIN_POINT_CONFIDENCE,
     FrameRecord,
     LandmarkSet,
     SummaryEntry,
@@ -69,11 +72,12 @@ def test_landmark_set_is_read_only_copy_with_nan_aware_equality():
 
 
 def test_confident_subset_keeps_points_at_or_above_the_floor():
-    lm = LandmarkSet(points=[(1.0, 2.0, 0.3), (3.0, 4.0, 0.25)] + [ABSENT] * 16)
-    assert confident_subset(lm, 0.3) == [[1.0, 2.0, 0.3]] + [None] * 17
-    assert confident_subset(lm, 0.0) == [[1.0, 2.0, 0.3], [3.0, 4.0, 0.25]] + [None] * 16
-    assert confident_subset(lm, 0.5) is None
-    assert confident_subset(None, 0.0) is None
+    assert MIN_POINT_CONFIDENCE == 0.3
+    below = math.nextafter(MIN_POINT_CONFIDENCE, 0.0)
+    lm = LandmarkSet(points=[(1.0, 2.0, MIN_POINT_CONFIDENCE), (3.0, 4.0, below), (5.0, 6.0, 1.0)] + [ABSENT] * 15)
+    assert confident_subset(lm) == [[1.0, 2.0, 0.3], None, [5.0, 6.0, 1.0]] + [None] * 15
+    assert confident_subset(LandmarkSet(points=[(3.0, 4.0, below)] + [ABSENT] * 17)) is None
+    assert confident_subset(None) is None
 
 
 def test_feature_vector_validation():

@@ -101,6 +101,8 @@ class TestReplay:
         assert len(result.action_lines) == 1000
         echoed = [json.loads(line)["frame_id"] for line in result.action_lines]
         assert echoed == [rec.frame_id for rec in parsed.frames]
+        # Without k and h0 the client sends the summarizer's own defaults.
+        assert json.loads(result.summary_line)["k"] == SummarizerConfig().k
 
     def test_concurrent_sessions_stay_isolated(self, server):
         specs = [session_spec(seed=11), session_spec(seed=22, duration=300.0)]
