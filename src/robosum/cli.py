@@ -74,7 +74,7 @@ def load_app_config(path: str | None) -> AppConfig:
             obj = json.load(fh)
     except OSError as exc:
         raise _UsageError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except frameio.JSON_FAULTS as exc:
         raise _UsageError(f"config file is not valid JSON: {exc}") from exc
     try:
         given = read_fields(AppConfig, obj, "config file")
@@ -126,7 +126,7 @@ def _cmd_gen(args, cfg: AppConfig) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         try:
             spec_obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except frameio.JSON_FAULTS as exc:
             raise _UsageError(f"scenario spec is not valid JSON: {exc}") from exc
     spec = scenario.spec_from_dict(spec_obj)
     if args.seed is not None:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ImageTooSmall, MissingBlurScore
 from .model import EYE_INDICES, FLOAT_MAX, NECK, NOSE, FrameRecord, IllPosedReason, check_config_fields, confident_subset
 
-#: Provider of grayscale pixels for frames lacking a precomputed blur score.
+#: Provider of 8-bit grayscale pixels for frames lacking a precomputed blur score.
 ImageProvider = Callable[[FrameRecord], "np.ndarray | None"]
 
 
@@ -69,53 +69,41 @@ def variance_of_laplacian(image) -> float:
     """Population variance of the 3x3 Laplacian response over the interior.
 
     The kernel is [[0,1,0],[1,-4,1],[0,1,0]] applied to the valid region
-    only (no border padding). For 8-bit images the result is exact and
-    correctly rounded; any other dtype is scored in float64. Constant
-    images score exactly 0.0; low scores indicate blur.
+    only (no border padding). The image must be 8-bit grayscale (``uint8``);
+    any other dtype is a ValueError naming it. The result is exact and
+    correctly rounded; constant images score 0.0, and low scores mean blur.
     """
     return _laplacian_variance(_checked_image(image))
 
 
 def _checked_image(image) -> np.ndarray:
-    """``image`` as a 2-D array of at least 3x3: ``uint8`` kept, else float64."""
+    """``image`` as a 2-D ``uint8`` array of at least 3x3."""
     img = np.asarray(image)
-    if img.dtype != np.uint8:
-        img = img.astype(np.float64, copy=False)
     if img.ndim != 2:
         raise ValueError(f"expected a 2-D grayscale image, got ndim={img.ndim}")
     rows, cols = img.shape
     if rows < 3 or cols < 3:
         raise ImageTooSmall(f"image must be at least 3x3, got {cols}x{rows}")
+    if img.dtype != np.uint8:
+        raise ValueError(f"expected an 8-bit grayscale image (uint8), got dtype {img.dtype}")
     return img
 
 
 def _laplacian_variance(img: np.ndarray) -> float:
     """Score an image that :func:`_checked_image` returned."""
-    if img.dtype == np.uint8:
-        # Responses lie in [-1020, 1020], so int16 cannot overflow; their
-        # squares need int32 and the sums int64. With n responses, S1 = sum
-        # and S2 = sum of squares, the variance is (n*S2 - S1**2) / n**2,
-        # and Python's integer true division rounds it correctly. Summing
-        # in place, straight from the uint8 views, keeps the large
-        # temporaries to three; with more, the allocator returned them to
-        # the kernel and faulted them back in on every call.
-        lap = np.add(img[:-2, 1:-1], img[2:, 1:-1], dtype=np.int16)
-        lap += img[1:-1, :-2]
-        lap += img[1:-1, 2:]
-        lap -= np.multiply(img[1:-1, 1:-1], 4, dtype=np.int16)
-        n = lap.size
-        s1 = int(lap.sum(dtype=np.int64))
-        s2 = int(np.square(lap, dtype=np.int32).sum(dtype=np.int64))
-        return (n * s2 - s1 * s1) / (n * n)
-    lap = (
-        img[:-2, 1:-1]
-        + img[2:, 1:-1]
-        + img[1:-1, :-2]
-        + img[1:-1, 2:]
-        - 4.0 * img[1:-1, 1:-1]
-    )
-    mean = lap.mean()
-    return float(np.mean((lap - mean) ** 2))
+    # Responses lie in [-1020, 1020], so int16 cannot overflow; their squares need int32 and the
+    # sums int64. With n responses, S1 = sum and S2 = sum of squares, the variance is
+    # (n*S2 - S1**2) / n**2, and Python's integer true division rounds it correctly. Summing in
+    # place, straight from the uint8 views, keeps the large temporaries to three; with more, the
+    # allocator returned them to the kernel and faulted them back in on every call.
+    lap = np.add(img[:-2, 1:-1], img[2:, 1:-1], dtype=np.int16)
+    lap += img[1:-1, :-2]
+    lap += img[1:-1, 2:]
+    lap -= np.multiply(img[1:-1, 1:-1], 4, dtype=np.int16)
+    n = lap.size
+    s1 = int(lap.sum(dtype=np.int64))
+    s2 = int(np.square(lap, dtype=np.int32).sum(dtype=np.int64))
+    return (n * s2 - s1 * s1) / (n * n)
 
 
 def classify_frame(
@@ -125,9 +113,9 @@ def classify_frame(
 ) -> IllPosedReason | None:
     """Classify one frame; ``None`` means well-posed.
 
-    ``image`` supplies grayscale pixels when ``rec.blur_variance`` is absent.
-    Raises :class:`MissingBlurScore` when neither is available. The image is
-    validated up front but scored only if the blur rule is reached.
+    ``image`` supplies 8-bit grayscale pixels when ``rec.blur_variance`` is
+    absent. Raises :class:`MissingBlurScore` when neither is available. The
+    image is validated up front but scored only if the blur rule is reached.
     """
     cfg = cfg or FilterConfig()
     pixels = None

@@ -30,6 +30,7 @@ from .model import (
     SummaryManifest,
     _checked_feature_row,
     _checked_landmarks,
+    check_point,
     require_int,
     require_number,
 )
@@ -40,6 +41,15 @@ _FEATURE_MAGIC = b"FEAT"
 _HEADER = struct.Struct("<4sII")
 _NUMBER_TYPES = (float, int)
 
+#: What reading and decoding a text that is not JSON raises: JSONDecodeError, UnicodeDecodeError (not UTF-8), a plain
+#: ValueError (an integer of over 4,300 digits) and RecursionError (nesting too deep). Each reader maps them.
+JSON_FAULTS = (ValueError, RecursionError)
+
+
+def _json_fault(exc: Exception) -> str:
+    """What a :data:`JSON_FAULTS` error says is wrong, without a position within the text."""
+    return exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+
 
 def _landmarks_from_wire(raw) -> LandmarkSet | None:
     """The set a wire ``landmarks`` value encodes; ValueError names the first fault."""
@@ -47,11 +57,10 @@ def _landmarks_from_wire(raw) -> LandmarkSet | None:
         return None
     if not isinstance(raw, list) or len(raw) != NUM_LANDMARKS:
         raise ValueError(f"landmarks must be null or an array of {NUM_LANDMARKS} entries")
-    # One walk that checks each present point as it goes: the value types
-    # first (a bool is not a number), then 0 <= x, y <= FLOAT_MAX and
-    # 0 <= conf <= 1, which also reject NaN, ±inf and integers too large for
-    # a float. Any failing entry sends the whole set to the per-entry rules
-    # below, which name the fault.
+    # One walk that checks each present point as it goes: the value types first (a bool is not
+    # a number), then 0 <= x, y <= FLOAT_MAX and 0 <= conf <= 1, which also reject NaN, ±inf and
+    # integers too large for a float. Any other entry goes to _landmark_entry, which names its
+    # fault or returns its point (a float subclass, say), so the first faulty entry is named.
     flat: list = []
     for entry in raw:
         if entry is None:
@@ -69,7 +78,7 @@ def _landmarks_from_wire(raw) -> LandmarkSet | None:
             ):
                 flat += entry
                 continue
-        return _landmarks_entry_by_entry(raw)
+        flat += _landmark_entry(entry, len(flat) // 3)
     points = np.array(flat, dtype=np.float64)
     # In place, not a view: a reshaped view would keep a second array object
     # alive per set. The size is unchanged, so nothing is reallocated.
@@ -78,22 +87,14 @@ def _landmarks_from_wire(raw) -> LandmarkSet | None:
     return _checked_landmarks(points)
 
 
-def _landmarks_entry_by_entry(raw: list) -> LandmarkSet:
-    flat: list[float] = []
-    for i, entry in enumerate(raw):
-        if entry is None:
-            flat += ABSENT
-            continue
-        if not isinstance(entry, list) or len(entry) != 3:
-            raise ValueError(f"landmark {i} must be null or [x, y, conf]")
-        x = require_number(entry[0], f"landmark {i} x")
-        y = require_number(entry[1], f"landmark {i} y")
-        conf = require_number(entry[2], f"landmark {i} conf")
-        if x != x and y != y and conf != conf:
-            # JSON NaN literals, not an absent point (that is null).
-            raise ValueError(f"landmark coordinates must be finite, got ({x}, {y})")
-        flat += (x, y, conf)
-    return LandmarkSet(points=np.array(flat).reshape(NUM_LANDMARKS, 3))
+def _landmark_entry(entry, i: int) -> list[float]:
+    """The point wire entry ``i`` encodes; ValueError names its fault."""
+    if not isinstance(entry, list) or len(entry) != 3:
+        raise ValueError(f"landmark {i} must be null or [x, y, conf]")
+    point = [require_number(v, f"landmark {i} {name}") for v, name in zip(entry, ("x", "y", "conf"))]
+    # JSON NaN literals are a fault here, not an absent point (that is null).
+    check_point(*point)
+    return point
 
 
 def frame_from_wire(obj: Mapping, line: int | None = None) -> tuple[FrameRecord, int | None]:
@@ -158,27 +159,31 @@ def parse_frames_jsonl(stream: Iterable[str]) -> ParseResult:
     seen_ids: set[int] = set()
     duplicates = 0
     last_t: float | None = None
-    for line_no, line in enumerate(stream, start=1):
-        text = line.strip()
-        if not text:
-            raise ParseError("blank line", line_no)
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line_no) from exc
-        rec, feat_row = frame_from_wire(obj, line=line_no)
-        if rec.frame_id in seen_ids:
-            raise ParseError(f"duplicate frame_id {rec.frame_id}", line_no)
-        seen_ids.add(rec.frame_id)
-        if last_t is not None:
-            if rec.timestamp < last_t:
-                raise OrderError(rec.frame_id)
-            if rec.timestamp == last_t:
-                duplicates += 1
-                continue
-        frames.append(rec)
-        feat_rows.append(feat_row)
-        last_t = rec.timestamp
+    try:
+        for line_no, line in enumerate(stream, start=1):
+            text = line.strip()
+            if not text:
+                raise ParseError("blank line", line_no)
+            try:
+                obj = json.loads(text)
+            except JSON_FAULTS as exc:
+                raise ParseError(f"invalid JSON: {_json_fault(exc)}", line_no) from exc
+            rec, feat_row = frame_from_wire(obj, line=line_no)
+            if rec.frame_id in seen_ids:
+                raise ParseError(f"duplicate frame_id {rec.frame_id}", line_no)
+            seen_ids.add(rec.frame_id)
+            if last_t is not None:
+                if rec.timestamp < last_t:
+                    raise OrderError(rec.frame_id)
+                if rec.timestamp == last_t:
+                    duplicates += 1
+                    continue
+            frames.append(rec)
+            feat_rows.append(feat_row)
+            last_t = rec.timestamp
+    except UnicodeDecodeError as exc:
+        # A text stream decodes ahead of the line in hand, so this fault has no line number.
+        raise ParseError(f"invalid JSON: {exc}") from exc
     return ParseResult(
         frames=tuple(frames), feat_rows=tuple(feat_rows), duplicates_dropped=duplicates
     )
@@ -196,22 +201,19 @@ def write_frames_jsonl(
     returned (``None`` when no frame has features). Pass explicit
     ``feat_rows`` to preserve indices into an existing feature file.
     """
-    if feat_rows is not None:
-        if len(feat_rows) != len(frames):
-            raise ValueError("feat_rows must parallel frames")
-        for rec, row in zip(frames, feat_rows):
-            stream.write(json.dumps(frame_to_wire(rec, row)) + "\n")
-        return None
+    if feat_rows is not None and len(feat_rows) != len(frames):
+        raise ValueError("feat_rows must parallel frames")
     rows: list[np.ndarray] = []
-    for rec in frames:
-        row = None
-        if rec.features is not None:
+    for i, rec in enumerate(frames):
+        if feat_rows is not None:
+            row = feat_rows[i]
+        elif rec.features is not None:
             row = len(rows)
             rows.append(rec.features.values)
+        else:
+            row = None
         stream.write(json.dumps(frame_to_wire(rec, row)) + "\n")
-    if not rows:
-        return None
-    return np.stack(rows).astype(np.float32)
+    return np.stack(rows).astype(np.float32) if rows else None
 
 
 def check_feat_rows(result: ParseResult, count: int) -> None:
@@ -352,8 +354,8 @@ def read_summary_manifest(path: str | Path) -> SummaryManifest:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}") from exc
+        except JSON_FAULTS as exc:
+            raise ParseError(f"invalid JSON: {_json_fault(exc)}") from exc
     return manifest_from_dict(obj)
 
 

@@ -125,6 +125,16 @@ ABSENT = (math.nan, math.nan, math.nan)
 Rows = list[list[float] | None]
 
 
+def check_point(x: float, y: float, conf: float) -> None:
+    """A present landmark point's rule: finite, non-negative coordinates and a confidence in [0, 1]."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"landmark coordinates must be finite, got ({x}, {y})")
+    if x < 0 or y < 0:
+        raise ValueError(f"landmark coordinates must be non-negative, got ({x}, {y})")
+    if not 0.0 <= conf <= 1.0:
+        raise ValueError(f"landmark confidence must be in [0, 1], got {conf}")
+
+
 @dataclass(frozen=True, eq=False)
 class LandmarkSet:
     """The 18 body keypoints of one person as a read-only (18, 3) float64 array.
@@ -142,14 +152,8 @@ class LandmarkSet:
         if arr.shape != (NUM_LANDMARKS, 3):
             raise ValueError(f"expected {NUM_LANDMARKS} landmark rows of [x, y, conf], got shape {arr.shape}")
         for x, y, conf in arr.tolist():
-            if x != x and y != y and conf != conf:
-                continue
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(f"landmark coordinates must be finite, got ({x}, {y})")
-            if x < 0 or y < 0:
-                raise ValueError(f"landmark coordinates must be non-negative, got ({x}, {y})")
-            if not 0.0 <= conf <= 1.0:
-                raise ValueError(f"landmark confidence must be in [0, 1], got {conf}")
+            if not (x != x and y != y and conf != conf):
+                check_point(x, y, conf)
         arr.flags.writeable = False
         object.__setattr__(self, "points", arr)
 
@@ -166,8 +170,8 @@ class LandmarkSet:
 def _checked_landmarks(points: np.ndarray) -> LandmarkSet:
     """A LandmarkSet over ``points`` itself, with no copy and no check.
 
-    Only for a read-only (18, 3) float64 array whose rows were already
-    checked against the rules of :class:`LandmarkSet` (see
+    Only for a read-only (18, 3) float64 array whose present rows were
+    already checked against :func:`check_point` (see
     ``frameio._landmarks_from_wire``).
     """
     lm = object.__new__(LandmarkSet)

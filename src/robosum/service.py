@@ -39,7 +39,7 @@ from .controller import (
     initial_state,
 )
 from .errors import ConnectionLost, ParseError, PipelineError
-from .frameio import FEATURE_DIM, ParseResult, check_feat_rows, frame_from_wire, frame_to_wire, manifest_to_dict
+from .frameio import FEATURE_DIM, JSON_FAULTS, ParseResult, check_feat_rows, frame_from_wire, frame_to_wire, manifest_to_dict
 from .model import FLOAT_MAX, FeatureVector, FrameRecord
 from .summarizer import SummarizerConfig, summarize
 
@@ -48,6 +48,10 @@ logger = logging.getLogger(__name__)
 #: Longest accepted message line in bytes, newline included. A frame with
 #: 157 inline features takes about 4 KB.
 MAX_LINE_BYTES = 1 << 20
+
+#: Most bytes of an over-long line read away after its ``protocol_error``; then the
+#: connection closes, so a client that never sends a newline cannot hold a thread.
+MAX_DRAIN_BYTES = 64 << 20
 
 
 def dumps_wire(obj: dict) -> str:
@@ -118,7 +122,7 @@ def _decode_inline_features(raw, line_no: int | None) -> FeatureVector | None:
     if not isinstance(raw, list) or len(raw) != FEATURE_DIM or not {*map(type, raw)} <= {int, float}:
         raise ParseError(f"features must be null or an array of {FEATURE_DIM} numbers", line_no)
     try:
-        return FeatureVector(values=np.asarray(raw, dtype=np.float64))
+        return FeatureVector(values=raw)
     except (ValueError, OverflowError) as exc:
         raise ParseError(f"bad feature vector: {exc}", line_no) from exc
 
@@ -148,14 +152,15 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                 line_no += 1
                 if len(raw) == MAX_LINE_BYTES and not raw.endswith(b"\n"):
                     self._fail("protocol_error", f"line {line_no}: longer than {MAX_LINE_BYTES} bytes")
-                    # Closing with the line's rest unread would reset the link before
-                    # the client reads the error, so read it away, a bounded chunk at a time.
-                    while (rest := self.rfile.readline(MAX_LINE_BYTES)) and not rest.endswith(b"\n"):
-                        pass
+                    # Closing with the line's rest unread would reset the link before the client
+                    # reads the error, so read it away, a bounded chunk at a time, up to the cap.
+                    drained = 0
+                    while drained < MAX_DRAIN_BYTES and (rest := self.rfile.readline(MAX_LINE_BYTES)) and not rest.endswith(b"\n"):
+                        drained += len(rest)
                     return
                 try:
                     msg = json.loads(raw.decode("utf-8"))
-                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                except JSON_FAULTS as exc:
                     self._fail("parse_error", f"line {line_no}: invalid JSON ({exc})")
                     return
                 if not isinstance(msg, dict) or "type" not in msg:
@@ -287,7 +292,7 @@ def replay_session(
         try:
             reply = raw.decode("utf-8").rstrip("\n")
             obj = json.loads(reply)
-        except ValueError:
+        except JSON_FAULTS:
             obj = None
         if not isinstance(obj, dict):
             raise ParseError(f"server reply is not a JSON object: {raw.decode('utf-8', 'replace').rstrip()!r}")

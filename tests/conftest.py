@@ -14,6 +14,14 @@ from robosum.model import (
     LandmarkSet,
 )
 
+#: Lines that ``json`` fails to decode with an error other than JSONDecodeError, by that error.
+#: 100,000 brackets exceed the nesting ``json`` decodes on every supported Python, not only 3.11's ~1,000.
+UNDECODABLE_JSON = {
+    "int-too-long": b'{"frame_id": ' + b"1" * 5000 + b"}",
+    "invalid-utf-8": b'{"frame_id": 0}\xff',
+    "nested-too-deep": b"[" * 100_000 + b"]" * 100_000,
+}
+
 _NAME_TO_INDEX = {
     "nose": 0,
     "neck": 1,

@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import UNDECODABLE_JSON
 from robosum import frameio
 from robosum.cli import main
 from robosum.scenario import ActivitySegment, Injection, ScenarioSpec, spec_to_dict
@@ -41,7 +42,7 @@ def small_spec():
 
 
 def one_shot_server(reply):
-    """A loopback listener serving one connection: each line in is answered with ``reply(message)``.
+    """A loopback listener serving one connection: each line in is answered with ``reply(message)`` (text or bytes).
 
     Returns its ``HOST:PORT``, the list the messages are appended to, and its thread.
     """
@@ -52,7 +53,8 @@ def one_shot_server(reply):
         with listener, listener.accept()[0] as conn, conn.makefile("rwb") as stream:
             for line in stream:
                 received.append(json.loads(line))
-                stream.write(reply(received[-1]).encode() + b"\n")
+                answer = reply(received[-1])
+                stream.write((answer if isinstance(answer, bytes) else answer.encode()) + b"\n")
                 stream.flush()
 
     thread = threading.Thread(target=run, daemon=True)
@@ -266,6 +268,28 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("text", UNDECODABLE_JSON.values(), ids=UNDECODABLE_JSON.keys())
+    @pytest.mark.parametrize(
+        "reader, code, msg",
+        [("frames", 2, "invalid JSON: "), ("config", 1, "config file is not valid JSON: "),
+         ("spec", 1, "scenario spec is not valid JSON: ")],
+        ids=["frames", "config", "spec"],
+    )
+    def test_undecodable_json_is_a_typed_error(self, tmp_path, capsys, text, reader, code, msg):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text + b"\n")
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = str(tmp_path / "out.jsonl")
+        argv = {
+            "frames": ["simulate", "--frames", str(bad), "--out", out],
+            "config": ["--config", str(bad), "simulate", "--frames", str(empty), "--out", out],
+            "spec": ["gen", "--spec", str(bad), "--out", out],
+        }[reader]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and msg in err and "Traceback" not in err
+
     def test_missing_input_file_is_exit_2(self, tmp_path):
         code = main(["summarize", "--frames", str(tmp_path / "nope.jsonl"),
                      "--features", str(tmp_path / "nope.bin"), "--out", str(tmp_path / "s.json")])
@@ -414,7 +438,9 @@ class TestSimulateAndReplay:
         assert received[-1] == {"type": "end_session", "k": 4, "h0": 30.0}
         assert len(received) == 121
 
-    @pytest.mark.parametrize("reply", ["not json", "[1, 2]"])
+    @pytest.mark.parametrize(
+        "reply", ["not json", "[1, 2]", *(pytest.param(text, id=name) for name, text in UNDECODABLE_JSON.items())]
+    )
     def test_replay_reply_that_is_not_an_object_is_exit_2(self, pipeline_files, capsys, reply):
         _, frames, _ = pipeline_files
         addr, received, thread = one_shot_server(lambda msg: reply)
@@ -422,7 +448,8 @@ class TestSimulateAndReplay:
         thread.join(5)
         assert not thread.is_alive()
         err = capsys.readouterr().err
-        assert f"server reply is not a JSON object: {reply!r}" in err and "Traceback" not in err
+        shown = reply if isinstance(reply, str) else reply.decode("utf-8", "replace")
+        assert f"server reply is not a JSON object: {shown!r}" in err and "Traceback" not in err
         assert len(received) == 1
 
     def test_replay_bad_rate_is_usage_error(self, pipeline_files):

@@ -93,6 +93,19 @@ class TestVarianceOfLaplacian:
         with pytest.raises(ImageTooSmall):
             variance_of_laplacian(np.zeros((5, 2)))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.int32, np.uint16])
+    def test_image_of_another_dtype_is_rejected_naming_it(self, dtype):
+        image = np.full((8, 8), 7, dtype=dtype)
+        named = f"got dtype {np.dtype(dtype).name}$"
+        with pytest.raises(ValueError, match=named):
+            variance_of_laplacian(image)
+        for lm in (None, centered_person()):
+            with pytest.raises(ValueError, match=named):
+                classify_frame(frame(0, 0.0, lm=lm, blur=None), image=image)
+        # The size check comes first.
+        with pytest.raises(ImageTooSmall):
+            variance_of_laplacian(np.zeros((2, 5), dtype=dtype))
+
 
 class TestClassifyFrame:
     def test_no_landmarks_is_people_absent(self):

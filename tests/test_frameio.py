@@ -1,6 +1,7 @@
 """Round-trip exactness and strict rejection of malformed input."""
 
 import io
+import itertools
 import json
 import math
 import sys
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import UNDECODABLE_JSON
 from robosum import frameio
 from robosum.errors import (
     FeatureFileError,
@@ -144,6 +146,18 @@ class TestFramesJsonl:
             frameio.parse_frames_jsonl(io.StringIO("{not json}\n"))
         with pytest.raises(ParseError):
             frameio.parse_frames_jsonl(io.StringIO("\n"))
+
+    @pytest.mark.parametrize("text", UNDECODABLE_JSON.values(), ids=UNDECODABLE_JSON.keys())
+    def test_undecodable_json_is_parse_error(self, tmp_path, text):
+        good = json.dumps(frameio.frame_to_wire(FrameRecord(frame_id=0, timestamp=0.0, width=10, height=10)))
+        path = tmp_path / "frames.jsonl"
+        path.write_bytes(good.encode() + b"\n" + text + b"\n")
+        with open(path, "r", encoding="utf-8") as fh, pytest.raises(ParseError) as excinfo:
+            frameio.parse_frames_jsonl(fh)
+        # A text file decodes ahead of the line being parsed, so invalid UTF-8 has no line number.
+        line = None if b"\xff" in text else 2
+        assert excinfo.value.line == line
+        assert "invalid JSON: " in str(excinfo.value)
 
     def test_type_confusion_rejected(self):
         obj = frameio.frame_to_wire(FrameRecord(frame_id=0, timestamp=0.0, width=10, height=10))
@@ -287,6 +301,54 @@ def test_landmark_decoder_matches_the_per_point_rules(raw, slot, fault, typed, s
     assert frameio.frame_from_wire(json.loads(json.dumps(frameio.frame_to_wire(rec))))[0] == rec
 
 
+def wire_frame(landmarks) -> dict:
+    return {"frame_id": 0, "t": 0.0, "w": 640, "h": 480, "landmarks": landmarks, "blur_var": None, "feat_row": None}
+
+
+@pytest.mark.parametrize(
+    "first, fifth, msg",
+    [
+        ([-1.0, 2.0, 0.5], ["1.0", 2.0, 0.5], r"landmark coordinates must be non-negative, got \(-1.0, 2.0\)"),
+        ([1.0, 2.0, True], [-1.0, 2.0, 0.5], "landmark 0 conf must be a number, got True"),
+        ([math.nan] * 3, [1.0], r"landmark coordinates must be finite, got \(nan, nan\)"),
+    ],
+)
+def test_the_first_faulty_landmark_entry_is_named(first, fifth, msg):
+    raw = [first] + [None] * 4 + [fifth] + [None] * 12
+    with pytest.raises(ParseError, match=f"^{msg}$"):
+        frameio.frame_from_wire(wire_frame(raw))
+
+
+def test_float_subclass_landmarks_decode_like_floats():
+    rows = [[10.0, 20.5, 0.9], None, [0, 3.5, 1], [4096.0, 0.0, 0.0]] + [None] * 14
+    subclassed = [None if r is None else [np.float64(v) for v in r] for r in rows]
+    rec, _ = frameio.frame_from_wire(wire_frame(subclassed))
+    assert rec == frameio.frame_from_wire(wire_frame(rows))[0]
+    assert json.dumps(frameio.frame_to_wire(rec)["landmarks"]) == json.dumps(
+        [None if r is None else [float(v) for v in r] for r in rows]
+    )
+    subclassed[3][2] = np.float64(1.5)
+    with pytest.raises(ParseError, match=r"^landmark confidence must be in \[0, 1\], got 1.5$"):
+        frameio.frame_from_wire(wire_frame(subclassed))
+
+
+@given(st.lists(record_strategy, max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_explicit_rows_write_the_bytes_of_implied_rows(frames):
+    implied = io.StringIO()
+    matrix = frameio.write_frames_jsonl(frames, implied)
+    count = itertools.count()
+    rows = [None if rec.features is None else next(count) for rec in frames]
+    explicit = io.StringIO()
+    assert frameio.write_frames_jsonl(frames, explicit, feat_rows=rows) is None
+    assert explicit.getvalue() == implied.getvalue()
+    with_features = [rec.features.values for rec in frames if rec.features is not None]
+    if with_features:
+        assert matrix.dtype == np.float32 and np.array_equal(matrix, np.stack(with_features))
+    else:
+        assert matrix is None
+
+
 class TestFeatureFile:
     def test_round_trip(self, tmp_path, rng):
         matrix = rng.random((5, FEATURE_DIM)).astype(np.float32)
@@ -389,6 +451,13 @@ class TestManifest:
         obj["bonus"] = 1
         with pytest.raises(ParseError):
             frameio.manifest_from_dict(obj)
+
+    @pytest.mark.parametrize("text", UNDECODABLE_JSON.values(), ids=UNDECODABLE_JSON.keys())
+    def test_undecodable_json_is_parse_error(self, tmp_path, text):
+        path = tmp_path / "summary.json"
+        path.write_bytes(text)
+        with pytest.raises(ParseError, match="^invalid JSON: "):
+            frameio.read_summary_manifest(path)
 
 
 class TestPgm:

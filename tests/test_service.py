@@ -1,6 +1,7 @@
 """Wire protocol behavior: ordering, determinism, isolation, failures."""
 
 import json
+import logging
 import math
 import socket
 import threading
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robosum.service
-from conftest import landmarks
+from conftest import UNDECODABLE_JSON, landmarks
 from robosum import frameio
 from robosum.content_filter import classify_frame, filter_frames
 from robosum.controller import ActionCommand, Expression, Mode
@@ -334,6 +335,32 @@ class TestTerminalLine:
             assert json.loads(reply) == {
                 "type": "error", "code": "protocol_error", "msg": f"line 1: longer than {bound} bytes"
             }
+
+    def test_drain_after_an_over_long_line_is_bounded(self, server, monkeypatch):
+        monkeypatch.setattr(robosum.service, "MAX_LINE_BYTES", 64)
+        monkeypatch.setattr(robosum.service, "MAX_DRAIN_BYTES", 256)
+        with socket.create_connection(server) as sock, sock.makefile("rb") as replies:
+            sock.settimeout(10)
+            sock.sendall(b" " * 100)
+            assert json.loads(replies.readline()) == {
+                "type": "error", "code": "protocol_error", "msg": "line 1: longer than 64 bytes"
+            }
+            # A client that never sends the newline: the server stops reading past
+            # the cap and closes, so sending fails long before 64 MiB are sent.
+            with pytest.raises((BrokenPipeError, ConnectionResetError)):
+                for _ in range(1024):
+                    sock.sendall(b" " * (1 << 16))
+
+    @pytest.mark.parametrize("line", UNDECODABLE_JSON.values(), ids=UNDECODABLE_JSON.keys())
+    def test_undecodable_line_is_parse_error_with_nothing_logged(self, server, caplog, line):
+        with socket.create_connection(server) as sock:
+            sock.sendall(line + b"\n")
+            sock.shutdown(socket.SHUT_WR)
+            with sock.makefile("rb") as replies:
+                reply = replies.read()
+        error = json.loads(reply)
+        assert error["code"] == "parse_error" and error["msg"].startswith("line 1: invalid JSON (")
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 
     def test_unexpected_failure_is_internal_error(self, server, monkeypatch, caplog):
         def boom(frames, cfg=None):
