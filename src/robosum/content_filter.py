@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import ImageTooSmall, MissingBlurScore
+from .errors import ImageTooSmall, InvalidImage, MissingBlurScore
 from .model import EYE_INDICES, FLOAT_MAX, NECK, NOSE, FrameRecord, IllPosedReason, check_config_fields, confident_subset
 
 #: Provider of 8-bit grayscale pixels for frames lacking a precomputed blur score.
@@ -70,8 +70,9 @@ def variance_of_laplacian(image) -> float:
 
     The kernel is [[0,1,0],[1,-4,1],[0,1,0]] applied to the valid region
     only (no border padding). The image must be 8-bit grayscale (``uint8``);
-    any other dtype is a ValueError naming it. The result is exact and
-    correctly rounded; constant images score 0.0, and low scores mean blur.
+    any other dtype is an :class:`InvalidImage` (a ValueError) naming it.
+    The result is exact and correctly rounded; constant images score 0.0,
+    and low scores mean blur.
     """
     return _laplacian_variance(_checked_image(image))
 
@@ -80,12 +81,12 @@ def _checked_image(image) -> np.ndarray:
     """``image`` as a 2-D ``uint8`` array of at least 3x3."""
     img = np.asarray(image)
     if img.ndim != 2:
-        raise ValueError(f"expected a 2-D grayscale image, got ndim={img.ndim}")
+        raise InvalidImage(f"expected a 2-D grayscale image, got ndim={img.ndim}")
     rows, cols = img.shape
     if rows < 3 or cols < 3:
         raise ImageTooSmall(f"image must be at least 3x3, got {cols}x{rows}")
     if img.dtype != np.uint8:
-        raise ValueError(f"expected an 8-bit grayscale image (uint8), got dtype {img.dtype}")
+        raise InvalidImage(f"expected an 8-bit grayscale image (uint8), got dtype {img.dtype}")
     return img
 
 
@@ -173,8 +174,8 @@ def filter_frames(
         image = images(rec) if images is not None and rec.blur_variance is None else None
         try:
             reason = classify_frame(rec, cfg, image=image)
-        except ImageTooSmall as exc:
-            raise ImageTooSmall(f"frame {rec.frame_id}: {exc}") from exc
+        except InvalidImage as exc:
+            raise type(exc)(f"frame {rec.frame_id}: {exc}") from exc
         if reason is None:
             accepted.append(rec)
         else:

@@ -14,7 +14,11 @@ class PipelineError(Exception):
 # --- content filter ---------------------------------------------------------
 
 
-class ImageTooSmall(PipelineError):
+class InvalidImage(PipelineError, ValueError):
+    """Image that is not 2-D 8-bit grayscale (``uint8``) of at least 3x3."""
+
+
+class ImageTooSmall(InvalidImage):
     """Image smaller than the 3x3 Laplacian kernel."""
 
 

@@ -47,8 +47,13 @@ JSON_FAULTS = (ValueError, RecursionError)
 
 
 def _json_fault(exc: Exception) -> str:
-    """What a :data:`JSON_FAULTS` error says is wrong, without a position within the text."""
-    return exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+    """What a :data:`JSON_FAULTS` error says is wrong, in plain words and without a position within the text."""
+    if isinstance(exc, json.JSONDecodeError):
+        return exc.msg
+    if isinstance(exc, UnicodeDecodeError):
+        return f"not UTF-8 (byte 0x{exc.object[exc.start]:02x})"
+    # An over-long integer's text ends in "; use sys.set_int_max_str_digits() ...", a hint for programmers.
+    return str(exc).split(";")[0]
 
 
 def _landmarks_from_wire(raw) -> LandmarkSet | None:
@@ -159,6 +164,7 @@ def parse_frames_jsonl(stream: Iterable[str]) -> ParseResult:
     seen_ids: set[int] = set()
     duplicates = 0
     last_t: float | None = None
+    line_no = 0
     try:
         for line_no, line in enumerate(stream, start=1):
             text = line.strip()
@@ -182,8 +188,9 @@ def parse_frames_jsonl(stream: Iterable[str]) -> ParseResult:
             feat_rows.append(feat_row)
             last_t = rec.timestamp
     except UnicodeDecodeError as exc:
-        # A text stream decodes ahead of the line in hand, so this fault has no line number.
-        raise ParseError(f"invalid JSON: {exc}") from exc
+        # A text stream decodes ahead of the line in hand, so this fault has no line number of its own.
+        where = f" after line {line_no}" if line_no else ""
+        raise ParseError(f"invalid JSON: {_json_fault(exc)}{where}") from exc
     return ParseResult(
         frames=tuple(frames), feat_rows=tuple(feat_rows), duplicates_dropped=duplicates
     )
@@ -360,10 +367,10 @@ def read_summary_manifest(path: str | Path) -> SummaryManifest:
 
 
 def save_pgm(image: np.ndarray, path: str | Path) -> None:
-    """Write an 8-bit grayscale image as binary PGM (P5)."""
-    arr = np.asarray(image, dtype=np.uint8)
-    if arr.ndim != 2:
-        raise ValueError("PGM writer expects a 2-D grayscale image")
+    """Write an 8-bit grayscale image (2-D ``uint8``) as binary PGM (P5); any other is a ValueError."""
+    arr = np.asarray(image)
+    if arr.ndim != 2 or arr.dtype != np.uint8:
+        raise ValueError(f"PGM writer expects a 2-D uint8 grayscale image, got ndim={arr.ndim}, dtype {arr.dtype}")
     rows, cols = arr.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))

@@ -1,20 +1,18 @@
 """Frame-analysis service over TCP with newline-delimited JSON.
 
-One connection is one session. For every ``frame`` message the server runs
-the content filter and one controller step and replies with an ``action``
-message; well-posed frames with inline features accumulate until an
-``end_session`` message triggers summarization and a ``summary`` reply.
-Protocol violations (a line longer than :data:`MAX_LINE_BYTES` among them)
-and data errors get an ``error`` reply and close only the offending
-connection; any other failure is logged and answered with an
-``internal_error`` reply, and a stream that ends before ``end_session`` gets
-a ``protocol_error`` reply, so every connection ends with exactly one
-``summary`` or ``error`` line unless the client goes away first. Replies
-are written as they are produced, so per-session memory stays proportional
-to the well-posed frame count.
+One connection is one :class:`Session`: each ``frame`` message gets an
+``action`` reply, and ``end_session`` gets a ``summary`` of the well-posed
+frames that carried inline features. Protocol violations (a line longer
+than :data:`MAX_LINE_BYTES` among them) and data errors get an ``error``
+reply and close only the offending connection; any other failure is logged
+and answered with an ``internal_error`` reply, and a stream that ends
+before ``end_session`` gets a ``protocol_error`` reply, so every connection
+ends with exactly one ``summary`` or ``error`` line unless the client goes
+away first. Replies are written as they are produced, so per-session
+memory stays proportional to the kept frame count.
 
-The wire encoding helpers here are shared with the offline simulator so
-that a replayed session and an offline run produce byte-identical traces.
+The offline simulator answers frames through the same :class:`Session`,
+so a replayed session and an offline run produce byte-identical traces.
 """
 
 from __future__ import annotations
@@ -32,15 +30,10 @@ from typing import IO, Sequence
 import numpy as np
 
 from .content_filter import FilterConfig, classify_frame
-from .controller import (
-    ActionCommand,
-    ControllerConfig,
-    controller_step,
-    initial_state,
-)
+from .controller import ActionCommand, ControllerConfig, controller_step, initial_state
 from .errors import ConnectionLost, ParseError, PipelineError
-from .frameio import FEATURE_DIM, JSON_FAULTS, ParseResult, check_feat_rows, frame_from_wire, frame_to_wire, manifest_to_dict
-from .model import FLOAT_MAX, FeatureVector, FrameRecord
+from .frameio import FEATURE_DIM, JSON_FAULTS, ParseResult, _json_fault, check_feat_rows, frame_from_wire, frame_to_wire, manifest_to_dict
+from .model import FLOAT_MAX, FeatureVector, FrameRecord, SummaryManifest
 from .summarizer import SummarizerConfig, summarize
 
 logger = logging.getLogger(__name__)
@@ -95,25 +88,43 @@ def action_line(frame_id: int, cmd: ActionCommand) -> str:
     )
 
 
-def simulate_actions(
-    frames: Sequence[FrameRecord], cfg: ControllerConfig | None = None
-) -> list[str]:
-    """Offline controller run: one encoded action line per frame, in order."""
-    cfg = cfg or ControllerConfig()
-    state = initial_state()
-    lines = []
-    for rec in frames:
-        state, cmd = controller_step(state, rec, cfg)
-        lines.append(action_line(rec.frame_id, cmd))
-    return lines
-
-
 @dataclass(frozen=True)
 class ServiceConfig:
     """Per-server settings; summarizer k/h0 arrive with each end_session."""
 
     filter_config: FilterConfig = field(default_factory=FilterConfig)
     controller_config: ControllerConfig = field(default_factory=ControllerConfig)
+
+
+class Session:
+    """One session's controller state and the frames kept for its summary."""
+
+    def __init__(self, cfg: ServiceConfig):
+        self.cfg = cfg
+        self.state = initial_state()
+        self.kept: list[FrameRecord] = []
+
+    def frame(self, rec: FrameRecord, features: FeatureVector | None = None) -> str:
+        """The action line for the next frame; a well-posed frame with ``features`` is kept for :meth:`end`.
+
+        Only a featured frame can enter the summary, so only it is classified, before the
+        controller step: one the filter cannot classify raises and leaves the session as it was.
+        """
+        keep = features is not None and classify_frame(rec, self.cfg.filter_config) is None
+        self.state, cmd = controller_step(self.state, rec, self.cfg.controller_config)
+        if keep:
+            self.kept.append(replace(rec, features=features))
+        return action_line(rec.frame_id, cmd)
+
+    def end(self, summarizer_cfg: SummarizerConfig) -> SummaryManifest:
+        """The summary of the kept frames."""
+        return summarize(self.kept, summarizer_cfg)
+
+
+def simulate_actions(frames: Sequence[FrameRecord], cfg: ControllerConfig | None = None) -> list[str]:
+    """Offline controller run: the action line :class:`Session` answers each frame with, in order."""
+    session = Session(ServiceConfig(controller_config=cfg or ControllerConfig()))
+    return [session.frame(rec) for rec in frames]
 
 
 def _decode_inline_features(raw, line_no: int | None) -> FeatureVector | None:
@@ -142,10 +153,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
             pass
 
     def handle(self) -> None:
-        cfg: ServiceConfig = self.server.service_config  # type: ignore[attr-defined]
-        state = initial_state()
-        well_posed: list[FrameRecord] = []
-        featureless_well_posed = 0
+        session = Session(self.server.service_config)  # type: ignore[attr-defined]
         line_no = 0
         try:
             while raw := self.rfile.readline(MAX_LINE_BYTES):
@@ -161,7 +169,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                 try:
                     msg = json.loads(raw.decode("utf-8"))
                 except JSON_FAULTS as exc:
-                    self._fail("parse_error", f"line {line_no}: invalid JSON ({exc})")
+                    self._fail("parse_error", f"line {line_no}: invalid JSON ({_json_fault(exc)})")
                     return
                 if not isinstance(msg, dict) or "type" not in msg:
                     self._fail("protocol_error", f"line {line_no}: message must be an object with a type")
@@ -171,18 +179,11 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                     try:
                         inline = msg.pop("features", None)
                         rec, _ = frame_from_wire(msg, line=line_no)
-                        features = _decode_inline_features(inline, line_no)
-                        reason = classify_frame(rec, cfg.filter_config)
-                        state, cmd = controller_step(state, rec, cfg.controller_config)
+                        line = session.frame(rec, _decode_inline_features(inline, line_no))
                     except PipelineError as exc:
                         self._fail("data_error", str(exc))
                         return
-                    self._reply(action_line(rec.frame_id, cmd))
-                    if reason is None:
-                        if features is None:
-                            featureless_well_posed += 1
-                        else:
-                            well_posed.append(replace(rec, features=features))
+                    self._reply(line)
                 elif kind == "end_session":
                     try:
                         unknown = set(msg) - {"k", "h0"}
@@ -193,15 +194,10 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                         self._fail("protocol_error", f"bad end_session: {exc}")
                         return
                     try:
-                        manifest = summarize(well_posed, summarizer_cfg)
+                        manifest = session.end(summarizer_cfg)
                     except PipelineError as exc:
                         self._fail("data_error", str(exc))
                         return
-                    if featureless_well_posed:
-                        logger.info(
-                            "session summarized; %d well-posed frames lacked features",
-                            featureless_well_posed,
-                        )
                     self._reply(dumps_wire({"type": "summary", **manifest_to_dict(manifest)}))
                     return
                 else:

@@ -16,7 +16,7 @@ from robosum.content_filter import (
     filter_frames,
     variance_of_laplacian,
 )
-from robosum.errors import ImageTooSmall, MissingBlurScore
+from robosum.errors import ImageTooSmall, InvalidImage, MissingBlurScore, PipelineError
 from robosum import model
 from robosum.model import IllPosedReason
 
@@ -331,3 +331,14 @@ class TestFilterFrames:
             filter_frames(frames)
         with pytest.raises(ImageTooSmall, match="frame 9"):
             filter_frames(frames, images=lambda rec: np.zeros((2, 2)))
+
+    @pytest.mark.parametrize(
+        "image, fault",
+        [(np.zeros((8, 8)), "got dtype float64"), (np.zeros((8, 8, 3), dtype=np.uint8), "got ndim=3")],
+        ids=["float64", "three-channel"],
+    )
+    def test_every_provider_image_fault_is_typed_and_names_the_frame(self, image, fault):
+        frames = [frame(9, 1.0, lm=centered_person(), blur=None)]
+        with pytest.raises(InvalidImage, match=f"^frame 9: .*{fault}$") as excinfo:
+            filter_frames(frames, images=lambda rec: image)
+        assert isinstance(excinfo.value, PipelineError) and isinstance(excinfo.value, ValueError)

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -158,6 +159,21 @@ class TestFramesJsonl:
         line = None if b"\xff" in text else 2
         assert excinfo.value.line == line
         assert "invalid JSON: " in str(excinfo.value)
+
+    def test_json_fault_texts_name_no_decoder_internals(self, tmp_path):
+        lines = [json.dumps(frameio.frame_to_wire(FrameRecord(frame_id=i, timestamp=float(i), width=10, height=10)))
+                 for i in range(400)]
+        path = tmp_path / "frames.jsonl"
+        # Line 301 starts with a byte that is not UTF-8.
+        path.write_bytes("".join(line + "\n" for line in lines[:300]).encode() + b"\xff" + lines[300].encode() + b"\n")
+        with open(path, "r", encoding="utf-8") as fh, pytest.raises(ParseError) as excinfo:
+            frameio.parse_frames_jsonl(fh)
+        # The reader decodes ahead in chunks, so the last line that decoded may lie before line 300.
+        after = int(re.fullmatch(r"invalid JSON: not UTF-8 \(byte 0xff\) after line (\d+)", str(excinfo.value))[1])
+        assert 0 < after <= 300
+        with pytest.raises(ParseError) as excinfo:
+            frameio.parse_frames_jsonl(io.StringIO('{"frame_id": ' + "1" * 5000 + "}\n"))
+        assert str(excinfo.value).startswith("line 1: invalid JSON: ") and "sys." not in str(excinfo.value)
 
     def test_type_confusion_rejected(self):
         obj = frameio.frame_to_wire(FrameRecord(frame_id=0, timestamp=0.0, width=10, height=10))
@@ -466,6 +482,21 @@ class TestPgm:
         path = tmp_path / "frame.pgm"
         frameio.save_pgm(img, path)
         assert np.array_equal(frameio.load_pgm(path), img)
+
+    @pytest.mark.parametrize(
+        "image",
+        [np.full((4, 4), 300), np.full((4, 4), 0.9), np.zeros((4, 4, 3), dtype=np.uint8)],
+        ids=["int64", "float64", "three-channel"],
+    )
+    def test_writer_rejects_what_a_pgm_cannot_hold(self, tmp_path, image):
+        path = tmp_path / "frame.pgm"
+        with pytest.raises(ValueError, match=f"dtype {image.dtype}"):
+            frameio.save_pgm(image, path)
+        assert not path.exists()
+        # Small images are valid PGMs.
+        tiny = np.array([[0, 255], [7, 9]], dtype=np.uint8)
+        frameio.save_pgm(tiny, path)
+        assert np.array_equal(frameio.load_pgm(path), tiny)
 
     def test_rejects_non_pgm(self, tmp_path):
         path = tmp_path / "frame.pgm"

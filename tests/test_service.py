@@ -202,20 +202,30 @@ class TestProtocolErrors:
         replies = self.send_lines(server, [dumps_wire({"type": "dance"})])
         assert replies[-1]["code"] == "protocol_error"
 
+    SCORELESS_FRAME = {
+        "type": "frame",
+        "frame_id": 0,
+        "t": 0.0,
+        "w": 10,
+        "h": 10,
+        "landmarks": None,
+        "blur_var": None,
+        "feat_row": None,
+        "features": None,
+    }
+
     def test_frame_missing_blur_is_data_error(self, server):
-        frame_msg = {
-            "type": "frame",
-            "frame_id": 0,
-            "t": 0.0,
-            "w": 10,
-            "h": 10,
-            "landmarks": None,
-            "blur_var": None,
-            "feat_row": None,
-            "features": None,
-        }
+        # Only a featured frame can enter the summary, so only it is classified, and the filter needs a score.
+        frame_msg = dict(self.SCORELESS_FRAME, features=[0.5] * frameio.FEATURE_DIM)
         replies = self.send_lines(server, [dumps_wire(frame_msg)])
         assert replies[-1]["code"] == "data_error"
+
+    def test_frame_without_score_or_features_is_answered(self, server):
+        rec, _ = frameio.frame_from_wire({k: v for k, v in self.SCORELESS_FRAME.items() if k not in ("type", "features")})
+        end = {"type": "end_session", "k": 2, "h0": 60.0}
+        replies = self.send_lines(server, [dumps_wire(self.SCORELESS_FRAME), dumps_wire(end)])
+        assert [dumps_wire(r) for r in replies[:-1]] == simulate_actions([rec])
+        assert replies[-1]["type"] == "summary" and replies[-1]["entries"] == []
 
     def test_bad_end_session(self, server):
         replies = self.send_lines(server, [dumps_wire({"type": "end_session", "k": 0, "h0": 60.0})])
@@ -351,6 +361,12 @@ class TestTerminalLine:
                 for _ in range(1024):
                     sock.sendall(b" " * (1 << 16))
 
+    def test_parse_error_names_no_position_and_no_programmer_hint(self, server):
+        for line in ('{"frame_id": ' + "1" * 5000 + "}", "{oops"):
+            (error,) = all_replies(server, [line])
+            assert error["code"] == "parse_error" and error["msg"].startswith("line 1: invalid JSON (")
+            assert "sys." not in error["msg"] and "column" not in error["msg"], error["msg"]
+
     @pytest.mark.parametrize("line", UNDECODABLE_JSON.values(), ids=UNDECODABLE_JSON.keys())
     def test_undecodable_line_is_parse_error_with_nothing_logged(self, server, caplog, line):
         with socket.create_connection(server) as sock:
@@ -452,7 +468,7 @@ def client_streams(draw):
     """
     lines, frames, well_posed, terminal = [], [], [], None
     sent = 0
-    kinds = ["frame"] * 4 + ["featureless", "resend", "no_score", "zero_torso", "junk", "not_a_frame"]
+    kinds = ["frame"] * 4 + ["featureless", "resend", "no_score", "no_score_featureless", "zero_torso", "junk", "not_a_frame"]
     for kind in draw(st.lists(st.sampled_from(kinds), max_size=12)):
         if kind == "junk":
             lines.append(draw(st.sampled_from(["{oops", "[1, 2", "\u00ff"])))
@@ -467,11 +483,12 @@ def client_streams(draw):
         else:
             i, sent = min(sent, len(POOL.frames) - 1), sent + 1
         rec, row = POOL.frames[i], POOL.feat_rows[i]
-        if kind == "no_score":
+        if kind in ("no_score", "no_score_featureless"):
             rec = replace(rec, blur_variance=None)
         elif kind == "zero_torso":
             rec = replace(rec, landmarks=ZERO_TORSO)
-        features = None if kind == "featureless" else POOL_MATRIX[row]
+        # A featureless frame is answered and never classified, so it needs no blur score.
+        features = None if kind in ("featureless", "no_score_featureless") else POOL_MATRIX[row]
         msg = {
             "type": "frame",
             **frameio.frame_to_wire(rec, row),
