@@ -161,10 +161,10 @@ def _cmd_gen(args, cfg: AppConfig) -> int:
 def _cmd_filter(args, cfg: AppConfig) -> int:
     with open(args.frames, "r", encoding="utf-8") as fh:
         parsed = frameio.parse_frames_jsonl(fh)
-    rows = {rec.frame_id: row for rec, row in zip(parsed.frames, parsed.feat_rows)}
+    rows = dict(zip(parsed.frames.frame_id.tolist(), parsed.feat_rows))
     accepted, report = filter_frames(parsed.frames, cfg.filter, images=_image_provider(args.images))
     with open(args.out, "w", encoding="utf-8") as fh:
-        frameio.write_frames_jsonl(accepted, fh, feat_rows=[rows[r.frame_id] for r in accepted])
+        frameio.write_frames_jsonl(accepted, fh, feat_rows=[rows[i] for i in accepted.frame_id.tolist()])
     with open(args.report, "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
@@ -186,7 +186,7 @@ def _cmd_summarize(args, cfg: AppConfig) -> int:
     manifest = summarize(frames, sum_cfg)
     frameio.write_summary_manifest(manifest, args.out)
     if args.verbose and len(frames) >= 1 and math.isfinite(manifest.h_star) and manifest.h_star > 0:
-        clusters = assign_clusters([f.timestamp for f in frames], manifest.h_star)
+        clusters = assign_clusters(frames.t, manifest.h_star)
         print(cluster_occupancy_histogram(clusters), file=sys.stderr)
     if manifest.is_short_session:
         print(

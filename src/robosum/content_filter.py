@@ -14,7 +14,8 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import ImageTooSmall, InvalidImage, MissingBlurScore
-from .model import EYE_INDICES, FLOAT_MAX, NECK, NOSE, FrameRecord, IllPosedReason, check_config_fields, confident_subset
+from .model import EYE_INDICES, FLOAT_MAX, NECK, NOSE, FrameRecord, FrameTable, IllPosedReason, check_config_fields
+from .model import confident_mask, confident_subset, visible_span
 
 #: Provider of 8-bit grayscale pixels for frames lacking a precomputed blur score.
 ImageProvider = Callable[[FrameRecord], "np.ndarray | None"]
@@ -159,26 +160,55 @@ def filter_frames(
     frames: Iterable[FrameRecord],
     cfg: FilterConfig | None = None,
     images: ImageProvider | None = None,
-) -> tuple[list[FrameRecord], FilterReport]:
-    """Split a timestamp-ordered stream into well-posed frames and a tally.
+) -> tuple[FrameTable, FilterReport]:
+    """Split a timestamp-ordered stream into its well-posed frames and a tally.
 
-    Output preserves input order. ``images`` is consulted only for frames
-    that carry no precomputed blur variance.
+    The whole-session form of :func:`classify_frame`: each rule is a mask
+    over the session's table and the first that holds names a frame's
+    reason. Output preserves input order. ``images`` is called with each
+    frame that carries no blur score, in frame order; each image is checked,
+    and scored only where the blur rule is reached.
     """
     cfg = cfg or FilterConfig()
-    accepted: list[FrameRecord] = []
-    counts = {reason: 0 for reason in IllPosedReason}
-    total = 0
-    for rec in frames:
-        total += 1
-        image = images(rec) if images is not None and rec.blur_variance is None else None
+    table = FrameTable.of(frames)
+    seen = confident_mask(table.points)
+    person = seen.any(axis=1)
+    blur = table.blur.copy()
+    for i in np.flatnonzero(np.isnan(blur)).tolist():
+        rec = table[i]
+        image = images(rec) if images is not None else None
+        if image is None:
+            raise MissingBlurScore(rec.frame_id)
         try:
-            reason = classify_frame(rec, cfg, image=image)
+            pixels = _checked_image(image)
         except InvalidImage as exc:
             raise type(exc)(f"frame {rec.frame_id}: {exc}") from exc
-        if reason is None:
-            accepted.append(rec)
-        else:
-            counts[reason] += 1
-    report = FilterReport(total=total, accepted=len(accepted), rejected_by_reason=counts)
-    return accepted, report
+        if person[i]:
+            blur[i] = _laplacian_variance(pixels)
+    undecided = np.ones(len(table), dtype=bool)
+    counts = {}
+    for reason, holds in _rules(table, seen, blur, cfg).items():
+        hit = undecided & holds
+        counts[reason] = int(np.count_nonzero(hit))
+        undecided &= ~hit
+    accepted = table.take(undecided)
+    return accepted, FilterReport(total=len(table), accepted=len(accepted), rejected_by_reason=counts)
+
+
+@np.errstate(all="ignore")  # overflow gives inf without a word, as in Python's float arithmetic
+def _rules(table: FrameTable, seen: np.ndarray, blur: np.ndarray, cfg: FilterConfig) -> dict[IllPosedReason, np.ndarray]:
+    """Each rule's mask over the session, in :func:`classify_frame`'s order and with its arithmetic."""
+    x, y = table.points[:, :, 0], table.points[:, :, 1]
+    (x_lo, x_hi), (y_lo, y_hi) = visible_span(x, seen), visible_span(y, seen)
+    center_x = np.where(seen[:, NECK], x[:, NECK], (x_lo + x_hi) / 2.0)
+    margin = cfg.corner_margin_fraction * table.w
+    # Python compares a float with an int threshold exactly; no float lies strictly between it and its rounding.
+    threshold = float(cfg.blur_threshold)
+    return {
+        IllPosedReason.PEOPLE_ABSENT: ~seen.any(axis=1),
+        IllPosedReason.BLURRED: blur <= threshold if threshold < cfg.blur_threshold else blur < threshold,
+        IllPosedReason.TOO_SMALL: y_hi - y_lo < cfg.min_torso_fraction * table.h,
+        IllPosedReason.AT_CORNER: (center_x <= margin) | (center_x >= table.w - margin),
+        IllPosedReason.FOREHEAD_CROPPED: seen[:, NOSE] & (y[:, NOSE] < cfg.forehead_margin_fraction * table.h),
+        IllPosedReason.EYES_INVISIBLE: ~seen[:, EYE_INDICES].any(axis=1),
+    }

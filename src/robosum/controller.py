@@ -14,6 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from typing import Iterator
+
+import numpy as np
 
 from .errors import PipelineError
 from .model import (
@@ -26,10 +29,13 @@ from .model import (
     R_EYE,
     R_HIP,
     FrameRecord,
+    FrameTable,
     LandmarkSet,
     Rows,
     check_config_fields,
+    confident_mask,
     confident_subset,
+    visible_span,
 )
 
 #: Hard cap on a single rotation command, degrees.
@@ -169,26 +175,6 @@ def estimate_distance_m(lm: LandmarkSet, cfg: ControllerConfig) -> float:
     return _distance_m(lm.rows(), cfg)
 
 
-def _gaze(pts: Rows, width: int, height: int, cfg: ControllerConfig) -> tuple[float, float] | None:
-    """Pan and pitch deltas (degrees) that move the face toward upper-center.
-
-    Uses the nose when present, otherwise the centroid of the present
-    facial points; None when there is none. Positive pitch tilts up.
-    """
-    nose = pts[NOSE]
-    if nose is not None:
-        ref_x, ref_y = nose[0], nose[1]
-    else:
-        face = [pts[i] for i in FACIAL_INDICES if pts[i] is not None]
-        if not face:
-            return None
-        ref_x = sum(p[0] for p in face) / len(face)
-        ref_y = sum(p[1] for p in face) / len(face)
-    pan = (ref_x / width - cfg.gaze_target_x_frac) * cfg.fov_h_deg
-    pitch_delta = (cfg.gaze_target_y_frac - ref_y / height) * cfg.fov_v_deg
-    return pan, pitch_delta
-
-
 def _clamp(value: float, lo: float, hi: float) -> float:
     """``max(lo, min(hi, value))``: NaN gives ``hi``, and a value equal to a bound gives the bound."""
     value = value if value < hi else hi
@@ -199,51 +185,81 @@ def _clamp(value: float, lo: float, hi: float) -> float:
 _IDLE_COMMAND = ActionCommand(0.0, None, 0.0, Expression.DEFAULT_STILL, Mode.IDLE)
 
 
-def _follow(
-    state: ControllerState, obs: Observation | FrameRecord, visible: Rows, cfg: ControllerConfig
-) -> tuple[ControllerState, ActionCommand]:
-    xs = [p[0] for p in visible if p is not None]
-    side = Side.LEFT if (min(xs) + max(xs)) / 2.0 < obs.width / 2.0 else Side.RIGHT
-    rotate = 0.0
-    pitch_target: float | None = None
-    forward = 0.0
-    new_pitch = state.current_pitch
+#: What a frame shows the controller, whatever its state: None when no person is visible, else (side,
+#: rotate_deg, pitch_delta or None when no facial point is visible, forward_m, neck seen, an eye seen).
+Sensing = tuple[Side, float, "float | None", float, bool, bool] | None
 
-    gaze = _gaze(visible, obs.width, obs.height, cfg)
-    if gaze is not None:
-        pan, pitch_delta = gaze
+
+def sense(obs: Observation | FrameRecord, cfg: ControllerConfig) -> Sensing:
+    """One frame's :data:`Sensing`.
+
+    The gaze turns the face toward upper-center: it aims at the nose, else
+    at the centroid of the visible facial points; positive pitch tilts up.
+    """
+    pts = confident_subset(obs.landmarks)
+    if pts is None:
+        return None
+    xs = [p[0] for p in pts if p is not None]
+    side = Side.LEFT if (min(xs) + max(xs)) / 2.0 < obs.width / 2.0 else Side.RIGHT
+    face = [pts[i] for i in FACIAL_INDICES if pts[i] is not None]
+    rotate, pitch_delta, forward = 0.0, None, 0.0
+    if face:
+        if pts[NOSE] is not None:
+            ref_x, ref_y = pts[NOSE][0], pts[NOSE][1]
+        else:  # added one by one: sum() compensates rounding from Python 3.12 on
+            ref_x = ref_y = 0.0
+            for p in face:
+                ref_x, ref_y = ref_x + p[0], ref_y + p[1]
+            ref_x, ref_y = ref_x / len(face), ref_y / len(face)
+        pan = (ref_x / obs.width - cfg.gaze_target_x_frac) * cfg.fov_h_deg
         rotate = _clamp(pan, -MAX_ROTATE_DEG, MAX_ROTATE_DEG)
-        new_pitch = _clamp(
-            state.current_pitch + pitch_delta, -cfg.max_pitch_deg, cfg.max_pitch_deg
-        )
-        if new_pitch != state.current_pitch:
-            pitch_target = new_pitch
+        pitch_delta = (cfg.gaze_target_y_frac - ref_y / obs.height) * cfg.fov_v_deg
         try:
-            distance = _distance_m(visible, cfg)
-            forward = min(max(distance - cfg.stop_distance_m, 0.0), cfg.forward_step_m)
+            forward = min(max(_distance_m(pts, cfg) - cfg.stop_distance_m, 0.0), cfg.forward_step_m)
         except PipelineError:
             pass  # No torso to measure (no neck or hip, or the neck on every hip): stay put.
-    elif visible[NECK] is not None:
-        # Face hidden but neck seen: raise the head to look for the face.
-        new_pitch = min(state.current_pitch + cfg.face_raise_pitch_deg, cfg.max_pitch_deg)
-        if new_pitch != state.current_pitch:
-            pitch_target = new_pitch
-
-    seen_eye = visible[R_EYE] is not None or visible[L_EYE] is not None
-    return (
-        ControllerState(Mode.FOLLOWING, 0, False, state.search_direction, side, new_pitch, 0.0),
-        ActionCommand(
-            rotate, pitch_target, forward, Expression.ACTIVE if seen_eye else Expression.EXPECTING, Mode.FOLLOWING
-        ),
-    )
+    return side, rotate, pitch_delta, forward, pts[NECK] is not None, pts[R_EYE] is not None or pts[L_EYE] is not None
 
 
-def _search(
-    state: ControllerState, obs: Observation | FrameRecord, cfg: ControllerConfig
-) -> tuple[ControllerState, ActionCommand]:
+@np.errstate(all="ignore")  # overflow gives inf without a word, as in Python's float arithmetic
+def sense_table(table: FrameTable, cfg: ControllerConfig) -> Iterator[Sensing]:
+    """Every frame's :data:`Sensing` at once, with :func:`sense`'s float operations in its order."""
+    seen, x, y = confident_mask(table.points), table.points[:, :, 0], table.points[:, :, 1]
+    x_lo, x_hi = visible_span(x, seen)
+    face = np.count_nonzero(seen[:, FACIAL_INDICES], axis=1)
+    ref_x = ref_y = 0.0  # the facial points summed in index order; adding 0.0 for an unseen one changes nothing
+    for i in FACIAL_INDICES:
+        ref_x, ref_y = ref_x + np.where(seen[:, i], x[:, i], 0.0), ref_y + np.where(seen[:, i], y[:, i], 0.0)
+    ref_x = np.where(seen[:, NOSE], x[:, NOSE], ref_x / np.maximum(face, 1))
+    ref_y = np.where(seen[:, NOSE], y[:, NOSE], ref_y / np.maximum(face, 1))
+    pan = (ref_x / table.w - cfg.gaze_target_x_frac) * cfg.fov_h_deg
+    pan = np.where(pan < MAX_ROTATE_DEG, pan, MAX_ROTATE_DEG)  # _clamp, NaN rule included
+    rotate = np.where(face > 0, np.where(pan > -MAX_ROTATE_DEG, pan, -MAX_ROTATE_DEG), 0.0)
+    pitch_delta = (cfg.gaze_target_y_frac - ref_y / table.h) * cfg.fov_v_deg
+    torso = 0.0  # the mean neck-to-hip length over the seen hips, each by math.hypot as in _distance_m
+    for hip in (R_HIP, L_HIP):
+        lengths = map(math.hypot, (x[:, hip] - x[:, NECK]).tolist(), (y[:, hip] - y[:, NECK]).tolist())
+        torso = torso + np.where(seen[:, hip], list(lengths), 0.0)
+    hips = np.count_nonzero(seen[:, (R_HIP, L_HIP)], axis=1)
+    torso = torso / np.maximum(hips, 1)
+    step = cfg.calibration_alpha_px_m / torso - cfg.stop_distance_m
+    step = np.where(0.0 > step, 0.0, step)  # max(step, 0.0)
+    # min(step, forward_step_m) gives forward_step_m itself, an int if it is one; the test is exact as Python's.
+    cap = float(cfg.forward_step_m)
+    capped = (step >= cap if cap > cfg.forward_step_m else step > cap).tolist()
+    measured = ((face > 0) & seen[:, NECK] & (hips > 0) & (torso > 0)).tolist()
+    forward = [(cfg.forward_step_m if c else s) if m else 0.0 for s, c, m in zip(step.tolist(), capped, measured)]
+    sides = [Side.LEFT if v else Side.RIGHT for v in ((x_lo + x_hi) / 2.0 < table.w / 2.0).tolist()]
+    pitches = [p if f else None for p, f in zip(pitch_delta.tolist(), face.tolist())]
+    eye = (seen[:, R_EYE] | seen[:, L_EYE]).tolist()
+    rows = zip(sides, rotate.tolist(), pitches, forward, seen[:, NECK].tolist(), eye)
+    return (row if v else None for row, v in zip(rows, seen.any(axis=1).tolist()))
+
+
+def _search(state: ControllerState, timestamp: float, cfg: ControllerConfig) -> tuple[ControllerState, ActionCommand]:
     turns = state.turns_done if state.mode is Mode.SEARCHING else 0
     if turns >= 2 * cfg.turns_per_revolution:
-        idle_until = obs.timestamp + cfg.idle_duration_s
+        idle_until = timestamp + cfg.idle_duration_s
         new_state = ControllerState(
             Mode.IDLE, 0, False, state.search_direction, state.last_seen_side, state.current_pitch, idle_until
         )
@@ -267,25 +283,40 @@ def _search(
     )
 
 
-def controller_step(
-    state: ControllerState, obs: Observation | FrameRecord, cfg: ControllerConfig | None = None
+def advance(
+    state: ControllerState, sensing: Sensing, timestamp: float, cfg: ControllerConfig
 ) -> tuple[ControllerState, ActionCommand]:
-    """Advance the state machine by one observation (or frame record, which has the same fields).
+    """The one step of the state machine: the next state and the command, given a frame's sensing and time.
 
-    Total over valid inputs: every observation yields exactly one command.
-    A step builds at most one new state and one command, each positionally
-    in field order.
+    Total over valid inputs: every frame yields exactly one command. A step
+    builds at most one new state and one command, each positionally in field order.
     """
-    cfg = cfg or ControllerConfig()
-    visible = confident_subset(obs.landmarks)
-
-    if visible is not None:
-        return _follow(state, obs, visible, cfg)
+    if sensing is not None:
+        side, rotate, pitch_delta, forward, neck, eye = sensing
+        pitch = state.current_pitch
+        if pitch_delta is not None:
+            pitch = _clamp(pitch + pitch_delta, -cfg.max_pitch_deg, cfg.max_pitch_deg)
+        elif neck:  # Face hidden but neck seen: raise the head to look for the face.
+            pitch = min(pitch + cfg.face_raise_pitch_deg, cfg.max_pitch_deg)
+        target = pitch if pitch != state.current_pitch else None
+        expression = Expression.ACTIVE if eye else Expression.EXPECTING
+        return (
+            ControllerState(Mode.FOLLOWING, 0, False, state.search_direction, side, pitch, 0.0),
+            ActionCommand(rotate, target, forward, expression, Mode.FOLLOWING),
+        )
     if state.mode is Mode.IDLE:
-        if obs.timestamp < state.idle_until:
+        if timestamp < state.idle_until:
             return state, _IDLE_COMMAND
         # Idle period over with nobody in sight: start a fresh search cycle.
         state = ControllerState(
             Mode.SEARCHING, 0, False, state.search_direction, state.last_seen_side, state.current_pitch, 0.0
         )
-    return _search(state, obs, cfg)
+    return _search(state, timestamp, cfg)
+
+
+def controller_step(
+    state: ControllerState, obs: Observation | FrameRecord, cfg: ControllerConfig | None = None
+) -> tuple[ControllerState, ActionCommand]:
+    """Advance the state machine by one observation (or frame record, which has the same fields)."""
+    cfg = cfg or ControllerConfig()
+    return advance(state, sense(obs, cfg), obs.timestamp, cfg)

@@ -10,7 +10,11 @@ PGM (P5).
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
+import os
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,11 +29,12 @@ from .model import (
     FLOAT_MAX,
     NUM_LANDMARKS,
     FrameRecord,
+    FrameTable,
     LandmarkSet,
     SummaryEntry,
     SummaryManifest,
-    _checked_feature_row,
     _checked_landmarks,
+    _ints,
     check_point,
     require_int,
     require_number,
@@ -145,28 +150,113 @@ def frame_to_wire(rec: FrameRecord, feat_row: int | None = None) -> dict:
 
 @dataclass(frozen=True)
 class ParseResult:
-    """Frames in stream order plus their feature-file row indices."""
+    """Frames in stream order, as a :class:`~robosum.model.FrameTable`, plus their feature-file row indices.
 
-    frames: tuple[FrameRecord, ...]
+    ``frames`` given as records is made a table of them.
+    """
+
+    frames: FrameTable
     feat_rows: tuple[int | None, ...]
     duplicates_dropped: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "frames", FrameTable.of(self.frames))
 
-def parse_frames_jsonl(stream: Iterable[str]) -> ParseResult:
-    """Strictly parse JSONL frame metadata.
 
-    Frames with a timestamp equal to their predecessor's are dropped
-    (first occurrence wins) and counted; a decreasing timestamp raises
-    :class:`OrderError`; duplicate frame ids raise :class:`ParseError`.
-    """
-    frames: list[FrameRecord] = []
-    feat_rows: list[int | None] = []
-    seen_ids: set[int] = set()
-    duplicates = 0
-    last_t: float | None = None
-    line_no = 0
-    try:
-        for line_no, line in enumerate(stream, start=1):
+#: Lines decoded into columns before the columns are checked and converted at once.
+_CHUNK_LINES = 256
+#: A frame line's scalar fields, and the value types the columns of those and of the landmark values may hold.
+_SCALARS = operator.itemgetter("frame_id", "w", "h", "t", "blur_var", "feat_row")
+_COLUMN_TYPES = ({int}, {int}, {int}, {float}, {float, type(None)}, {int, type(None)}, {float})
+
+
+class _Parse:
+    """One parse: the frames kept so far, the state of the cross-line rules, and the chunk of lines in hand."""
+
+    def __init__(self):
+        self.seen, self.last_t, self.dropped, self.feat_rows, self.parts = set(), None, 0, [], []
+        # Kept frames' points in one buffer grown by doubling: arrays freed part by part would stay resident.
+        self.points, self.kept = np.empty((_CHUNK_LINES, NUM_LANDMARKS, 3)), 0
+        self.start(1)
+
+    def start(self, first_line: int) -> None:
+        self.first_line, self.lines, self.unchecked, self.absent = first_line, [], False, 0
+        self.scalars, self.person, self.values = [], [], []
+
+    def add(self, line: str) -> None:
+        self.lines.append(line)
+        if not self.unchecked:
+            try:
+                self.decode(line)
+            except JSON_FAULTS:
+                self.unchecked = True  # the per-line rules judge this chunk
+        if len(self.lines) == _CHUNK_LINES:
+            self.flush()
+            self.start(self.first_line + _CHUNK_LINES)
+
+    def decode(self, line: str) -> None:
+        """Append a line's values to the columns; ValueError if it does not have the shape of a frame."""
+        obj = json.loads(line)
+        if type(obj) is not dict or obj.keys() != _FRAME_KEY_SET:
+            raise ValueError
+        landmarks = obj["landmarks"]
+        if landmarks is None:
+            self.values += ABSENT * NUM_LANDMARKS
+            self.absent += NUM_LANDMARKS
+        elif type(landmarks) is list and len(landmarks) == NUM_LANDMARKS:
+            values = self.values  # x, y, conf of every point, frame after frame; NaN where absent
+            for entry in landmarks:
+                if entry is None:
+                    values += ABSENT
+                elif type(entry) is list and len(entry) == 3:
+                    values += entry
+                else:
+                    raise ValueError
+            self.absent += landmarks.count(None)
+        else:
+            raise ValueError
+        self.scalars.append(_SCALARS(obj))
+        self.person.append(landmarks is not None)
+
+    def chunk(self, columns: list[tuple]) -> FrameTable | None:
+        """The chunk as a table; None unless every value is one the per-line rules accept as it is."""
+        if not all({*map(type, c)} <= types for c, types in zip((*columns, self.values), _COLUMN_TYPES)):
+            return None
+        ids, ws, hs = map(_ints, columns[:3])
+        ts, blur = np.array(columns[3], dtype=np.float64), np.array(columns[4], dtype=np.float64)  # None becomes NaN
+        points = np.array(self.values, dtype=np.float64).reshape(-1, NUM_LANDMARKS, 3)
+        x, y, conf = points[:, :, 0], points[:, :, 1], points[:, :, 2]
+        present = (0 <= x) & (x <= FLOAT_MAX) & (0 <= y) & (y <= FLOAT_MAX) & (0 <= conf) & (conf <= 1)
+        absent = np.isnan(x) & np.isnan(y) & np.isnan(conf)
+        # A NaN point or score the line spells out is a fault, not an absent one, so the counts must match.
+        if not (
+            (ws > 0).all()
+            and (hs > 0).all()
+            and np.isfinite(ts).all()
+            and np.count_nonzero((0 <= blur) & (blur <= FLOAT_MAX)) == len(blur) - columns[4].count(None)
+            and all(row is None or row >= 0 for row in columns[5])
+            and (present | absent).all()
+            and np.count_nonzero(absent) == self.absent
+        ):
+            return None
+        return FrameTable(ids, ts, ws, hs, blur, np.array(self.person, dtype=bool), points)
+
+    def flush(self) -> None:
+        """Keep the chunk's frames; a chunk the column checks do not accept is walked by the per-line rules."""
+        ids, _, _, ts, _, rows = columns = list(zip(*self.scalars)) or [()] * 6
+        table = None if self.unchecked else self.chunk(columns)
+        if table is None:
+            table = self.walk()
+        else:
+            kept = [self.admit(*frame) for frame in zip(ids, ts, itertools.count(self.first_line))]
+            self.feat_rows += itertools.compress(rows, kept)
+            table = table if all(kept) else table.take(kept)
+        self.keep(table)
+
+    def walk(self) -> FrameTable:
+        """The chunk's frames by the per-line rules, which raise at the first line they reject."""
+        recs = []
+        for line_no, line in enumerate(self.lines, start=self.first_line):
             text = line.strip()
             if not text:
                 raise ParseError("blank line", line_no)
@@ -175,25 +265,65 @@ def parse_frames_jsonl(stream: Iterable[str]) -> ParseResult:
             except JSON_FAULTS as exc:
                 raise ParseError(f"invalid JSON: {_json_fault(exc)}", line_no) from exc
             rec, feat_row = frame_from_wire(obj, line=line_no)
-            if rec.frame_id in seen_ids:
-                raise ParseError(f"duplicate frame_id {rec.frame_id}", line_no)
-            seen_ids.add(rec.frame_id)
-            if last_t is not None:
-                if rec.timestamp < last_t:
-                    raise OrderError(rec.frame_id)
-                if rec.timestamp == last_t:
-                    duplicates += 1
-                    continue
-            frames.append(rec)
-            feat_rows.append(feat_row)
-            last_t = rec.timestamp
+            if self.admit(rec.frame_id, rec.timestamp, line_no):
+                recs.append(rec)
+                self.feat_rows.append(feat_row)
+        return FrameTable.of(recs)
+
+    def admit(self, frame_id: int, t: float, line_no: int) -> bool:
+        """The cross-line rules: whether a frame is kept; a duplicate id or a decreasing timestamp raises."""
+        if frame_id in self.seen:
+            raise ParseError(f"duplicate frame_id {frame_id}", line_no)
+        self.seen.add(frame_id)
+        if self.last_t is not None:
+            if t < self.last_t:
+                raise OrderError(frame_id)
+            if t == self.last_t:
+                self.dropped += 1
+                return False
+        self.last_t = t
+        return True
+
+    def keep(self, table: FrameTable) -> None:
+        """Add a part's frames: its points to the buffer, its other columns to the parts."""
+        end = self.kept + len(table)
+        if end > len(self.points):
+            grown = np.empty((2 * end, NUM_LANDMARKS, 3))
+            grown[: self.kept] = self.points[: self.kept]
+            self.points = grown
+        self.points[self.kept : end] = table.points
+        self.kept = end
+        self.parts.append((table.frame_id, table.t, table.w, table.h, table.blur, table.person))
+
+    def result(self) -> ParseResult:
+        """The kept frames; the last flush keeps a part, empty or not."""
+        self.points.resize((self.kept, NUM_LANDMARKS, 3), refcheck=False)  # in place: no copy
+        columns = (np.concatenate(column) for column in zip(*self.parts))
+        return ParseResult(FrameTable(*columns, self.points), tuple(self.feat_rows), self.dropped)
+
+
+def parse_frames_jsonl(stream: Iterable[str]) -> ParseResult:
+    """Strictly parse JSONL frame metadata into a table.
+
+    Frames with a timestamp equal to their predecessor's are dropped
+    (first occurrence wins) and counted; a decreasing timestamp raises
+    :class:`OrderError`; duplicate frame ids raise :class:`ParseError`.
+    Lines are decoded into columns and checked a chunk at a time. A chunk
+    the column checks do not accept is walked again by the per-line rules
+    (:func:`frame_from_wire` and the two above), which name the first
+    faulty line or keep the chunk's frames.
+    """
+    parse, line_no = _Parse(), 0
+    try:
+        for line_no, line in enumerate(stream, start=1):
+            parse.add(line)
     except UnicodeDecodeError as exc:
+        parse.flush()  # a fault on an earlier line comes first
         # A text stream decodes ahead of the line in hand, so this fault has no line number of its own.
         where = f" after line {line_no}" if line_no else ""
         raise ParseError(f"invalid JSON: {_json_fault(exc)}{where}") from exc
-    return ParseResult(
-        frames=tuple(frames), feat_rows=tuple(feat_rows), duplicates_dropped=duplicates
-    )
+    parse.flush()
+    return parse.result()
 
 
 def write_frames_jsonl(
@@ -225,9 +355,9 @@ def write_frames_jsonl(
 
 def check_feat_rows(result: ParseResult, count: int) -> None:
     """Raise :class:`ParseError` at the first frame whose ``feat_row`` is past a ``count``-row matrix."""
-    for rec, row in zip(result.frames, result.feat_rows):
+    for i, row in enumerate(result.feat_rows):
         if row is not None and row >= count:
-            raise ParseError(f"frame {rec.frame_id}: feat_row {row} beyond matrix of {count} rows")
+            raise ParseError(f"frame {result.frames[i].frame_id}: feat_row {row} beyond matrix of {count} rows")
 
 
 def _check_feature_matrix(matrix: np.ndarray) -> None:
@@ -240,28 +370,21 @@ def _check_feature_matrix(matrix: np.ndarray) -> None:
         raise RangeViolation(row, col, float(matrix[row, col]))
 
 
-def attach_features(result: ParseResult, matrix: np.ndarray) -> list[FrameRecord]:
-    """Resolve feature row indices against a feature matrix.
+def attach_features(result: ParseResult, matrix: np.ndarray) -> FrameTable:
+    """The parsed table with each frame's ``feat_row`` resolved against a feature matrix.
 
     The matrix is checked once as a whole and copied once, read-only, so
     later writes to ``matrix`` cannot reach a frame; each frame's
-    :class:`~robosum.model.FeatureVector` holds a view of its row of that copy.
+    :class:`~robosum.model.FeatureVector` is a view of its row of that copy.
     """
     matrix = np.asarray(matrix)
     if matrix.dtype.kind not in "fiu":
         raise FeatureFileError(f"feature matrix must hold numbers, got dtype {matrix.dtype}")
     checked = matrix.astype(np.float32)
     _check_feature_matrix(checked)
-    checked.flags.writeable = False
     check_feat_rows(result, checked.shape[0])
-    out = []
-    for rec, row in zip(result.frames, result.feat_rows):
-        if row is None:
-            out.append(rec)
-            continue
-        features = _checked_feature_row(checked[row])
-        out.append(FrameRecord(rec.frame_id, rec.timestamp, rec.width, rec.height, rec.landmarks, rec.blur_variance, features))
-    return out
+    rows = np.array([-1 if row is None else row for row in result.feat_rows], dtype=np.int64)
+    return FrameTable(*(getattr(result.frames, name) for name in FrameTable.__slots__[:7]), rows, checked)
 
 
 def save_features(matrix: np.ndarray, path: str | Path) -> None:
@@ -285,13 +408,14 @@ def load_features(path: str | Path) -> np.ndarray:
             raise FeatureFileError(f"expected magic {_FEATURE_MAGIC!r}, got {magic!r}")
         if dim != FEATURE_DIM:
             raise FeatureFileError(f"expected dimension {FEATURE_DIM}, got {dim}")
-        payload = fh.read()
-    expected = count * dim * 4
-    if len(payload) != expected:
-        raise FeatureFileError(
-            f"expected {expected} payload bytes for {count} rows, got {len(payload)}"
-        )
-    matrix = np.frombuffer(payload, dtype="<f4").reshape(count, dim).astype(np.float32)
+        expected = count * dim * 4
+        got = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if got == expected:  # read straight into the matrix, allocated once the file's size vouches for it
+            matrix = np.empty((count, dim), dtype="<f4")
+            got = fh.readinto(matrix)
+    if got != expected:
+        raise FeatureFileError(f"expected {expected} payload bytes for {count} rows, got {got}")
+    matrix = matrix.astype(np.float32, copy=False)
     _check_feature_matrix(matrix)
     return matrix
 
@@ -377,41 +501,30 @@ def save_pgm(image: np.ndarray, path: str | Path) -> None:
         fh.write(arr.tobytes())
 
 
+#: Magic, width, height and maxval, apart by whitespace and '#' comments, then one whitespace byte.
+_PGM_HEADER = re.compile(rb"P5(?:\s|#.*\n)*" + rb"([^\s#]\S*)\s(?:\s|#.*\n)*" * 2 + rb"([^\s#]\S*)\s")
+
+
 def load_pgm(path: str | Path) -> np.ndarray:
-    """Read a binary PGM (P5) image into a uint8 array."""
+    """Read a binary PGM (P5) image into a writable uint8 array over the file's one buffer.
+
+    Width, height and maxval are each ASCII decimal digits; maxval must be 255.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        del data[fh.readinto(data) :]
     if not data.startswith(b"P5"):
         raise ParseError(f"{path}: not a binary PGM file")
-    # Header is: magic, width, height, maxval; '#' comments may intervene.
-    tokens: list[bytes] = []
-    pos = 2
-    while len(tokens) < 3 and pos < len(data):
-        ch = data[pos : pos + 1]
-        if ch == b"#":
-            pos = data.find(b"\n", pos) + 1
-            if pos == 0:
-                break
-        elif ch.isspace():
-            pos += 1
-        else:
-            end = pos
-            while end < len(data) and not data[end : end + 1].isspace():
-                end += 1
-            tokens.append(data[pos:end])
-            pos = end
-    if len(tokens) < 3:
+    header = _PGM_HEADER.match(data)
+    if header is None:
         raise ParseError(f"{path}: truncated PGM header")
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError:
-        raise ParseError(f"{path}: PGM header fields must be integers, got {tokens!r}") from None
-    if width < 0 or height < 0:
-        raise ParseError(f"{path}: negative PGM dimensions {width}x{height}")
+    for name, token in zip(("width", "height", "maxval"), header.groups()):
+        if not token.isdigit():  # int() would also take a sign and underscores
+            raise ParseError(f"{path}: PGM header {name} must be decimal digits, got {token!r}")
+    width, height, maxval = map(int, header.groups())
     if maxval != 255:
         raise ParseError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
-    pos += 1  # single whitespace byte after maxval
+    pos = header.end()
     if len(data) - pos < width * height:
         raise ParseError(f"{path}: truncated PGM payload")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
-    return pixels.reshape(height, width).copy()
+    return np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos).reshape(height, width)

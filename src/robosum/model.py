@@ -10,8 +10,10 @@ here too.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
+from collections.abc import Iterable, Sequence
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 
@@ -197,6 +199,17 @@ def confident_subset(lm: LandmarkSet | None) -> Rows | None:
     return None if pts.count(None) == NUM_LANDMARKS else pts
 
 
+def confident_mask(points: np.ndarray) -> np.ndarray:
+    """The whole-session form of :func:`confident_subset`: which points of an (n, 18, 3) array are visible."""
+    return points[:, :, 2] >= MIN_POINT_CONFIDENCE
+
+
+def visible_span(coords: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of an (n, 18) array, the least and the greatest value where ``seen``; NaN where none is."""
+    masked = np.where(seen, coords, np.nan)
+    return np.fmin.reduce(masked, axis=1), np.fmax.reduce(masked, axis=1)
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureVector:
     """Per-frame probabilities of 157 predefined indoor actions.
@@ -260,6 +273,78 @@ class FrameRecord:
             math.isfinite(self.blur_variance) and self.blur_variance >= 0
         ):
             raise ValueError(f"frame {self.frame_id}: blur variance must be a finite non-negative real")
+
+
+def _ints(values) -> np.ndarray:
+    """Integers as int64, or as Python ints where one does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+class FrameTable(Sequence):
+    """A session's frames as read-only columns, and a ``Sequence[FrameRecord]`` of one-row views.
+
+    Per frame: ``frame_id``, ``w``, ``h``; ``t``; ``blur`` (NaN for no score); ``person`` (has landmarks);
+    ``points``, an (n, 18, 3) float64 array with :data:`ABSENT` rows for absent points; ``feat_row``, the
+    frame's row of ``features`` (a checked read-only float32 matrix), or -1 for none. ``table[i]`` builds
+    row ``i``'s record; a slice or :meth:`take` gives a table.
+    """
+
+    __slots__ = ("frame_id", "t", "w", "h", "blur", "person", "points", "feat_row", "features")
+
+    def __init__(self, frame_id, t, w, h, blur, person, points, feat_row=None, features=None):
+        if feat_row is None:
+            feat_row, features = np.full(len(t), -1), np.zeros((0, FEATURE_DIM), dtype=np.float32)
+        for name, column in zip(self.__slots__, (frame_id, t, w, h, blur, person, points, feat_row, features)):
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+    @classmethod
+    def of(cls, frames: Iterable[FrameRecord]) -> FrameTable:
+        """``frames`` itself if it is a table, else a table of its records."""
+        if isinstance(frames, FrameTable):
+            return frames
+        recs, row = list(frames), itertools.count()
+        lms = [r.landmarks for r in recs]
+        return cls(
+            _ints([r.frame_id for r in recs]),
+            np.array([r.timestamp for r in recs], dtype=np.float64),
+            _ints([r.width for r in recs]),
+            _ints([r.height for r in recs]),
+            np.array([r.blur_variance for r in recs], dtype=np.float64),  # None becomes NaN
+            np.array([lm is not None for lm in lms], dtype=bool),
+            # With no landmarks at all (a server session's kept frames), every row is absent: one view, no copy.
+            np.array([[ABSENT] * NUM_LANDMARKS if lm is None else lm.points for lm in lms]).reshape(-1, NUM_LANDMARKS, 3)
+            if any(lms) else np.broadcast_to(np.nan, (len(recs), NUM_LANDMARKS, 3)),
+            np.array([-1 if r.features is None else next(row) for r in recs], dtype=np.int64),
+            np.array([r.features.values for r in recs if r.features is not None], dtype=np.float32).reshape(-1, FEATURE_DIM),
+        )
+
+    def take(self, rows) -> FrameTable:
+        """The table of ``rows``: indices, a slice or a boolean mask."""
+        return FrameTable(*(getattr(self, name)[rows] for name in self.__slots__[:8]), self.features)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(i)
+        i = range(len(self))[i]
+        blur, row = self.blur[i], self.feat_row[i]
+        lm = _checked_landmarks(self.points[i]) if self.person[i] else None
+        features = _checked_feature_row(self.features[row]) if row >= 0 else None
+        blur = None if blur != blur else float(blur)
+        return FrameRecord(int(self.frame_id[i]), float(self.t[i]), int(self.w[i]), int(self.h[i]), lm, blur, features)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
 
 
 class IllPosedReason(Enum):

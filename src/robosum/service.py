@@ -6,17 +6,19 @@ frames that carried inline features. Protocol violations (a line longer
 than :data:`MAX_LINE_BYTES` among them) and data errors get an ``error``
 reply and close only the offending connection; any other failure is logged
 and answered with an ``internal_error`` reply, and a stream that ends
-before ``end_session`` gets a ``protocol_error`` reply, so every connection
-ends with exactly one ``summary`` or ``error`` line unless the client goes
-away first. Replies are written as they are produced, so per-session
-memory stays proportional to the kept frame count.
+before ``end_session`` or falls silent for :data:`IDLE_TIMEOUT_S` gets a
+``protocol_error`` reply, so every connection ends with exactly one
+``summary`` or ``error`` line unless the client goes away first. Replies
+are written as they are produced, so per-session memory stays proportional
+to the kept frame count.
 
-The offline simulator answers frames through the same :class:`Session`,
+The offline simulator takes the controller step a :class:`Session` takes,
 so a replayed session and an offline run produce byte-identical traces.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
@@ -30,10 +32,10 @@ from typing import IO, Sequence
 import numpy as np
 
 from .content_filter import FilterConfig, classify_frame
-from .controller import ActionCommand, ControllerConfig, controller_step, initial_state
+from .controller import ActionCommand, ControllerConfig, advance, controller_step, initial_state, sense_table
 from .errors import ConnectionLost, ParseError, PipelineError
 from .frameio import FEATURE_DIM, JSON_FAULTS, ParseResult, _json_fault, check_feat_rows, frame_from_wire, frame_to_wire, manifest_to_dict
-from .model import FLOAT_MAX, FeatureVector, FrameRecord, SummaryManifest
+from .model import FLOAT_MAX, FeatureVector, FrameRecord, FrameTable, SummaryManifest
 from .summarizer import SummarizerConfig, summarize
 
 logger = logging.getLogger(__name__)
@@ -45,6 +47,10 @@ MAX_LINE_BYTES = 1 << 20
 #: Most bytes of an over-long line read away after its ``protocol_error``; then the
 #: connection closes, so a client that never sends a newline cannot hold a thread.
 MAX_DRAIN_BYTES = 64 << 20
+
+#: Longest wait on a connection, in seconds; a client silent that long gets a
+#: ``protocol_error`` and the connection closes, so an idle client cannot hold a thread.
+IDLE_TIMEOUT_S = 60.0
 
 
 def dumps_wire(obj: dict) -> str:
@@ -112,8 +118,8 @@ class Session:
         """
         keep = features is not None and classify_frame(rec, self.cfg.filter_config) is None
         self.state, cmd = controller_step(self.state, rec, self.cfg.controller_config)
-        if keep:
-            self.kept.append(replace(rec, features=features))
+        if keep:  # without its landmarks, which the summary does not read
+            self.kept.append(replace(rec, landmarks=None, features=features))
         return action_line(rec.frame_id, cmd)
 
     def end(self, summarizer_cfg: SummarizerConfig) -> SummaryManifest:
@@ -122,9 +128,19 @@ class Session:
 
 
 def simulate_actions(frames: Sequence[FrameRecord], cfg: ControllerConfig | None = None) -> list[str]:
-    """Offline controller run: the action line :class:`Session` answers each frame with, in order."""
-    session = Session(ServiceConfig(controller_config=cfg or ControllerConfig()))
-    return [session.frame(rec) for rec in frames]
+    """Offline controller run: the action line :class:`Session` answers each frame with, in order.
+
+    Every frame's sensing is taken for the whole session at once; then
+    :func:`~robosum.controller.advance`, the step the server takes, runs frame by frame.
+    """
+    cfg = cfg or ControllerConfig()
+    table = FrameTable.of(frames)
+    state = initial_state()
+    lines = []
+    for frame_id, t, sensing in zip(table.frame_id.tolist(), table.t.tolist(), sense_table(table, cfg)):
+        state, cmd = advance(state, sensing, t, cfg)
+        lines.append(action_line(frame_id, cmd))
+    return lines
 
 
 def _decode_inline_features(raw, line_no: int | None) -> FeatureVector | None:
@@ -154,6 +170,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:
         session = Session(self.server.service_config)  # type: ignore[attr-defined]
+        self.connection.settimeout(IDLE_TIMEOUT_S)
         line_no = 0
         try:
             while raw := self.rfile.readline(MAX_LINE_BYTES):
@@ -163,8 +180,9 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                     # Closing with the line's rest unread would reset the link before the client
                     # reads the error, so read it away, a bounded chunk at a time, up to the cap.
                     drained = 0
-                    while drained < MAX_DRAIN_BYTES and (rest := self.rfile.readline(MAX_LINE_BYTES)) and not rest.endswith(b"\n"):
-                        drained += len(rest)
+                    with contextlib.suppress(TimeoutError):  # the error line is out; a silent client ends the drain
+                        while drained < MAX_DRAIN_BYTES and (rest := self.rfile.readline(MAX_LINE_BYTES)) and not rest.endswith(b"\n"):
+                            drained += len(rest)
                     return
                 try:
                     msg = json.loads(raw.decode("utf-8"))
@@ -206,6 +224,9 @@ class _SessionHandler(socketserver.StreamRequestHandler):
             self._fail("protocol_error", "stream ended before end_session")
         except (ConnectionResetError, BrokenPipeError):
             logger.info("client disconnected mid-session")
+        except TimeoutError:
+            logger.info("closing a connection silent for %s s", IDLE_TIMEOUT_S)
+            self._fail("protocol_error", f"no message within the {IDLE_TIMEOUT_S} s idle timeout")
         except Exception as exc:
             logger.exception("session failed unexpectedly")
             self._fail("internal_error", f"{type(exc).__name__}: {exc}")

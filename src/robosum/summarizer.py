@@ -25,7 +25,7 @@ from .errors import (
     PipelineError,
     TimestampsNotIncreasing,
 )
-from .model import FLOAT_MAX, Cluster, FrameRecord, SummaryEntry, SummaryManifest, check_config_fields
+from .model import FLOAT_MAX, Cluster, FrameRecord, FrameTable, SummaryEntry, SummaryManifest, check_config_fields
 
 #: Most doubling or halving steps from ``h0`` the threshold search may take.
 #: A search that needs more (``h`` at least 2**64 times ``h0`` or at most
@@ -137,15 +137,17 @@ def select_top_k_clusters(clusters: Sequence[Cluster], k: int) -> list[Cluster]:
     return kept
 
 
-def _require_features(frames: Iterable[FrameRecord]) -> None:
-    for f in frames:
-        if f.features is None:
-            raise MissingFeatures(f.frame_id)
+def _featured(frames: Iterable[FrameRecord]) -> FrameTable:
+    """The frames as a table; :class:`MissingFeatures` names the first without a feature vector."""
+    table = FrameTable.of(frames)
+    missing = np.flatnonzero(table.feat_row < 0)
+    if missing.size:
+        raise MissingFeatures(int(table.frame_id[missing[0]]))
+    return table
 
 
-def _feature_matrix(frames: Sequence[FrameRecord]) -> np.ndarray:
-    _require_features(frames)
-    return np.stack([f.features.values for f in frames]).astype(np.float64)
+def _feature_matrix(table: FrameTable) -> np.ndarray:
+    return table.features[table.feat_row].astype(np.float64)
 
 
 def _nearest_row(matrix: np.ndarray, center: np.ndarray, timestamps: np.ndarray) -> int:
@@ -155,10 +157,10 @@ def _nearest_row(matrix: np.ndarray, center: np.ndarray, timestamps: np.ndarray)
     return int(tied[np.argmin(timestamps[tied])])
 
 
-def _keyframe(frames: Sequence[FrameRecord]) -> FrameRecord:
-    matrix = _feature_matrix(frames)
-    ts = np.asarray([f.timestamp for f in frames], dtype=np.float64)
-    return frames[_nearest_row(matrix, matrix.mean(axis=0), ts)]
+def _keyframe(table: FrameTable) -> int:
+    """The row of :func:`select_keyframe`'s frame."""
+    matrix = _feature_matrix(table)
+    return _nearest_row(matrix, matrix.mean(axis=0), table.t)
 
 
 def select_keyframe(frames: Sequence[FrameRecord]) -> int:
@@ -168,7 +170,8 @@ def select_keyframe(frames: Sequence[FrameRecord]) -> int:
     """
     if len(frames) == 0:
         raise PipelineError("cannot select a keyframe from an empty cluster")
-    return _keyframe(frames).frame_id
+    table = _featured(frames)
+    return int(table.frame_id[_keyframe(table)])
 
 
 def summarize(
@@ -179,21 +182,20 @@ def summarize(
 
     Sessions shorter than ``k`` frames degrade to one keyframe per frame
     (flagged via :attr:`SummaryManifest.is_short_session`); an empty session
-    yields an empty manifest. Deterministic for fixed input.
+    yields an empty manifest. Deterministic for fixed input. Each cluster is
+    a slice of the session's table.
     """
     cfg = cfg or SummarizerConfig()
-    frames = list(frames)
-    n = len(frames)
+    table = _featured(frames)
+    n = len(table)
     if n == 0:
         return SummaryManifest(k=cfg.k, h_star=0.0, cluster_count=0, entries=())
-
-    _require_features(frames)
-    ts = _as_timestamp_array([f.timestamp for f in frames])
+    ts = _as_timestamp_array(table.t)
+    ids = table.frame_id.tolist()
 
     if n < cfg.k:
         entries = tuple(
-            SummaryEntry(cluster_index=i + 1, frame_id=f.frame_id, timestamp=float(ts[i]), cluster_size=1)
-            for i, f in enumerate(frames)
+            SummaryEntry(cluster_index=i + 1, frame_id=ids[i], timestamp=float(ts[i]), cluster_size=1) for i in range(n)
         )
         return SummaryManifest(k=cfg.k, h_star=0.0, cluster_count=n, entries=entries)
 
@@ -201,14 +203,9 @@ def summarize(
     entries = []
     for cluster in select_top_k_clusters(clusters, cfg.k):
         a = cluster.frame_ids[0]
-        keyframe = _keyframe(frames[a : a + cluster.size])
+        i = a + _keyframe(table[a : a + cluster.size])
         entries.append(
-            SummaryEntry(
-                cluster_index=cluster.index,
-                frame_id=keyframe.frame_id,
-                timestamp=keyframe.timestamp,
-                cluster_size=cluster.size,
-            )
+            SummaryEntry(cluster_index=cluster.index, frame_id=ids[i], timestamp=float(ts[i]), cluster_size=cluster.size)
         )
     entries.sort(key=lambda e: e.timestamp)
     return SummaryManifest(
@@ -253,14 +250,14 @@ def kmeans_keyframes(
     movement falls below 1e-6. Each cluster contributes its member nearest
     the centroid; output is temporally sorted.
     """
-    frames = list(frames)
-    n = len(frames)
+    table = FrameTable.of(frames)
+    n = len(table)
     if n < k:
         raise PipelineError(f"k-means needs at least k={k} frames, got {n}")
     if k < 1:
         raise ValueError("k must be at least 1")
-    matrix = _feature_matrix(frames)
-    ts = np.asarray([f.timestamp for f in frames], dtype=np.float64)
+    matrix = _feature_matrix(_featured(table))
+    ts = table.t
 
     rng = np.random.default_rng(seed)
     centroids = matrix[rng.choice(n, size=k, replace=False)].copy()
@@ -293,15 +290,9 @@ def kmeans_keyframes(
     entries = []
     for j in range(k):
         members = np.flatnonzero(assign == j)
-        row = _nearest_row(matrix[members], centroids[j], ts[members])
-        keyframe = frames[int(members[row])]
+        i = int(members[_nearest_row(matrix[members], centroids[j], ts[members])])
         entries.append(
-            SummaryEntry(
-                cluster_index=j + 1,
-                frame_id=keyframe.frame_id,
-                timestamp=keyframe.timestamp,
-                cluster_size=int(members.size),
-            )
+            SummaryEntry(cluster_index=j + 1, frame_id=int(table.frame_id[i]), timestamp=float(ts[i]), cluster_size=int(members.size))
         )
     entries.sort(key=lambda e: e.timestamp)
     return SummaryManifest(k=k, h_star=0.0, cluster_count=k, entries=tuple(entries))

@@ -225,7 +225,8 @@ class TestFramesJsonl:
             expected = matrix.astype(np.float32)
             attached = frameio.attach_features(parsed, matrix)
             matrix[:] = 0.0
-            assert attached[1] is frames[1]
+            # A frame without a feature row is the record it was; the table holds columns, not records.
+            assert attached[1] == frames[1] and attached[1].features is None
             for rec, row in zip(attached, parsed.feat_rows):
                 if row is None:
                     continue
@@ -512,6 +513,17 @@ class TestPgm:
         path = tmp_path / "frame.pgm"
         path.write_bytes(data + b"\x00" * 16)
         with pytest.raises(ParseError):
+            frameio.load_pgm(path)
+
+    @pytest.mark.parametrize(
+        "header, field",
+        [(b"P5\n1_0 3\n255\n", "width"), (b"P5 +4 3 255\n", "width"), (b"P5 4 -0 255\n", "height"), (b"P5\n4 3\n25_5\n", "maxval")],
+    )
+    def test_header_fields_must_be_decimal_digits(self, tmp_path, header, field):
+        # int() takes a sign and underscores; the header takes only digits.
+        path = tmp_path / "frame.pgm"
+        path.write_bytes(header + b"\x00" * 64)
+        with pytest.raises(ParseError, match=f"PGM header {field} must be decimal digits"):
             frameio.load_pgm(path)
 
     def test_rejects_truncated(self, tmp_path):

@@ -559,3 +559,17 @@ def test_action_line_matches_the_json_encoder(frame_id, rotate, pitch, forward, 
     for f, value in zip(fields(ActionCommand), (rotate, pitch, forward, expression, mode)):
         object.__setattr__(cmd, f.name, value)
     assert action_line(frame_id, cmd) == dumps_wire(action_to_wire(frame_id, cmd))
+
+
+def test_a_silent_client_gets_one_protocol_error_naming_the_timeout(server, monkeypatch, caplog):
+    monkeypatch.setattr(robosum.service, "IDLE_TIMEOUT_S", 0.2)
+    parsed, _ = parsed_session(session_spec())
+    frame = dumps_wire({"type": "frame", **frameio.frame_to_wire(parsed.frames[0]), "features": None})
+    with socket.create_connection(server) as sock, sock.makefile("rb") as replies:
+        sock.settimeout(10)
+        sock.sendall(frame.encode("utf-8") + b"\n")
+        # One action, then silence: one error line that names the limit, then the server closes.
+        lines = replies.read().decode("utf-8").splitlines()
+    assert [json.loads(line)["type"] for line in lines] == ["action", "error"]
+    assert json.loads(lines[1]) == {"type": "error", "code": "protocol_error", "msg": "no message within the 0.2 s idle timeout"}
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR]

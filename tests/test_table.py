@@ -1,0 +1,279 @@
+"""The whole-session (table) path against the per-record path, over generated sessions.
+
+Each reference below is the per-record code the table path replaced: the
+per-line parser, the per-frame filter loop over ``classify_frame``, the
+summarizer over stacked records and the server's ``Session`` run frame by
+frame. The sessions are drawn to sit on the rules' edges.
+"""
+
+import io
+import json
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import centered_person
+from robosum import frameio
+from robosum.content_filter import FilterConfig, FilterReport, classify_frame, filter_frames
+from robosum.controller import ControllerConfig
+from robosum.errors import InvalidImage, OrderError, ParseError, PipelineError
+from robosum.model import (
+    ABSENT,
+    FEATURE_DIM,
+    L_HIP,
+    MIN_POINT_CONFIDENCE,
+    NECK,
+    NOSE,
+    NUM_LANDMARKS,
+    R_HIP,
+    FeatureVector,
+    FrameRecord,
+    FrameTable,
+    IllPosedReason,
+    LandmarkSet,
+    SummaryEntry,
+    SummaryManifest,
+)
+from robosum.service import ServiceConfig, Session, simulate_actions
+from robosum.summarizer import SummarizerConfig, adapt_threshold, select_top_k_clusters, summarize
+
+W, H = 640, 480
+CFG = FilterConfig()
+# Values on the rules' edges at 640x480: the corner margin (80 and 560), the torso
+# fraction (a visible span of exactly 72 from 100 to 172), the forehead line (38.4)
+# and the visibility floor.
+XS = st.sampled_from([CFG.corner_margin_fraction * W, W - CFG.corner_margin_fraction * W, 320.0, 0.0]) | st.floats(0, W)
+YS = st.sampled_from([100.0, 100.0 + CFG.min_torso_fraction * H, CFG.forehead_margin_fraction * H, 0.0]) | st.floats(0, H)
+CONFS = st.sampled_from([MIN_POINT_CONFIDENCE, math.nextafter(MIN_POINT_CONFIDENCE, 0.0), 0.9, 0.0, 1.0]) | st.floats(0, 1)
+
+
+@st.composite
+def landmark_sets(draw):
+    rows = [draw(st.none() | st.tuples(XS, YS, CONFS)) for _ in range(NUM_LANDMARKS)]
+    shape = draw(st.sampled_from(["as drawn", "no nose", "one hip", "neck on a hip"]))
+    if shape == "no nose":
+        rows[NOSE] = None
+    elif shape == "one hip":
+        rows[draw(st.sampled_from([R_HIP, L_HIP]))] = None
+    elif shape == "neck on a hip" and rows[NECK] is not None:
+        rows[R_HIP] = rows[NECK]
+    return LandmarkSet(points=[ABSENT if r is None else r for r in rows])
+
+
+@st.composite
+def sessions(draw, max_size=30, scoreless=True, increasing=False):
+    """Records with unique ids and non-decreasing timestamps (strictly increasing if asked); some lack a blur score."""
+    recs, t = [], 0.0
+    for i in range(draw(st.integers(0, max_size))):
+        t += draw(st.sampled_from([1.0, 0.5, 40.0]) if increasing else st.sampled_from([0.0, 1.0, 0.5, 40.0]))
+        features = None
+        if draw(st.booleans()):
+            features = FeatureVector(values=np.random.default_rng(draw(st.integers(0, 2**16))).random(FEATURE_DIM))
+        recs.append(FrameRecord(
+            frame_id=3 * i + draw(st.integers(0, 2)),
+            timestamp=t,
+            width=draw(st.sampled_from([W, W, 64])),
+            height=draw(st.sampled_from([H, H, 48])),
+            landmarks=draw(st.none() | landmark_sets()),
+            blur_variance=draw(st.sampled_from([CFG.blur_threshold, 99.5, 300.0, float(2**53)]) | (st.none() if scoreless else st.nothing())),
+            features=features,
+        ))
+    return recs
+
+
+def parse_by_line(lines):
+    """Reference: the per-line parser, with its rules for ids and timestamps."""
+    frames, rows, seen, dropped, last_t = [], [], set(), 0, None
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            raise ParseError("blank line", line_no)
+        try:
+            obj = json.loads(line.strip())
+        except frameio.JSON_FAULTS as exc:
+            raise ParseError(f"invalid JSON: {frameio._json_fault(exc)}", line_no) from exc
+        rec, row = frameio.frame_from_wire(obj, line=line_no)
+        if rec.frame_id in seen:
+            raise ParseError(f"duplicate frame_id {rec.frame_id}", line_no)
+        seen.add(rec.frame_id)
+        if last_t is not None and rec.timestamp < last_t:
+            raise OrderError(rec.frame_id)
+        if last_t is not None and rec.timestamp == last_t:
+            dropped += 1
+            continue
+        frames.append(rec)
+        rows.append(row)
+        last_t = rec.timestamp
+    return frames, tuple(rows), dropped
+
+
+#: Changes to one line's object: faults for the per-line rules, and values only they accept.
+FAULTS = {
+    "blank": lambda obj: "",
+    "not json": lambda obj: "{oops",
+    "not an object": lambda obj: "[1, 2]",
+    "missing key": lambda obj: {k: v for k, v in obj.items() if k != "h"},
+    "extra key": lambda obj: dict(obj, shiny=1),
+    "string t": lambda obj: dict(obj, t="1.0"),
+    "bool w": lambda obj: dict(obj, w=True),
+    "zero h": lambda obj: dict(obj, h=0),
+    "negative blur": lambda obj: dict(obj, blur_var=-1.0),
+    "NaN blur": lambda obj: dict(obj, blur_var=math.nan),
+    "negative feat_row": lambda obj: dict(obj, feat_row=-1),
+    "17 landmarks": lambda obj: dict(obj, landmarks=[None] * 17),
+    "short entry": lambda obj: dict(obj, landmarks=[[1.0, 2.0]] + [None] * 17),
+    "string entry": lambda obj: dict(obj, landmarks=["abc"] + [None] * 17),
+    "NaN point": lambda obj: dict(obj, landmarks=[[math.nan] * 3] + [None] * 17),
+    "confidence over 1": lambda obj: dict(obj, landmarks=[[1.0, 2.0, 1.5]] + [None] * 17),
+    "negative x": lambda obj: dict(obj, landmarks=[[-1.0, 2.0, 0.5]] + [None] * 17),
+    "huge x": lambda obj: dict(obj, landmarks=[[10**400, 2.0, 0.5]] + [None] * 17),
+    "repeated id": lambda obj: dict(obj, frame_id=0),
+    "earlier t": lambda obj: dict(obj, t=-1.0),
+    # Accepted by the per-line rules, not by the column checks:
+    "integer t": lambda obj: dict(obj, t=int(obj["t"]) + 10**6),
+    "integer point": lambda obj: dict(obj, landmarks=[[1, 2, 1]] + [None] * 17),
+    "huge id": lambda obj: dict(obj, frame_id=obj["frame_id"] + 2**70),
+    "huge feat_row": lambda obj: dict(obj, feat_row=2**70),
+}
+
+
+def outcome(parse, lines):
+    try:
+        return parse(lines)
+    except (ParseError, OrderError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def check_parse(lines, chunk):
+    expected = outcome(parse_by_line, lines)
+    with mock.patch.object(frameio, "_CHUNK_LINES", chunk):
+        got = outcome(frameio.parse_frames_jsonl, lines)
+    if isinstance(expected, tuple) and isinstance(expected[0], type):
+        assert got == expected
+    else:
+        assert isinstance(got, frameio.ParseResult)
+        assert (list(got.frames), got.feat_rows, got.duplicates_dropped) == expected
+
+
+def wire_lines(records):
+    buf = io.StringIO()
+    frameio.write_frames_jsonl(records, buf)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sessions(), st.sampled_from([1, 3, 1024]))
+def test_parse_matches_the_per_line_parser(records, chunk):
+    check_parse(wire_lines(records), chunk)
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@settings(max_examples=8, deadline=None)
+@given(records=sessions(max_size=8), chunk=st.sampled_from([1, 3, 1024]), where=st.integers(0, 7))
+def test_a_faulty_line_is_named_as_the_per_line_parser_names_it(fault, records, chunk, where):
+    lines = wire_lines(records) or [json.dumps(frameio.frame_to_wire(FrameRecord(0, 0.0, W, H))) + "\n"]
+    i = where % len(lines)
+    changed = FAULTS[fault](json.loads(lines[i]))
+    lines[i] = (changed if isinstance(changed, str) else json.dumps(changed)) + "\n"
+    check_parse(lines, chunk)
+
+
+def images_for(log, missing_every=0):
+    """A provider that records the ids it is asked for; one id in ``missing_every`` has no image."""
+
+    def provider(rec):
+        log.append(rec.frame_id)
+        if missing_every and rec.frame_id % missing_every == 0:
+            return None
+        rng = np.random.default_rng(rec.frame_id)
+        return np.full((8, 8), 7, dtype=np.uint8) if rec.frame_id % 2 else rng.integers(0, 256, (8, 8), dtype=np.uint8)
+
+    return provider
+
+
+def filter_by_record(frames, cfg, images):
+    """Reference: the per-frame loop over classify_frame."""
+    accepted, counts = [], {reason: 0 for reason in IllPosedReason}
+    for rec in frames:
+        image = images(rec) if rec.blur_variance is None else None
+        try:
+            reason = classify_frame(rec, cfg, image=image)
+        except InvalidImage as exc:
+            raise type(exc)(f"frame {rec.frame_id}: {exc}") from exc
+        if reason is None:
+            accepted.append(rec)
+        else:
+            counts[reason] += 1
+    return [r.frame_id for r in accepted], FilterReport(len(frames), len(accepted), counts)
+
+
+# An int threshold a float cannot hold: Python compares it exactly (2**53 is below it, so blurred).
+FILTER_CONFIGS = st.sampled_from([CFG, FilterConfig(blur_threshold=100), FilterConfig(blur_threshold=2**53 + 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(sessions(), FILTER_CONFIGS, st.sampled_from([0, 5]))
+@example([FrameRecord(0, 0.0, W, H, centered_person(), float(2**53))], FilterConfig(blur_threshold=2**53 + 1), 0)
+def test_filter_matches_the_per_frame_rules(records, cfg, missing_every):
+    calls, expected_calls = [], []
+    try:
+        expected = filter_by_record(records, cfg, images_for(expected_calls, missing_every))
+    except PipelineError as exc:  # the same fault must stop both paths at the same frame
+        expected = (type(exc), str(exc))
+    try:
+        accepted, report = filter_frames(FrameTable.of(records), cfg, images=images_for(calls, missing_every))
+        got = ([r.frame_id for r in accepted], report)
+    except PipelineError as exc:
+        got = (type(exc), str(exc))
+    assert got == expected
+    assert calls == expected_calls
+
+
+def summarize_by_record(frames, cfg):
+    """Reference: clusters of records, each keyframe from its stacked feature vectors."""
+    if len(frames) < cfg.k:
+        entries = [SummaryEntry(i + 1, f.frame_id, f.timestamp, 1) for i, f in enumerate(frames)]
+        return SummaryManifest(cfg.k, 0.0, len(frames), tuple(entries))
+    h_star, clusters = adapt_threshold([f.timestamp for f in frames], cfg.k, cfg.h0)
+    entries = []
+    for cluster in select_top_k_clusters(clusters, cfg.k):
+        members = [frames[i] for i in cluster.frame_ids]
+        matrix = np.stack([f.features.values for f in members]).astype(np.float64)
+        dists = np.linalg.norm(matrix - matrix.mean(axis=0), axis=1)
+        best = min((d, f.timestamp, f) for d, f in zip(dists.tolist(), members) if d == dists.min())[2]
+        entries.append(SummaryEntry(cluster.index, best.frame_id, best.timestamp, cluster.size))
+    return SummaryManifest(cfg.k, h_star, len(clusters), tuple(sorted(entries, key=lambda e: e.timestamp)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sessions(max_size=40, scoreless=False, increasing=True), st.integers(1, 6))
+def test_summarize_matches_the_per_record_summary(records, k):
+    featured = [r for r in records if r.features is not None]
+    cfg = SummarizerConfig(k=k, h0=7.0)
+    expected = summarize_by_record(featured, cfg)
+    assert summarize(featured, cfg) == expected
+    # The same frames parsed and attached, as the batch path reads them.
+    buf = io.StringIO()
+    matrix = frameio.write_frames_jsonl(featured, buf)
+    buf.seek(0)
+    if matrix is not None:
+        assert summarize(frameio.attach_features(frameio.parse_frames_jsonl(buf), matrix), cfg) == expected
+
+
+# Integer settings stay integers in the action lines ("forward_m":1, not 1.0).
+CONTROLLER_CONFIGS = st.sampled_from([ControllerConfig(), ControllerConfig(forward_step_m=1, stop_distance_m=1, fov_h_deg=62)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(sessions(max_size=40), CONTROLLER_CONFIGS)
+def test_simulate_matches_the_server_session_frame_by_frame(records, cfg):
+    buf = io.StringIO()
+    frameio.write_frames_jsonl(records, buf)
+    buf.seek(0)
+    parsed = frameio.parse_frames_jsonl(buf)
+    for frames in (records, parsed.frames):
+        session = Session(ServiceConfig(controller_config=cfg))
+        assert simulate_actions(frames, cfg) == [session.frame(rec) for rec in list(frames)]
