@@ -137,18 +137,21 @@ def _cmd_gen(args, cfg: AppConfig) -> int:
         images_dir = Path(args.images)
         images_dir.mkdir(parents=True, exist_ok=True)
         blurred = {t.frame_id for t in truth if t.reason is IllPosedReason.BLURRED}
-        stripped = []
-        for rec in frames:
-            frameio.save_pgm(
-                scenario.frame_image(rec.frame_id, rec.frame_id in blurred, seed=spec.rng_seed),
-                images_dir / f"{rec.frame_id}.pgm",
-            )
-            stripped.append(dataclasses.replace(rec, blur_variance=None))
-        frames = stripped
+    # With images, a frame's blur score is left to its image; without a feature file, no frame has features.
+    stripped = {"blur_variance": None} if args.images else {}
+    if not args.features:
+        stripped["features"] = None
+    if stripped:
+        for i, rec in enumerate(frames):
+            if args.images:
+                frameio.save_pgm(
+                    scenario.frame_image(rec.frame_id, rec.frame_id in blurred, seed=spec.rng_seed),
+                    images_dir / f"{rec.frame_id}.pgm",
+                )
+            frames[i] = dataclasses.replace(rec, **stripped)
 
     with open(args.out, "w", encoding="utf-8") as fh:
-        feat_rows = None if args.features else [None] * len(frames)
-        matrix = frameio.write_frames_jsonl(frames, fh, feat_rows=feat_rows)
+        matrix = frameio.write_frames_jsonl(frames, fh)
     if args.features:
         frameio.save_features(
             matrix if matrix is not None else np.zeros((0, frameio.FEATURE_DIM), dtype=np.float32),
@@ -161,10 +164,9 @@ def _cmd_gen(args, cfg: AppConfig) -> int:
 def _cmd_filter(args, cfg: AppConfig) -> int:
     with open(args.frames, "r", encoding="utf-8") as fh:
         parsed = frameio.parse_frames_jsonl(fh)
-    rows = dict(zip(parsed.frames.frame_id.tolist(), parsed.feat_rows))
     accepted, report = filter_frames(parsed.frames, cfg.filter, images=_image_provider(args.images))
     with open(args.out, "w", encoding="utf-8") as fh:
-        frameio.write_frames_jsonl(accepted, fh, feat_rows=[rows[i] for i in accepted.frame_id.tolist()])
+        frameio.write_frames_jsonl(accepted, fh)
     with open(args.report, "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")

@@ -150,17 +150,10 @@ def frame_to_wire(rec: FrameRecord, feat_row: int | None = None) -> dict:
 
 @dataclass(frozen=True)
 class ParseResult:
-    """Frames in stream order, as a :class:`~robosum.model.FrameTable`, plus their feature-file row indices.
-
-    ``frames`` given as records is made a table of them.
-    """
+    """Frames in stream order, as a :class:`~robosum.model.FrameTable` whose ``feat_row`` holds each line's row."""
 
     frames: FrameTable
-    feat_rows: tuple[int | None, ...]
     duplicates_dropped: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "frames", FrameTable.of(self.frames))
 
 
 #: Lines decoded into columns before the columns are checked and converted at once.
@@ -174,7 +167,7 @@ class _Parse:
     """One parse: the frames kept so far, the state of the cross-line rules, and the chunk of lines in hand."""
 
     def __init__(self):
-        self.seen, self.last_t, self.dropped, self.feat_rows, self.parts = set(), None, 0, [], []
+        self.seen, self.last_t, self.dropped, self.parts = set(), None, 0, []
         # Kept frames' points in one buffer grown by doubling: arrays freed part by part would stay resident.
         self.points, self.kept = np.empty((_CHUNK_LINES, NUM_LANDMARKS, 3)), 0
         self.start(1)
@@ -223,6 +216,7 @@ class _Parse:
         if not all({*map(type, c)} <= types for c, types in zip((*columns, self.values), _COLUMN_TYPES)):
             return None
         ids, ws, hs = map(_ints, columns[:3])
+        rows = _ints([-1 if row is None else row for row in columns[5]])
         ts, blur = np.array(columns[3], dtype=np.float64), np.array(columns[4], dtype=np.float64)  # None becomes NaN
         points = np.array(self.values, dtype=np.float64).reshape(-1, NUM_LANDMARKS, 3)
         x, y, conf = points[:, :, 0], points[:, :, 1], points[:, :, 2]
@@ -234,28 +228,27 @@ class _Parse:
             and (hs > 0).all()
             and np.isfinite(ts).all()
             and np.count_nonzero((0 <= blur) & (blur <= FLOAT_MAX)) == len(blur) - columns[4].count(None)
-            and all(row is None or row >= 0 for row in columns[5])
+            and np.count_nonzero(rows >= 0) == len(rows) - columns[5].count(None)
             and (present | absent).all()
             and np.count_nonzero(absent) == self.absent
         ):
             return None
-        return FrameTable(ids, ts, ws, hs, blur, np.array(self.person, dtype=bool), points)
+        return FrameTable(ids, ts, ws, hs, blur, np.array(self.person, dtype=bool), points, rows)
 
     def flush(self) -> None:
         """Keep the chunk's frames; a chunk the column checks do not accept is walked by the per-line rules."""
-        ids, _, _, ts, _, rows = columns = list(zip(*self.scalars)) or [()] * 6
+        ids, _, _, ts, _, _ = columns = list(zip(*self.scalars)) or [()] * 6
         table = None if self.unchecked else self.chunk(columns)
         if table is None:
             table = self.walk()
         else:
             kept = [self.admit(*frame) for frame in zip(ids, ts, itertools.count(self.first_line))]
-            self.feat_rows += itertools.compress(rows, kept)
             table = table if all(kept) else table.take(kept)
         self.keep(table)
 
     def walk(self) -> FrameTable:
         """The chunk's frames by the per-line rules, which raise at the first line they reject."""
-        recs = []
+        recs, rows = [], []
         for line_no, line in enumerate(self.lines, start=self.first_line):
             text = line.strip()
             if not text:
@@ -267,8 +260,9 @@ class _Parse:
             rec, feat_row = frame_from_wire(obj, line=line_no)
             if self.admit(rec.frame_id, rec.timestamp, line_no):
                 recs.append(rec)
-                self.feat_rows.append(feat_row)
-        return FrameTable.of(recs)
+                rows.append(-1 if feat_row is None else feat_row)
+        table = FrameTable.of(recs)
+        return FrameTable(table.frame_id, table.t, table.w, table.h, table.blur, table.person, table.points, _ints(rows))
 
     def admit(self, frame_id: int, t: float, line_no: int) -> bool:
         """The cross-line rules: whether a frame is kept; a duplicate id or a decreasing timestamp raises."""
@@ -293,13 +287,13 @@ class _Parse:
             self.points = grown
         self.points[self.kept : end] = table.points
         self.kept = end
-        self.parts.append((table.frame_id, table.t, table.w, table.h, table.blur, table.person))
+        self.parts.append((table.frame_id, table.t, table.w, table.h, table.blur, table.person, table.feat_row))
 
     def result(self) -> ParseResult:
         """The kept frames; the last flush keeps a part, empty or not."""
         self.points.resize((self.kept, NUM_LANDMARKS, 3), refcheck=False)  # in place: no copy
-        columns = (np.concatenate(column) for column in zip(*self.parts))
-        return ParseResult(FrameTable(*columns, self.points), tuple(self.feat_rows), self.dropped)
+        *columns, rows = (np.concatenate(column) for column in zip(*self.parts))
+        return ParseResult(FrameTable(*columns, self.points, rows), self.dropped)
 
 
 def parse_frames_jsonl(stream: Iterable[str]) -> ParseResult:
@@ -326,38 +320,25 @@ def parse_frames_jsonl(stream: Iterable[str]) -> ParseResult:
     return parse.result()
 
 
-def write_frames_jsonl(
-    frames: Sequence[FrameRecord],
-    stream: IO[str],
-    feat_rows: Sequence[int | None] | None = None,
-) -> np.ndarray | None:
-    """Write frames as JSONL; returns the implied feature matrix.
+def write_frames_jsonl(frames: Sequence[FrameRecord], stream: IO[str]) -> np.ndarray | None:
+    """Write frames as JSONL, each with its ``FrameTable.of(frames).feat_row``; returns the matrix those rows index.
 
-    When ``feat_rows`` is omitted, rows are assigned in frame order to the
-    frames that carry features and the collected float32 matrix is
-    returned (``None`` when no frame has features). Pass explicit
-    ``feat_rows`` to preserve indices into an existing feature file.
+    Records get rows in frame order, one per frame with features; a parsed
+    or filtered table keeps the rows it was read with. The matrix is None
+    when there is none: no frame has features, or no matrix is bound.
     """
-    if feat_rows is not None and len(feat_rows) != len(frames):
-        raise ValueError("feat_rows must parallel frames")
-    rows: list[np.ndarray] = []
-    for i, rec in enumerate(frames):
-        if feat_rows is not None:
-            row = feat_rows[i]
-        elif rec.features is not None:
-            row = len(rows)
-            rows.append(rec.features.values)
-        else:
-            row = None
-        stream.write(json.dumps(frame_to_wire(rec, row)) + "\n")
-    return np.stack(rows).astype(np.float32) if rows else None
+    table = FrameTable.of(frames)
+    for rec, row in zip(frames, table.feat_row.tolist()):
+        stream.write(json.dumps(frame_to_wire(rec, None if row < 0 else row)) + "\n")
+    return table.features
 
 
-def check_feat_rows(result: ParseResult, count: int) -> None:
+def check_feat_row_bounds(frames: FrameTable, count: int) -> None:
     """Raise :class:`ParseError` at the first frame whose ``feat_row`` is past a ``count``-row matrix."""
-    for i, row in enumerate(result.feat_rows):
-        if row is not None and row >= count:
-            raise ParseError(f"frame {result.frames[i].frame_id}: feat_row {row} beyond matrix of {count} rows")
+    beyond = np.flatnonzero(frames.feat_row >= count)
+    if beyond.size:
+        i = beyond[0]
+        raise ParseError(f"frame {frames.frame_id[i]}: feat_row {frames.feat_row[i]} beyond matrix of {count} rows")
 
 
 def _check_feature_matrix(matrix: np.ndarray) -> None:
@@ -371,7 +352,7 @@ def _check_feature_matrix(matrix: np.ndarray) -> None:
 
 
 def attach_features(result: ParseResult, matrix: np.ndarray) -> FrameTable:
-    """The parsed table with each frame's ``feat_row`` resolved against a feature matrix.
+    """The parsed table with a feature matrix bound, once every ``feat_row`` is checked to lie within it.
 
     The matrix is checked once as a whole and copied once, read-only, so
     later writes to ``matrix`` cannot reach a frame; each frame's
@@ -382,9 +363,9 @@ def attach_features(result: ParseResult, matrix: np.ndarray) -> FrameTable:
         raise FeatureFileError(f"feature matrix must hold numbers, got dtype {matrix.dtype}")
     checked = matrix.astype(np.float32)
     _check_feature_matrix(checked)
-    check_feat_rows(result, checked.shape[0])
-    rows = np.array([-1 if row is None else row for row in result.feat_rows], dtype=np.int64)
-    return FrameTable(*(getattr(result.frames, name) for name in FrameTable.__slots__[:7]), rows, checked)
+    table = result.frames
+    check_feat_row_bounds(table, len(checked))
+    return FrameTable(table.frame_id, table.t, table.w, table.h, table.blur, table.person, table.points, table.feat_row, checked)
 
 
 def save_features(matrix: np.ndarray, path: str | Path) -> None:

@@ -265,6 +265,10 @@ class FrameRecord:
     features: FeatureVector | None = None
 
     def __post_init__(self):
+        # Floats, as a file or the wire gives them, so every path compares the same value.
+        object.__setattr__(self, "timestamp", require_number(self.timestamp, "timestamp"))
+        if self.blur_variance is not None:
+            object.__setattr__(self, "blur_variance", require_number(self.blur_variance, "blur_variance"))
         if not math.isfinite(self.timestamp):
             raise ValueError(f"frame {self.frame_id}: timestamp must be finite")
         if self.width <= 0 or self.height <= 0:
@@ -288,26 +292,28 @@ class FrameTable(Sequence):
 
     Per frame: ``frame_id``, ``w``, ``h``; ``t``; ``blur`` (NaN for no score); ``person`` (has landmarks);
     ``points``, an (n, 18, 3) float64 array with :data:`ABSENT` rows for absent points; ``feat_row``, the
-    frame's row of ``features`` (a checked read-only float32 matrix), or -1 for none. ``table[i]`` builds
-    row ``i``'s record; a slice or :meth:`take` gives a table.
+    frame's row in the feature file, or -1 for none. ``features`` is the checked read-only float32 matrix
+    those rows index, or None until one is bound; a row's record has features only once it is. ``table[i]``
+    builds row ``i``'s record; a slice or :meth:`take` gives a table.
     """
 
     __slots__ = ("frame_id", "t", "w", "h", "blur", "person", "points", "feat_row", "features")
 
-    def __init__(self, frame_id, t, w, h, blur, person, points, feat_row=None, features=None):
-        if feat_row is None:
-            feat_row, features = np.full(len(t), -1), np.zeros((0, FEATURE_DIM), dtype=np.float32)
+    def __init__(self, frame_id, t, w, h, blur, person, points, feat_row, features=None):
         for name, column in zip(self.__slots__, (frame_id, t, w, h, blur, person, points, feat_row, features)):
-            column.flags.writeable = False
+            if column is not None:
+                column.flags.writeable = False
             setattr(self, name, column)
 
     @classmethod
     def of(cls, frames: Iterable[FrameRecord]) -> FrameTable:
-        """``frames`` itself if it is a table, else a table of its records."""
+        """``frames`` itself if it is a table, else a table of its records, the featured ones given rows in order."""
         if isinstance(frames, FrameTable):
             return frames
         recs, row = list(frames), itertools.count()
         lms = [r.landmarks for r in recs]
+        vectors = [r.features.values for r in recs if r.features is not None]
+        absent = np.broadcast_to(np.nan, (len(recs), NUM_LANDMARKS, 3))
         return cls(
             _ints([r.frame_id for r in recs]),
             np.array([r.timestamp for r in recs], dtype=np.float64),
@@ -316,10 +322,9 @@ class FrameTable(Sequence):
             np.array([r.blur_variance for r in recs], dtype=np.float64),  # None becomes NaN
             np.array([lm is not None for lm in lms], dtype=bool),
             # With no landmarks at all (a server session's kept frames), every row is absent: one view, no copy.
-            np.array([[ABSENT] * NUM_LANDMARKS if lm is None else lm.points for lm in lms]).reshape(-1, NUM_LANDMARKS, 3)
-            if any(lms) else np.broadcast_to(np.nan, (len(recs), NUM_LANDMARKS, 3)),
+            np.stack([absent[0] if lm is None else lm.points for lm in lms]) if any(lms) else absent,
             np.array([-1 if r.features is None else next(row) for r in recs], dtype=np.int64),
-            np.array([r.features.values for r in recs if r.features is not None], dtype=np.float32).reshape(-1, FEATURE_DIM),
+            np.array(vectors, dtype=np.float32) if vectors else None,
         )
 
     def take(self, rows) -> FrameTable:
@@ -335,7 +340,7 @@ class FrameTable(Sequence):
         i = range(len(self))[i]
         blur, row = self.blur[i], self.feat_row[i]
         lm = _checked_landmarks(self.points[i]) if self.person[i] else None
-        features = _checked_feature_row(self.features[row]) if row >= 0 else None
+        features = None if row < 0 or self.features is None else _checked_feature_row(self.features[row])
         blur = None if blur != blur else float(blur)
         return FrameRecord(int(self.frame_id[i]), float(self.t[i]), int(self.w[i]), int(self.h[i]), lm, blur, features)
 

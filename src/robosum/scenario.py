@@ -24,7 +24,6 @@ from .errors import PipelineError
 from .model import (
     ABSENT,
     FEATURE_DIM,
-    FLOAT_MAX,
     L_ANKLE,
     L_EAR,
     L_ELBOW,
@@ -54,6 +53,9 @@ from .model import (
 )
 
 _POINT_CONFIDENCE = 0.9
+
+#: Most frames a spec may ask for (``duration_s * fps``): 11.6 days at 1 fps.
+MAX_FRAMES = 10**6
 
 # Body proportions relative to the torso (neck-to-hip) pixel length. The hip
 # lateral offset of 0.10 forces a vertical drop of sqrt(1 - 0.01) so the
@@ -145,8 +147,8 @@ class ScenarioSpec:
             raise PipelineError("fps must be positive")
         if self.duration_s < 0:
             raise PipelineError("duration_s must be non-negative")
-        if not self.duration_s * self.fps <= FLOAT_MAX:
-            raise PipelineError(f"duration_s * fps must be finite, got {self.duration_s!r} * {self.fps!r}")
+        if not self.duration_s * self.fps <= MAX_FRAMES:
+            raise PipelineError(f"duration_s * fps must be at most {MAX_FRAMES} frames, got {self.duration_s!r} * {self.fps!r}")
         if self.rng_seed < 0:
             raise PipelineError("rng_seed must be non-negative")
         if self.frame_width < 8 or self.frame_height < 8:

@@ -34,7 +34,7 @@ import numpy as np
 from .content_filter import FilterConfig, classify_frame
 from .controller import ActionCommand, ControllerConfig, advance, controller_step, initial_state, sense_table
 from .errors import ConnectionLost, ParseError, PipelineError
-from .frameio import FEATURE_DIM, JSON_FAULTS, ParseResult, _json_fault, check_feat_rows, frame_from_wire, frame_to_wire, manifest_to_dict
+from .frameio import FEATURE_DIM, JSON_FAULTS, ParseResult, _json_fault, check_feat_row_bounds, frame_from_wire, frame_to_wire, manifest_to_dict
 from .model import FLOAT_MAX, FeatureVector, FrameRecord, FrameTable, SummaryManifest
 from .summarizer import SummarizerConfig, summarize
 
@@ -289,8 +289,9 @@ def replay_session(
         rate = float(rate)
         if not 0 < rate <= FLOAT_MAX:
             raise ValueError(f"rate must be a positive finite number or 'max', got {rate!r}")
+    frames = parsed.frames
     if features is not None:
-        check_feat_rows(parsed, len(features))
+        check_feat_row_bounds(frames, len(features))
 
     sock = socket.create_connection((host, port))
     rfile = sock.makefile("rb")
@@ -319,17 +320,14 @@ def replay_session(
 
     try:
         prev_t: float | None = None
-        for rec, row in zip(parsed.frames, parsed.feat_rows):
+        for rec, row in zip(frames, frames.feat_row.tolist()):
             if rate != "max" and prev_t is not None:
                 delay = (rec.timestamp - prev_t) / rate
                 if delay > 0:
                     time.sleep(delay)
             prev_t = rec.timestamp
-            msg = {"type": "frame", **frame_to_wire(rec, row)}
-            if features is not None and row is not None:
-                msg["features"] = [float(v) for v in features[row]]
-            else:
-                msg["features"] = None
+            msg = {"type": "frame", **frame_to_wire(rec, None if row < 0 else row)}
+            msg["features"] = None if features is None or row < 0 else [float(v) for v in features[row]]
             reply, failed = exchange(msg)
             if failed:
                 return ReplayResult(tuple(actions), None, reply)

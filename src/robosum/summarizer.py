@@ -140,7 +140,7 @@ def select_top_k_clusters(clusters: Sequence[Cluster], k: int) -> list[Cluster]:
 def _featured(frames: Iterable[FrameRecord]) -> FrameTable:
     """The frames as a table; :class:`MissingFeatures` names the first without a feature vector."""
     table = FrameTable.of(frames)
-    missing = np.flatnonzero(table.feat_row < 0)
+    missing = np.flatnonzero((table.feat_row < 0) | (table.features is None))
     if missing.size:
         raise MissingFeatures(int(table.frame_id[missing[0]]))
     return table

@@ -3,12 +3,13 @@
 import json
 import socket
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import UNDECODABLE_JSON
-from robosum import frameio
+from robosum import frameio, scenario
 from robosum.cli import main
 from robosum.scenario import ActivitySegment, Injection, ScenarioSpec, spec_to_dict
 from robosum.model import FEATURE_DIM, IllPosedReason
@@ -267,6 +268,17 @@ class TestDataErrors:
         assert main(["gen", "--spec", str(spec_path), "--out", str(frames)]) == 2
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("duration_s, fps", [(1e20, 1.0), (1e308, 10.0)])
+    def test_spec_past_the_frame_cap_is_exit_2_before_any_frame_is_made(self, tmp_path, capsys, duration_s, fps):
+        # 1e308 * 10 overflows to inf.
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"duration_s": duration_s, "fps": fps}))
+        with mock.patch.object(scenario, "generate_session", side_effect=AssertionError("frames were made")):
+            assert main(["gen", "--spec", str(spec_path), "--out", str(tmp_path / "frames.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert "duration_s * fps" in err and "Traceback" not in err
+        assert ScenarioSpec(duration_s=scenario.MAX_FRAMES / 2, fps=2.0).frame_count == scenario.MAX_FRAMES
 
     @pytest.mark.parametrize("text", UNDECODABLE_JSON.values(), ids=UNDECODABLE_JSON.keys())
     @pytest.mark.parametrize(

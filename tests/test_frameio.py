@@ -1,7 +1,6 @@
 """Round-trip exactness and strict rejection of malformed input."""
 
 import io
-import itertools
 import json
 import math
 import re
@@ -70,6 +69,15 @@ def roundtrip(frames):
     if matrix is None:
         return list(parsed.frames), parsed
     return frameio.attach_features(parsed, matrix), parsed
+
+
+def parsed_with_rows(rows):
+    """Frames 0, 1, ... one second apart, whose lines hold the feature-file ``rows``, parsed."""
+    lines = [
+        json.dumps(frameio.frame_to_wire(FrameRecord(frame_id=i, timestamp=float(i), width=10, height=10), row)) + "\n"
+        for i, row in enumerate(rows)
+    ]
+    return frameio.parse_frames_jsonl(lines)
 
 
 class TestFramesJsonl:
@@ -200,12 +208,11 @@ class TestFramesJsonl:
                     frameio.parse_frames_jsonl(io.StringIO(line))
 
     def test_attach_features_range_check(self):
-        rec = FrameRecord(frame_id=0, timestamp=0.0, width=10, height=10)
-        parsed = frameio.ParseResult(frames=(rec,), feat_rows=(3,), duplicates_dropped=0)
+        parsed = parsed_with_rows([3])
         with pytest.raises(ParseError, match="^frame 0: feat_row 3 beyond matrix of 2 rows$"):
             frameio.attach_features(parsed, np.zeros((2, FEATURE_DIM), dtype=np.float32))
 
-        parsed = frameio.ParseResult(frames=(rec,), feat_rows=(0,), duplicates_dropped=0)
+        parsed = parsed_with_rows([0])
         for value in (1.5, -0.25, math.nan):
             bad = np.zeros((4, FEATURE_DIM), dtype=np.float32)
             bad[2, 9] = value
@@ -218,8 +225,11 @@ class TestFramesJsonl:
         with pytest.raises(FeatureFileError, match="must hold numbers"):
             frameio.attach_features(parsed, np.full((1, FEATURE_DIM), "0.5"))
 
+        rows = (2, None, 0, 2)
+        parsed = parsed_with_rows(rows)
         frames = [FrameRecord(frame_id=i, timestamp=float(i), width=10, height=10) for i in range(4)]
-        parsed = frameio.ParseResult(frames=tuple(frames), feat_rows=(2, None, 0, 2), duplicates_dropped=0)
+        # Parsed, a frame has its file's row and no features until a matrix is bound.
+        assert parsed.frames.feat_row.tolist() == [2, -1, 0, 2] and list(parsed.frames) == frames
         for dtype in (np.float32, np.float64):
             matrix = np.random.default_rng(3).random((3, FEATURE_DIM)).astype(dtype)
             expected = matrix.astype(np.float32)
@@ -227,7 +237,7 @@ class TestFramesJsonl:
             matrix[:] = 0.0
             # A frame without a feature row is the record it was; the table holds columns, not records.
             assert attached[1] == frames[1] and attached[1].features is None
-            for rec, row in zip(attached, parsed.feat_rows):
+            for rec, row in zip(attached, rows):
                 if row is None:
                     continue
                 values = rec.features.values
@@ -351,17 +361,15 @@ def test_float_subclass_landmarks_decode_like_floats():
 
 @given(st.lists(record_strategy, max_size=12))
 @settings(max_examples=60, deadline=None)
-def test_explicit_rows_write_the_bytes_of_implied_rows(frames):
-    implied = io.StringIO()
-    matrix = frameio.write_frames_jsonl(frames, implied)
-    count = itertools.count()
-    rows = [None if rec.features is None else next(count) for rec in frames]
-    explicit = io.StringIO()
-    assert frameio.write_frames_jsonl(frames, explicit, feat_rows=rows) is None
-    assert explicit.getvalue() == implied.getvalue()
-    with_features = [rec.features.values for rec in frames if rec.features is not None]
-    if with_features:
-        assert matrix.dtype == np.float32 and np.array_equal(matrix, np.stack(with_features))
+def test_records_are_written_with_the_featured_frames_numbered_in_order(frames):
+    buf = io.StringIO()
+    matrix = frameio.write_frames_jsonl(frames, buf)
+    rows = [json.loads(line)["feat_row"] for line in buf.getvalue().splitlines()]
+    featured = [rec.features.values for rec in frames if rec.features is not None]
+    assert [row for row in rows if row is not None] == list(range(len(featured)))
+    assert [row is None for row in rows] == [rec.features is None for rec in frames]
+    if featured:
+        assert matrix.dtype == np.float32 and np.array_equal(matrix, np.stack(featured))
     else:
         assert matrix is None
 

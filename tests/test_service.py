@@ -68,7 +68,7 @@ def parsed_session(spec):
 
 class TestReplay:
     def test_empty_session_yields_empty_summary(self, server):
-        parsed = frameio.ParseResult(frames=(), feat_rows=(), duplicates_dropped=0)
+        parsed = frameio.parse_frames_jsonl([])
         result = replay_session(*server, parsed, k=8, h0=60.0)
         assert result.action_lines == ()
         summary = json.loads(result.summary_line)
@@ -278,7 +278,7 @@ def all_replies(server, messages):
 def frame_messages(parsed, matrix):
     return [
         {"type": "frame", **frameio.frame_to_wire(rec, row), "features": [float(v) for v in matrix[row]]}
-        for rec, row in zip(parsed.frames, parsed.feat_rows)
+        for rec, row in zip(parsed.frames, parsed.frames.feat_row.tolist())
     ]
 
 
@@ -482,7 +482,7 @@ def client_streams(draw):
             i = draw(st.integers(0, min(sent, len(POOL.frames)) - 1))
         else:
             i, sent = min(sent, len(POOL.frames) - 1), sent + 1
-        rec, row = POOL.frames[i], POOL.feat_rows[i]
+        rec, row = POOL.frames[i], int(POOL.frames.feat_row[i])
         if kind in ("no_score", "no_score_featureless"):
             rec = replace(rec, blur_variance=None)
         elif kind == "zero_torso":

@@ -105,9 +105,9 @@ def parse_by_line(lines):
             dropped += 1
             continue
         frames.append(rec)
-        rows.append(row)
+        rows.append(-1 if row is None else row)
         last_t = rec.timestamp
-    return frames, tuple(rows), dropped
+    return frames, rows, dropped
 
 
 #: Changes to one line's object: faults for the per-line rules, and values only they accept.
@@ -155,7 +155,7 @@ def check_parse(lines, chunk):
         assert got == expected
     else:
         assert isinstance(got, frameio.ParseResult)
-        assert (list(got.frames), got.feat_rows, got.duplicates_dropped) == expected
+        assert (list(got.frames), got.frames.feat_row.tolist(), got.duplicates_dropped) == expected
 
 
 def wire_lines(records):
@@ -217,6 +217,8 @@ FILTER_CONFIGS = st.sampled_from([CFG, FilterConfig(blur_threshold=100), FilterC
 @settings(max_examples=60, deadline=None)
 @given(sessions(), FILTER_CONFIGS, st.sampled_from([0, 5]))
 @example([FrameRecord(0, 0.0, W, H, centered_person(), float(2**53))], FilterConfig(blur_threshold=2**53 + 1), 0)
+# An int score a float cannot hold: a record holds it as a float, as a file would, so both paths see 2**53.
+@example([FrameRecord(0, 0.0, W, H, centered_person(), 2**53 + 1)], FilterConfig(blur_threshold=2**53 + 1), 0)
 def test_filter_matches_the_per_frame_rules(records, cfg, missing_every):
     calls, expected_calls = [], []
     try:
@@ -267,8 +269,14 @@ def test_summarize_matches_the_per_record_summary(records, k):
 CONTROLLER_CONFIGS = st.sampled_from([ControllerConfig(), ControllerConfig(forward_step_m=1, stop_distance_m=1, fov_h_deg=62)])
 
 
+#: Int timestamps past 2**53: 24 search turns, then idle from 2**53 + 4 until 2**53 + 904. The last
+#: frame's time is just before that as an int, and rounds to it as a float.
+IDLE_EDGE = [FrameRecord(k, 2**53 + 4 * k - 92, W, H) for k in range(25)] + [FrameRecord(25, 2**53 + 903, W, H)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(sessions(max_size=40), CONTROLLER_CONFIGS)
+@example(IDLE_EDGE, ControllerConfig())
 def test_simulate_matches_the_server_session_frame_by_frame(records, cfg):
     buf = io.StringIO()
     frameio.write_frames_jsonl(records, buf)
@@ -277,3 +285,19 @@ def test_simulate_matches_the_server_session_frame_by_frame(records, cfg):
     for frames in (records, parsed.frames):
         session = Session(ServiceConfig(controller_config=cfg))
         assert simulate_actions(frames, cfg) == [session.frame(rec) for rec in list(frames)]
+
+
+#: Feature-file rows a frames file may hold: none, small ones, and ones past any matrix.
+FEAT_ROWS = st.none() | st.integers(0, 3) | st.sampled_from([10**9, 2**70])
+
+
+@settings(max_examples=40, deadline=None)
+@given(sessions(scoreless=False), st.lists(FEAT_ROWS, min_size=30, max_size=30), FILTER_CONFIGS)
+def test_filter_writes_each_kept_frame_as_the_line_it_was_read_from(records, rows, cfg):
+    # What ``robosum filter`` does: the filter never reads features, so no matrix is bound.
+    lines = [json.dumps(frameio.frame_to_wire(rec, row)) + "\n" for rec, row in zip(records, rows)]
+    accepted, _ = filter_frames(frameio.parse_frames_jsonl(lines).frames, cfg)
+    buf = io.StringIO()
+    assert frameio.write_frames_jsonl(accepted, buf) is None
+    line_of = {rec.frame_id: line for rec, line in zip(records, lines)}
+    assert buf.getvalue().splitlines(keepends=True) == [line_of[i] for i in accepted.frame_id.tolist()]
