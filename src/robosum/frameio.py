@@ -224,8 +224,7 @@ class _Parse:
         absent = np.isnan(x) & np.isnan(y) & np.isnan(conf)
         # A NaN point or score the line spells out is a fault, not an absent one, so the counts must match.
         if not (
-            (ws > 0).all()
-            and (hs > 0).all()
+            ((0 < ws) & (ws <= FLOAT_MAX) & (0 < hs) & (hs <= FLOAT_MAX)).all()
             and np.isfinite(ts).all()
             and np.count_nonzero((0 <= blur) & (blur <= FLOAT_MAX)) == len(blur) - columns[4].count(None)
             and np.count_nonzero(rows >= 0) == len(rows) - columns[5].count(None)
@@ -502,10 +501,13 @@ def load_pgm(path: str | Path) -> np.ndarray:
     for name, token in zip(("width", "height", "maxval"), header.groups()):
         if not token.isdigit():  # int() would also take a sign and underscores
             raise ParseError(f"{path}: PGM header {name} must be decimal digits, got {token!r}")
-    width, height, maxval = map(int, header.groups())
-    if maxval != 255:
-        raise ParseError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
-    pos = header.end()
-    if len(data) - pos < width * height:
-        raise ParseError(f"{path}: truncated PGM payload")
-    return np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos).reshape(height, width)
+    try:
+        width, height, maxval = map(int, header.groups())
+        if maxval != 255:
+            raise ParseError(f"{path}: only 8-bit PGM supported, maxval={maxval}")
+        pos = header.end()
+        if len(data) - pos < width * height:
+            raise ParseError(f"{path}: truncated PGM payload")
+        return np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos).reshape(height, width)
+    except ValueError as exc:  # a number of over 4,300 digits, or an empty image with a side past numpy's largest
+        raise ParseError(f"{path}: PGM header numbers too large") from exc

@@ -271,8 +271,8 @@ class FrameRecord:
             object.__setattr__(self, "blur_variance", require_number(self.blur_variance, "blur_variance"))
         if not math.isfinite(self.timestamp):
             raise ValueError(f"frame {self.frame_id}: timestamp must be finite")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"frame {self.frame_id}: dimensions must be positive")
+        if not (0 < self.width <= FLOAT_MAX and 0 < self.height <= FLOAT_MAX):
+            raise ValueError(f"frame {self.frame_id}: dimensions must be positive and fit in a float")
         if self.blur_variance is not None and not (
             math.isfinite(self.blur_variance) and self.blur_variance >= 0
         ):

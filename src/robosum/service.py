@@ -8,9 +8,11 @@ reply and close only the offending connection; any other failure is logged
 and answered with an ``internal_error`` reply, and a stream that ends
 before ``end_session`` or falls silent for :data:`IDLE_TIMEOUT_S` gets a
 ``protocol_error`` reply, so every connection ends with exactly one
-``summary`` or ``error`` line unless the client goes away first. Replies
-are written as they are produced, so per-session memory stays proportional
-to the kept frame count.
+``summary`` or ``error`` line unless the client goes away first. Each
+line's reply is :func:`_answer` of the session and the line; the handler
+only moves bytes and answers the socket's own faults. Replies are written
+as they are produced, so per-session memory stays proportional to the
+kept frame count.
 
 The offline simulator takes the controller step a :class:`Session` takes,
 so a replayed session and an offline run produce byte-identical traces.
@@ -19,6 +21,7 @@ so a replayed session and an offline run produce byte-identical traces.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import logging
 import math
@@ -143,15 +146,46 @@ def simulate_actions(frames: Sequence[FrameRecord], cfg: ControllerConfig | None
     return lines
 
 
-def _decode_inline_features(raw, line_no: int | None) -> FeatureVector | None:
-    if raw is None:
-        return None
-    if not isinstance(raw, list) or len(raw) != FEATURE_DIM or not {*map(type, raw)} <= {int, float}:
-        raise ParseError(f"features must be null or an array of {FEATURE_DIM} numbers", line_no)
+def _error(code: str, msg: str) -> str:
+    return dumps_wire({"type": "error", "code": code, "msg": msg})
+
+
+def _answer(session: Session, raw: bytes, line_no: int) -> tuple[str, bool]:
+    """The reply line to one message line, and whether that reply ends the session; ``b""`` is the end of the stream."""
+    if not raw:
+        return _error("protocol_error", "stream ended before end_session"), True
     try:
-        return FeatureVector(values=raw)
-    except (ValueError, OverflowError) as exc:
-        raise ParseError(f"bad feature vector: {exc}", line_no) from exc
+        msg = json.loads(raw.decode("utf-8"))
+    except JSON_FAULTS as exc:
+        return _error("parse_error", f"line {line_no}: invalid JSON ({_json_fault(exc)})"), True
+    if not isinstance(msg, dict) or "type" not in msg:
+        return _error("protocol_error", f"line {line_no}: message must be an object with a type"), True
+    kind = msg.pop("type")
+    try:
+        if kind == "frame":
+            inline = msg.pop("features", None)
+            rec, _ = frame_from_wire(msg, line=line_no)  # frame faults are named before feature faults
+            if inline is not None and (
+                not isinstance(inline, list) or len(inline) != FEATURE_DIM or not {*map(type, inline)} <= {int, float}
+            ):
+                raise ParseError(f"features must be null or an array of {FEATURE_DIM} numbers", line_no)
+            try:
+                features = None if inline is None else FeatureVector(values=inline)
+            except (ValueError, OverflowError) as exc:
+                raise ParseError(f"bad feature vector: {exc}", line_no) from exc
+            return session.frame(rec, features), False
+        if kind != "end_session":
+            return _error("protocol_error", f"unknown message type {kind!r}"), True
+        try:
+            unknown = set(msg) - {"k", "h0"}
+            if unknown:
+                raise ValueError(f"unknown keys {sorted(unknown)}")
+            summarizer_cfg = SummarizerConfig(k=msg["k"], h0=msg["h0"])
+        except (KeyError, ValueError) as exc:
+            return _error("protocol_error", f"bad end_session: {exc}"), True
+        return dumps_wire({"type": "summary", **manifest_to_dict(session.end(summarizer_cfg))}), True
+    except PipelineError as exc:
+        return _error("data_error", str(exc)), True
 
 
 class _SessionHandler(socketserver.StreamRequestHandler):
@@ -162,21 +196,15 @@ class _SessionHandler(socketserver.StreamRequestHandler):
         self.wfile.write((line + "\n").encode("utf-8"))
         self.wfile.flush()
 
-    def _fail(self, code: str, msg: str) -> None:
-        try:
-            self._reply(dumps_wire({"type": "error", "code": code, "msg": msg}))
-        except OSError:
-            pass
-
     def handle(self) -> None:
         session = Session(self.server.service_config)  # type: ignore[attr-defined]
         self.connection.settimeout(IDLE_TIMEOUT_S)
-        line_no = 0
         try:
-            while raw := self.rfile.readline(MAX_LINE_BYTES):
-                line_no += 1
+            for line_no in itertools.count(1):
+                raw = self.rfile.readline(MAX_LINE_BYTES)
                 if len(raw) == MAX_LINE_BYTES and not raw.endswith(b"\n"):
-                    self._fail("protocol_error", f"line {line_no}: longer than {MAX_LINE_BYTES} bytes")
+                    with contextlib.suppress(OSError):
+                        self._reply(_error("protocol_error", f"line {line_no}: longer than {MAX_LINE_BYTES} bytes"))
                     # Closing with the line's rest unread would reset the link before the client
                     # reads the error, so read it away, a bounded chunk at a time, up to the cap.
                     drained = 0
@@ -184,52 +212,21 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                         while drained < MAX_DRAIN_BYTES and (rest := self.rfile.readline(MAX_LINE_BYTES)) and not rest.endswith(b"\n"):
                             drained += len(rest)
                     return
-                try:
-                    msg = json.loads(raw.decode("utf-8"))
-                except JSON_FAULTS as exc:
-                    self._fail("parse_error", f"line {line_no}: invalid JSON ({_json_fault(exc)})")
+                reply, done = _answer(session, raw, line_no)
+                self._reply(reply)
+                if done:
                     return
-                if not isinstance(msg, dict) or "type" not in msg:
-                    self._fail("protocol_error", f"line {line_no}: message must be an object with a type")
-                    return
-                kind = msg.pop("type")
-                if kind == "frame":
-                    try:
-                        inline = msg.pop("features", None)
-                        rec, _ = frame_from_wire(msg, line=line_no)
-                        line = session.frame(rec, _decode_inline_features(inline, line_no))
-                    except PipelineError as exc:
-                        self._fail("data_error", str(exc))
-                        return
-                    self._reply(line)
-                elif kind == "end_session":
-                    try:
-                        unknown = set(msg) - {"k", "h0"}
-                        if unknown:
-                            raise ValueError(f"unknown keys {sorted(unknown)}")
-                        summarizer_cfg = SummarizerConfig(k=msg["k"], h0=msg["h0"])
-                    except (KeyError, ValueError) as exc:
-                        self._fail("protocol_error", f"bad end_session: {exc}")
-                        return
-                    try:
-                        manifest = session.end(summarizer_cfg)
-                    except PipelineError as exc:
-                        self._fail("data_error", str(exc))
-                        return
-                    self._reply(dumps_wire({"type": "summary", **manifest_to_dict(manifest)}))
-                    return
-                else:
-                    self._fail("protocol_error", f"unknown message type {kind!r}")
-                    return
-            self._fail("protocol_error", "stream ended before end_session")
         except (ConnectionResetError, BrokenPipeError):
             logger.info("client disconnected mid-session")
+            return
         except TimeoutError:
             logger.info("closing a connection silent for %s s", IDLE_TIMEOUT_S)
-            self._fail("protocol_error", f"no message within the {IDLE_TIMEOUT_S} s idle timeout")
+            reply = _error("protocol_error", f"no message within the {IDLE_TIMEOUT_S} s idle timeout")
         except Exception as exc:
             logger.exception("session failed unexpectedly")
-            self._fail("internal_error", f"{type(exc).__name__}: {exc}")
+            reply = _error("internal_error", f"{type(exc).__name__}: {exc}")
+        with contextlib.suppress(OSError):
+            self._reply(reply)
 
 
 class FrameServer(socketserver.ThreadingTCPServer):

@@ -88,7 +88,7 @@ def assign_clusters(timestamps: Sequence[float] | np.ndarray, h: float) -> list[
 
 
 def adapt_threshold(
-    timestamps: Sequence[float] | np.ndarray, k: int, h0: float = 60.0
+    timestamps: Sequence[float] | np.ndarray, k: int, h0: float = SummarizerConfig.h0
 ) -> tuple[float, list[Cluster]]:
     """Gap threshold ``h = h0 * 2**j`` giving at least ``k`` clusters while ``2h`` gives fewer.
 

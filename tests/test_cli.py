@@ -1,17 +1,23 @@
 """End-to-end CLI flows, exit codes, and flag/config handling."""
 
+import dataclasses
 import json
+import math
 import socket
+import tempfile
 import threading
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import UNDECODABLE_JSON
 from robosum import frameio, scenario
-from robosum.cli import main
-from robosum.scenario import ActivitySegment, Injection, ScenarioSpec, spec_to_dict
+from robosum.cli import AppConfig, main
+from robosum.scenario import ActivitySegment, Injection, ScenarioSpec, Waypoint, spec_to_dict
 from robosum.model import FEATURE_DIM, IllPosedReason
 from robosum.service import ServiceConfig, run_server_in_thread
 
@@ -93,6 +99,18 @@ class TestUsageErrors:
         # either first would exit 2: exit 1 shows the check comes before both.
         assert main([argv[0], "--frames", str(tmp_path / "missing.jsonl"), *argv[1:]]) == 1
         assert "must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, msg", [
+        (["serve", "--addr", "8765"], "--addr must look like HOST:PORT, got '8765'"),
+        (["serve", "--addr", ":8765"], "--addr must look like HOST:PORT, got ':8765'"),
+        (["replay", "--addr", "127.0.0.1:port", "--frames", "frames.jsonl"], "bad port in '127.0.0.1:port'"),
+        (["--config", "missing.json", "simulate", "--frames", "frames.jsonl", "--out", "t.jsonl"],
+         "cannot read config file: "),
+    ], ids=["no-port", "no-host", "bad-port", "missing-config"])
+    def test_bad_addr_or_missing_config_is_usage_error(self, tmp_path, monkeypatch, capsys, argv, msg):
+        monkeypatch.chdir(tmp_path)  # no file argv names exists here
+        assert main(argv) == 1
+        assert f"error: {msg}" in capsys.readouterr().err
 
     def test_missing_required_flag(self):
         assert main(["summarize"]) == 1
@@ -389,6 +407,56 @@ class TestPipeline:
         assert report_obj["rejected_by_reason"]["Blurred"] == 120
 
 
+class TestVerbose:
+    def test_filter_prints_the_kept_count(self, pipeline_files, capsys):
+        tmp_path, frames, _ = pipeline_files
+        assert main(["--verbose", "filter", "--frames", str(frames), "--out", str(tmp_path / "wp.jsonl"),
+                     "--report", str(tmp_path / "report.json")]) == 0
+        assert "kept 110/120 frames" in capsys.readouterr().err.splitlines()
+
+    def test_summarize_prints_one_histogram_line_per_cluster(self, tmp_path, capsys):
+        spec = ScenarioSpec(
+            duration_s=120.0,
+            fps=1.0,
+            activity_segments=(ActivitySegment(0.0, 30.0, activity_id=3), ActivitySegment(90.0, 120.0, activity_id=40)),
+            rng_seed=5,
+        )
+        spec_path = write_spec(tmp_path, spec)
+        frames, feats, kept, summary = (tmp_path / name for name in ("frames.jsonl", "feat.bin", "kept.jsonl", "s.json"))
+        assert main(["gen", "--spec", str(spec_path), "--out", str(frames), "--features", str(feats)]) == 0
+        assert main(["filter", "--frames", str(frames), "--out", str(kept), "--report", str(tmp_path / "r.json")]) == 0
+        capsys.readouterr()
+        assert main(["--verbose", "summarize", "--frames", str(kept), "--features", str(feats),
+                     "--k", "2", "--out", str(summary)]) == 0
+        bars = [line.split() for line in capsys.readouterr().err.splitlines() if line.startswith("cluster")]
+        assert json.loads(summary.read_text())["m"] == 2
+        assert [(bar[1], bar[-2]) for bar in bars] == [("1", "30"), ("2", "30")]
+
+    def test_summarize_warns_of_a_session_shorter_than_k(self, pipeline_files, capsys):
+        tmp_path, frames, feats = pipeline_files
+        short = tmp_path / "short.jsonl"
+        short.write_text("".join(frames.read_text().splitlines(keepends=True)[:3]))
+        summary = tmp_path / "s.json"
+        assert main(["summarize", "--frames", str(short), "--features", str(feats), "--k", "8", "--out", str(summary)]) == 0
+        assert "warning: session has fewer frames (3) than requested keyframes (8)" in capsys.readouterr().err
+        assert len(json.loads(summary.read_text())["entries"]) == 3
+
+    def test_replay_prints_the_action_count_at_a_numeric_rate(self, pipeline_files, capsys):
+        _, frames, _ = pipeline_files
+        server, thread = run_server_in_thread(ServiceConfig())
+        host, port = server.bound_address
+        try:
+            with mock.patch("robosum.service.time") as clock:
+                assert main(["--verbose", "replay", "--addr", f"{host}:{port}", "--frames", str(frames),
+                             "--rate", "4"]) == 0
+        finally:
+            server.shutdown()
+            server.server_close()
+        # Frames 1 s apart at 4x real time: a quarter second between sends.
+        assert clock.sleep.call_args_list == [mock.call(0.25)] * 119
+        assert "received 120 action replies" in capsys.readouterr().err.splitlines()
+
+
 class TestBaselines:
     def test_uniform_baseline(self, pipeline_files):
         tmp_path, frames, feats = pipeline_files
@@ -436,6 +504,30 @@ class TestSimulateAndReplay:
         finally:
             server.shutdown()
             server.server_close()
+
+    def test_replay_error_reply_is_exit_2_after_the_actions_before_it(self, pipeline_files, capsys):
+        # A featured frame without a blur score cannot be classified, so the server answers it with a data_error.
+        tmp_path, frames, feats = pipeline_files
+        lines = frames.read_text().splitlines(keepends=True)
+        frame = json.loads(lines[60])
+        assert frame["feat_row"] is not None and frame["blur_var"] is not None
+        lines[60] = json.dumps({**frame, "blur_var": None}) + "\n"
+        scoreless = tmp_path / "scoreless.jsonl"
+        scoreless.write_text("".join(lines))
+        trace, replies = tmp_path / "trace.jsonl", tmp_path / "replies.jsonl"
+        assert main(["simulate", "--frames", str(scoreless), "--out", str(trace)]) == 0
+        server, thread = run_server_in_thread(ServiceConfig())
+        host, port = server.bound_address
+        try:
+            code = main(["replay", "--addr", f"{host}:{port}", "--frames", str(scoreless),
+                         "--features", str(feats), "--out", str(replies)])
+        finally:
+            server.shutdown()
+            server.server_close()
+        error = '{"type":"error","code":"data_error","msg":"frame 60: blur variance absent and no image supplied"}'
+        assert code == 2
+        assert f"error: server replied: {error}\n" in capsys.readouterr().err
+        assert replies.read_text().splitlines() == trace.read_text().splitlines()[:60] + [error]
 
     def test_replay_sends_the_configured_k_and_h0(self, pipeline_files):
         tmp_path, frames, _ = pipeline_files
@@ -485,3 +577,123 @@ class TestSimulateAndReplay:
         finally:
             server.shutdown()
             server.server_close()
+
+
+# --- no input escapes main -----------------------------------------------------------
+
+FUZZ_SPEC = ScenarioSpec(
+    duration_s=12.0,
+    fps=1.0,
+    activity_segments=(ActivitySegment(0.0, 12.0, activity_id=3),),
+    ill_posed_injections=(Injection(2.0, 4.0, IllPosedReason.BLURRED),),
+    person_trajectory=(Waypoint(0.0, 320.0, 170.0, 150.0), Waypoint(12.0, 340.0, 170.0, 150.0)),
+    rng_seed=5,
+)
+FUZZ_CONFIG = {f.name: dataclasses.asdict(getattr(AppConfig(), f.name)) for f in dataclasses.fields(AppConfig)}
+FUZZ_PGM_HEADER = b"P5\n32 32\n255\n"
+
+
+def fuzz_files() -> dict[str, bytes]:
+    """The files of a small session by name: frames with features, the same frames with images instead of blur scores."""
+    frames, truth = scenario.generate_session(FUZZ_SPEC)
+    blurred = {t.frame_id for t in truth if t.reason is IllPosedReason.BLURRED}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        with open(root / "frames.jsonl", "w", encoding="utf-8") as fh:
+            frameio.save_features(frameio.write_frames_jsonl(frames, fh), root / "feat.bin")
+        with open(root / "imaged.jsonl", "w", encoding="utf-8") as fh:
+            frameio.write_frames_jsonl([dataclasses.replace(r, blur_variance=None, features=None) for r in frames], fh)
+        for rec in frames:
+            frameio.save_pgm(scenario.frame_image(rec.frame_id, rec.frame_id in blurred), root / f"{rec.frame_id}.pgm")
+        return {p.name: p.read_bytes() for p in root.iterdir()}
+
+
+FUZZ_FILES = fuzz_files()
+# "{d}" is the run's directory, which holds the images too.
+FUZZ_COMMANDS = {
+    "gen": ["gen", "--spec", "{d}/spec.json", "--out", "{d}/out.jsonl", "--features", "{d}/out.bin"],
+    "gen-images": ["gen", "--spec", "{d}/spec.json", "--out", "{d}/out.jsonl", "--images", "{d}/out"],
+    "filter": ["filter", "--frames", "{d}/frames.jsonl", "--out", "{d}/out.jsonl", "--report", "{d}/report.json"],
+    "filter-images": ["filter", "--frames", "{d}/imaged.jsonl", "--images", "{d}", "--out", "{d}/out.jsonl", "--report", "{d}/report.json"],
+    "summarize": ["summarize", "--frames", "{d}/frames.jsonl", "--features", "{d}/feat.bin", "--k", "3", "--out", "{d}/summary.json"],
+    "uniform": ["baseline", "--method", "uniform", "--frames", "{d}/frames.jsonl", "--out", "{d}/summary.json"],
+    "kmeans": ["baseline", "--method", "kmeans", "--frames", "{d}/frames.jsonl", "--features", "{d}/feat.bin", "--out", "{d}/summary.json"],
+    "simulate": ["simulate", "--frames", "{d}/frames.jsonl", "--out", "{d}/trace.jsonl"],
+}
+# The subcommands that read each mutated input.
+FUZZ_READERS = {
+    "frames": [name for name in FUZZ_COMMANDS if not name.startswith("gen")],
+    "config": list(FUZZ_COMMANDS),
+    "spec": ["gen", "gen-images"],
+    "features": ["summarize", "kmeans"],
+    "pgm": ["filter-images"],
+}
+JSON_VALUES = st.sampled_from(
+    [None, True, False, -1, 0, 0.5, 7, 2**64, 10**400, 1e308, -1e308, math.nan, math.inf, "", "x", [], [0.5, 0.5, 0.9], {}, {"x": 1}]
+)
+PGM_TOKENS = st.sampled_from([b"", b"0", b"1", b"-1", b"+32", b"3_2", b"31", b"33", b"1024", b"9" * 5000, b"65535", b"x", b"P2"])
+
+
+@st.composite
+def mutated(draw, obj):
+    """A copy of the JSON object or array ``obj`` with one field, at some depth, replaced, dropped or added."""
+    obj = dict(obj) if isinstance(obj, dict) else list(obj)
+    keys = list(obj) if isinstance(obj, dict) else list(range(len(obj)))
+    how = draw(st.sampled_from(["replace", "drop", "add", "descend"] if keys else ["add"]))
+    if how == "add":
+        if isinstance(obj, dict):
+            obj["extra"] = draw(JSON_VALUES)
+        else:
+            obj.append(draw(JSON_VALUES))
+        return obj
+    key = draw(st.sampled_from(keys))
+    if how == "drop":
+        del obj[key]
+    elif how == "descend" and isinstance(obj[key], (dict, list)):
+        obj[key] = draw(mutated(obj[key]))
+    else:
+        obj[key] = draw(JSON_VALUES)
+    return obj
+
+
+@st.composite
+def fuzz_runs(draw):
+    """A subcommand's argv and its input files by name, one input mutated."""
+    files, config, spec = dict(FUZZ_FILES), FUZZ_CONFIG, spec_to_dict(FUZZ_SPEC)
+    target = draw(st.sampled_from(sorted(FUZZ_READERS)))
+    argv = FUZZ_COMMANDS[draw(st.sampled_from(FUZZ_READERS[target]))]
+    if target == "frames":
+        name = argv[argv.index("--frames") + 1].removeprefix("{d}/")
+        lines = files[name].splitlines(keepends=True)
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = json.dumps(draw(mutated(json.loads(lines[i])))).encode() + b"\n"
+        files[name] = b"".join(lines)
+    elif target == "config":
+        config = draw(mutated(config))
+    elif target == "spec":
+        spec = draw(mutated(spec))
+    elif target == "features":
+        files["feat.bin"] = files["feat.bin"][: draw(st.integers(0, len(files["feat.bin"]) - 1))]
+    else:
+        name = f"{draw(st.integers(0, FUZZ_SPEC.frame_count - 1))}.pgm"
+        assert files[name].startswith(FUZZ_PGM_HEADER)
+        if draw(st.booleans()):
+            files[name] = files[name][: draw(st.integers(0, len(files[name]) - 1))]
+        else:
+            tokens = FUZZ_PGM_HEADER.split()
+            tokens[draw(st.integers(0, 3))] = draw(PGM_TOKENS)
+            files[name] = b"%s\n%s %s\n%s\n" % tuple(tokens) + files[name][len(FUZZ_PGM_HEADER) :]
+    files["config.json"] = json.dumps(config).encode()
+    files["spec.json"] = json.dumps(spec).encode()
+    return ["--config", "{d}/config.json", *argv], files
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzz_runs())
+def test_no_input_escapes_main(run):
+    # A fresh directory per example: Hypothesis runs every example in one call of the test.
+    argv, files = run
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in files.items():
+            (Path(tmp) / name).write_bytes(data)
+        assert main([a.replace("{d}", tmp) for a in argv]) in (0, 1, 2)

@@ -201,6 +201,9 @@ class TestFramesJsonl:
                 ("t", huge, "t is too large for a float"),
                 ("blur_var", huge, "blur_var is too large for a float"),
                 ("landmarks", huge_x, "landmark 1 x is too large for a float"),
+                # The filter and the controller compute with w and h as floats.
+                ("w", huge, "frame 0: dimensions must be positive and fit in a float"),
+                ("h", huge, "frame 0: dimensions must be positive and fit in a float"),
             )
             for key, value, msg in cases:
                 line = json.dumps(dict(obj, **{key: value})) + "\n"
@@ -532,6 +535,16 @@ class TestPgm:
         path = tmp_path / "frame.pgm"
         path.write_bytes(header + b"\x00" * 64)
         with pytest.raises(ParseError, match=f"PGM header {field} must be decimal digits"):
+            frameio.load_pgm(path)
+
+    @pytest.mark.parametrize(
+        "header", [b"P5\n" + b"9" * 5000 + b" 3\n255\n", b"P5\n0 " + b"9" * 20 + b"\n255\n"], ids=["digits", "empty"]
+    )
+    def test_header_numbers_past_what_python_or_numpy_hold_are_parse_errors(self, tmp_path, header):
+        # int() takes at most 4,300 digits; a zero-width image passes the payload check at any height.
+        path = tmp_path / "frame.pgm"
+        path.write_bytes(header + b"\x00" * 64)
+        with pytest.raises(ParseError, match="PGM header numbers too large"):
             frameio.load_pgm(path)
 
     def test_rejects_truncated(self, tmp_path):

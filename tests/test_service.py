@@ -163,6 +163,26 @@ class TestReplay:
         replay_session(*server, parsed, features=matrix, k=3, h0=60.0)
         assert nodelay and all(nodelay)
 
+    def test_error_reply_ends_the_replay_after_the_actions_before_it(self, server):
+        import io
+
+        frames, _ = generate_session(session_spec())
+        mid = 40  # inside the first activity segment, past the blurred frames
+        assert frames[mid].features is not None and frames[mid].blur_variance is not None
+        frames[mid] = replace(frames[mid], blur_variance=None)  # a featured frame the server cannot classify
+        buf = io.StringIO()
+        matrix = frameio.write_frames_jsonl(frames, buf)
+        buf.seek(0)
+        parsed = frameio.parse_frames_jsonl(buf)
+        trace = io.StringIO()
+        result = replay_session(*server, parsed, features=matrix, k=4, h0=60.0, trace=trace)
+        error = dumps_wire({"type": "error", "code": "data_error",
+                            "msg": f"frame {frames[mid].frame_id}: blur variance absent and no image supplied"})
+        assert result.action_lines == tuple(simulate_actions(parsed.frames)[:mid])
+        assert result.summary_line is None
+        assert result.error_line == error
+        assert trace.getvalue().splitlines() == [*result.action_lines, error]
+
     def test_timed_rate_still_produces_ordered_replies(self, server):
         spec = ScenarioSpec(
             duration_s=5.0,
