@@ -189,7 +189,9 @@ def _cmd_summarize(args, cfg: AppConfig) -> int:
     frameio.write_summary_manifest(manifest, args.out)
     if args.verbose and len(frames) >= 1 and math.isfinite(manifest.h_star) and manifest.h_star > 0:
         clusters = assign_clusters(frames.t, manifest.h_star)
-        print(cluster_occupancy_histogram(clusters), file=sys.stderr)
+        kept = {e.cluster_index for e in manifest.entries}
+        print(cluster_occupancy_histogram(c for c in clusters if c.index in kept), file=sys.stderr)
+        print(f"{len(clusters)} clusters at h* = {manifest.h_star:g} s, {len(kept)} kept", file=sys.stderr)
     if manifest.is_short_session:
         print(
             f"warning: session has fewer frames ({len(manifest.entries)}) than requested keyframes ({manifest.k})",

@@ -36,6 +36,7 @@ from .model import (
     _checked_landmarks,
     _ints,
     check_point,
+    feature_rows,
     require_int,
     require_number,
 )
@@ -320,16 +321,20 @@ def parse_frames_jsonl(stream: Iterable[str]) -> ParseResult:
 
 
 def write_frames_jsonl(frames: Sequence[FrameRecord], stream: IO[str]) -> np.ndarray | None:
-    """Write frames as JSONL, each with its ``FrameTable.of(frames).feat_row``; returns the matrix those rows index.
+    """Write frames as JSONL, each with its feature-file row; returns the matrix those rows index.
 
-    Records get rows in frame order, one per frame with features; a parsed
-    or filtered table keeps the rows it was read with. The matrix is None
-    when there is none: no frame has features, or no matrix is bound.
+    Records get rows in frame order, one per frame with features
+    (:func:`~robosum.model.feature_rows`); a parsed or filtered table keeps
+    its own ``feat_row`` and ``features``. The matrix is None when there is
+    none: no frame has features, or no matrix is bound.
     """
-    table = FrameTable.of(frames)
-    for rec, row in zip(frames, table.feat_row.tolist()):
+    if isinstance(frames, FrameTable):
+        rows, matrix = frames.feat_row.tolist(), frames.features
+    else:
+        rows, matrix = feature_rows(frames)
+    for rec, row in zip(frames, rows):
         stream.write(json.dumps(frame_to_wire(rec, None if row < 0 else row)) + "\n")
-    return table.features
+    return matrix
 
 
 def check_feat_row_bounds(frames: FrameTable, count: int) -> None:

@@ -6,7 +6,8 @@ the segment's activity; frames outside every segment show nobody. Targeted
 ill-posed injections override a time range so that exactly one rejection
 rule (and no higher-precedence rule) fires there. The generator validates
 this constructively with its own copy of the rule arithmetic, so the truth
-labels are an independent oracle for the content filter.
+labels are an independent oracle for the content filter. Each step works on
+the whole session's columns at once.
 
 All randomness comes from one seeded PCG64 generator consumed in a fixed
 order, making output byte-identical for a given spec.
@@ -14,6 +15,7 @@ order, making output byte-identical for a given spec.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -22,7 +24,6 @@ import numpy as np
 from .content_filter import FilterConfig
 from .errors import PipelineError
 from .model import (
-    ABSENT,
     FEATURE_DIM,
     L_ANKLE,
     L_EAR,
@@ -43,12 +44,14 @@ from .model import (
     R_KNEE,
     R_SHOULDER,
     R_WRIST,
-    FeatureVector,
     FrameRecord,
+    FrameTable,
     IllPosedReason,
-    LandmarkSet,
+    _ints,
     build_fields,
     check_config_fields,
+    check_points,
+    check_unit_range,
     read_fields,
 )
 
@@ -184,139 +187,116 @@ class FrameTruth:
     segment_id: int | None = None
 
 
-def _trajectory_at(spec: ScenarioSpec, t: float) -> tuple[float, float, float]:
-    """Neck (x, y) and torso length at time t; centered defaults if unset."""
+#: The labels in the oracle's check order, well-posed (None) last; a frame's label code is its index here.
+_LABELS = (
+    *map(IllPosedReason, ("PeopleAbsent", "Blurred", "TooSmall", "AtCorner", "ForeheadCropped", "EyesInvisible")), None
+)
+_CODE = {label: code for code, label in enumerate(_LABELS)}
+
+#: The oracle's messages, one pair per ill-posed label in check order: for a frame with that label that
+#: lacks the label's defect, and for a frame with a later label that shows it.
+_FAULTS = (
+    ("landmarks present", "no visible landmarks"),
+    ("blur variance not below threshold", "frame unintentionally blurred"),
+    ("person too large", "person unintentionally too small"),
+    ("person not at a corner", "person unintentionally at a corner"),
+    ("nose not above the forehead margin", "forehead unintentionally cropped"),
+    ("an eye is still visible", "eyes unintentionally invisible"),
+)
+
+
+def _below(values: np.ndarray, bound) -> np.ndarray:
+    """``values < bound`` as Python compares, also for an int ``bound`` past 2**53 (numpy rounds it to a float first)."""
+    near = float(bound)
+    return values < near if near >= bound else values <= near
+
+
+def _trajectory(spec: ScenarioSpec, times: np.ndarray) -> list[np.ndarray]:
+    """Neck x, neck y and torso length at each time; centered defaults if the spec has no waypoints."""
     wps = spec.person_trajectory
     if not wps:
-        return spec.frame_width / 2.0, 0.35 * spec.frame_height, 0.3125 * spec.frame_height
-    times = [w.t for w in wps]
-    x = float(np.interp(t, times, [w.x for w in wps]))
-    y = float(np.interp(t, times, [w.y for w in wps]))
-    torso = float(np.interp(t, times, [w.torso_px for w in wps]))
-    return x, y, torso
+        at = (spec.frame_width / 2.0, 0.35 * spec.frame_height, 0.3125 * spec.frame_height)
+        return [np.full(len(times), value) for value in at]
+    ts = [w.t for w in wps]
+    return [np.interp(times, ts, [getattr(w, name) for w in wps]) for name in ("x", "y", "torso_px")]
 
 
-def _build_landmarks(
-    cx: float, neck_y: float, torso: float, width: int, height: int, drop_eyes: bool = False
-) -> LandmarkSet:
-    """Synthesize an 18-point skeleton; points outside the frame are absent."""
-    nose_y = neck_y - _HEAD_RISE * torso
-    spots: dict[int, tuple[float, float]] = {
-        NOSE: (cx, nose_y),
-        NECK: (cx, neck_y),
-        R_EYE: (cx - 0.06 * torso, nose_y - 0.04 * torso),
-        L_EYE: (cx + 0.06 * torso, nose_y - 0.04 * torso),
-        R_EAR: (cx - 0.12 * torso, nose_y + 0.02 * torso),
-        L_EAR: (cx + 0.12 * torso, nose_y + 0.02 * torso),
-        R_SHOULDER: (cx - 0.22 * torso, neck_y + 0.05 * torso),
-        L_SHOULDER: (cx + 0.22 * torso, neck_y + 0.05 * torso),
-        R_ELBOW: (cx - 0.30 * torso, neck_y + 0.45 * torso),
-        L_ELBOW: (cx + 0.30 * torso, neck_y + 0.45 * torso),
-        R_WRIST: (cx - 0.32 * torso, neck_y + 0.85 * torso),
-        L_WRIST: (cx + 0.32 * torso, neck_y + 0.85 * torso),
-        R_HIP: (cx - _HIP_DX * torso, neck_y + _HIP_DY * torso),
-        L_HIP: (cx + _HIP_DX * torso, neck_y + _HIP_DY * torso),
-        R_KNEE: (cx - 0.11 * torso, neck_y + 1.5 * torso),
-        L_KNEE: (cx + 0.11 * torso, neck_y + 1.5 * torso),
-        R_ANKLE: (cx - 0.12 * torso, neck_y + _BODY_DROP * torso),
-        L_ANKLE: (cx + 0.12 * torso, neck_y + _BODY_DROP * torso),
-    }
-    points = [ABSENT] * NUM_LANDMARKS
-    for idx, (x, y) in spots.items():
-        if drop_eyes and idx in (R_EYE, L_EYE):
-            continue
-        if 0 <= x < width and 0 <= y < height:
-            points[idx] = (x, y, _POINT_CONFIDENCE)
-    return LandmarkSet(points=points)
+def _geometry(codes: np.ndarray, times: np.ndarray, spec: ScenarioSpec, cfg: FilterConfig) -> np.ndarray:
+    """Every frame's 18 points, an (n, 18, 3) array with NaN rows for absent points, realizing its label.
 
-
-def _geometry_for(
-    reason: IllPosedReason | None,
-    cx: float,
-    neck_y: float,
-    torso: float,
-    spec: ScenarioSpec,
-    cfg: FilterConfig,
-) -> LandmarkSet | None:
-    """Landmarks realizing the intended label at the trajectory point."""
+    A frame takes the geometry of the first frame with its label and its trajectory point rounded to
+    10**-4 px, by Python's ``round`` (numpy's rounds some values the other way).
+    """
     w, h = spec.frame_width, spec.frame_height
-    if reason is IllPosedReason.PEOPLE_ABSENT:
-        return None
-    if reason is IllPosedReason.AT_CORNER:
-        cx = cfg.corner_margin_fraction * w * 0.5
-    elif reason is IllPosedReason.FOREHEAD_CROPPED:
-        neck_y = _EYE_RISE * torso + 0.5
-    elif reason is IllPosedReason.TOO_SMALL:
-        torso = cfg.min_torso_fraction * h / _BBOX_FACTOR * 0.8
-    return _build_landmarks(
-        cx, neck_y, torso, w, h, drop_eyes=reason is IllPosedReason.EYES_INVISIBLE
-    )
+    columns = _trajectory(spec, times)
+    keys = list(zip(codes.tolist(), *(map(round, c.tolist(), itertools.repeat(4)) for c in columns)))
+    first: dict[tuple, int] = {}
+    source = np.array([first.setdefault(key, i) for i, key in enumerate(keys)], dtype=np.intp)
+    cx, neck_y, torso = (c[source] for c in columns)
+    cx = np.where(codes == _CODE[IllPosedReason.AT_CORNER], cfg.corner_margin_fraction * w * 0.5, cx)
+    neck_y = np.where(codes == _CODE[IllPosedReason.FOREHEAD_CROPPED], _EYE_RISE * torso + 0.5, neck_y)
+    torso = np.where(codes == _CODE[IllPosedReason.TOO_SMALL], cfg.min_torso_fraction * h / _BBOX_FACTOR * 0.8, torso)
+
+    nose_y = neck_y - _HEAD_RISE * torso
+    spots = {NOSE: (cx, nose_y), NECK: (cx, neck_y)}
+    # Each right point and its left mirror image about cx: their x offset and their y, in torso lengths.
+    for (right, left), dx, y in (
+        ((R_EYE, L_EYE), 0.06, nose_y - 0.04 * torso),
+        ((R_EAR, L_EAR), 0.12, nose_y + 0.02 * torso),
+        ((R_SHOULDER, L_SHOULDER), 0.22, neck_y + 0.05 * torso),
+        ((R_ELBOW, L_ELBOW), 0.30, neck_y + 0.45 * torso),
+        ((R_WRIST, L_WRIST), 0.32, neck_y + 0.85 * torso),
+        ((R_HIP, L_HIP), _HIP_DX, neck_y + _HIP_DY * torso),
+        ((R_KNEE, L_KNEE), 0.11, neck_y + 1.5 * torso),
+        ((R_ANKLE, L_ANKLE), 0.12, neck_y + _BODY_DROP * torso),
+    ):
+        spots[right], spots[left] = (cx - dx * torso, y), (cx + dx * torso, y)
+    points = np.full((len(codes), NUM_LANDMARKS, 3), _POINT_CONFIDENCE)
+    for idx, (x, y) in spots.items():
+        points[:, idx, 0], points[:, idx, 1] = x, y
+    x, y = points[:, :, 0], points[:, :, 1]
+    # Points outside the frame are absent, as are the eyes of EyesInvisible and everything of PeopleAbsent.
+    shown = (0 <= x) & _below(x, w) & (0 <= y) & _below(y, h)
+    shown[np.ix_(codes == _CODE[IllPosedReason.EYES_INVISIBLE], [R_EYE, L_EYE])] = False
+    shown[codes == _CODE[IllPosedReason.PEOPLE_ABSENT]] = False
+    points[~shown] = np.nan
+    return points
 
 
 def _check_intended(
-    frame_id: int,
-    reason: IllPosedReason | None,
-    lm: LandmarkSet | None,
-    blur: float,
-    spec: ScenarioSpec,
-    cfg: FilterConfig,
+    codes: np.ndarray, points: np.ndarray, blur: np.ndarray, spec: ScenarioSpec, cfg: FilterConfig
 ) -> None:
-    """Constructive guarantee: the built frame must match its intended label.
+    """Constructive guarantee: every built frame must match its intended label.
 
+    Each ill-posed label has a defect: no visible point for PeopleAbsent,
+    then one rule's. Checked in :data:`_LABELS` order, a frame with that
+    label must show the defect and a frame with a later label must not; the
+    first frame that fails a check raises, naming its first failed check.
     Deliberately re-derives the rule arithmetic instead of calling the
     content filter, so generated labels stay an independent oracle.
     """
     w, h = spec.frame_width, spec.frame_height
-
-    def fail(msg: str) -> None:
-        raise PipelineError(f"frame {frame_id}: cannot realize label {reason}: {msg}")
-
-    if reason is IllPosedReason.PEOPLE_ABSENT:
-        if lm is not None:
-            fail("landmarks present")
-        return
-    pts = [] if lm is None else lm.rows()
-    if all(p is None for p in pts):
-        fail("no visible landmarks")
-    ys = [p[1] for p in pts if p is not None]
-    xs = [p[0] for p in pts if p is not None]
-    bbox_h = max(ys) - min(ys)
+    x, y = points[:, :, 0], points[:, :, 1]
+    seen = ~np.isnan(x)
+    lo_x, hi_x = np.fmin.reduce(x, axis=1), np.fmax.reduce(x, axis=1)  # NaN where no point is seen
+    bbox_h = np.fmax.reduce(y, axis=1) - np.fmin.reduce(y, axis=1)
     margin = cfg.corner_margin_fraction * w
-    neck = pts[NECK]
-    center_x = neck[0] if neck is not None else (min(xs) + max(xs)) / 2.0
-    nose = pts[NOSE]
-    eyes_visible = pts[R_EYE] is not None or pts[L_EYE] is not None
-
-    if reason is IllPosedReason.BLURRED:
-        if blur >= cfg.blur_threshold:
-            fail("blur variance not below threshold")
-        return
-    if blur < cfg.blur_threshold:
-        fail("frame unintentionally blurred")
-    if reason is IllPosedReason.TOO_SMALL:
-        if bbox_h >= cfg.min_torso_fraction * h:
-            fail("person too large")
-        return
-    if bbox_h < cfg.min_torso_fraction * h:
-        fail("person unintentionally too small")
-    if reason is IllPosedReason.AT_CORNER:
-        if margin < center_x < w - margin:
-            fail("person not at a corner")
-        return
-    if not margin < center_x < w - margin:
-        fail("person unintentionally at a corner")
-    if reason is IllPosedReason.FOREHEAD_CROPPED:
-        if nose is None or nose[1] >= cfg.forehead_margin_fraction * h:
-            fail("nose not above the forehead margin")
-        return
-    if nose is not None and nose[1] < cfg.forehead_margin_fraction * h:
-        fail("forehead unintentionally cropped")
-    if reason is IllPosedReason.EYES_INVISIBLE:
-        if eyes_visible:
-            fail("an eye is still visible")
-        return
-    if not eyes_visible:
-        fail("eyes unintentionally invisible")
+    center_x = np.where(seen[:, NECK], x[:, NECK], (lo_x + hi_x) / 2.0)
+    # The fractions lie in (0, 0.5), so a fraction times w or h is a float and numpy compares it exactly.
+    defects = (
+        ~seen.any(axis=1),
+        _below(blur, cfg.blur_threshold),
+        bbox_h < cfg.min_torso_fraction * h,
+        ~((margin < center_x) & (center_x < w - margin)),
+        seen[:, NOSE] & (y[:, NOSE] < cfg.forehead_margin_fraction * h),
+        ~(seen[:, R_EYE] | seen[:, L_EYE]),
+    )
+    failed = np.array([np.where(codes == code, ~defect, (codes > code) & defect) for code, defect in enumerate(defects)])
+    failing = np.flatnonzero(failed.any(axis=0))
+    if failing.size:
+        i = int(failing[0])
+        check, code = int(np.argmax(failed[:, i])), int(codes[i])
+        raise PipelineError(f"frame {i}: cannot realize label {_LABELS[code]}: {_FAULTS[check][code != check]}")
 
 
 def generate_session(
@@ -325,7 +305,9 @@ def generate_session(
     """Produce (frames, truth) on the spec's 1/fps grid.
 
     ``cfg`` is the filter configuration the labels must hold under
-    (defaults match the filter's defaults).
+    (defaults match the filter's defaults). The session is built as one
+    read-only :class:`~robosum.model.FrameTable`, and the records are its
+    rows' views.
     """
     cfg = cfg or FilterConfig()
     n = spec.frame_count
@@ -342,12 +324,9 @@ def generate_session(
         sigma[mask] = seg.feature_noise_sigma
         onehot_col[mask] = seg.activity_id
 
-    reasons: list[IllPosedReason | None] = [
-        None if segment_id[i] >= 0 else IllPosedReason.PEOPLE_ABSENT for i in range(n)
-    ]
+    codes = np.where(segment_id >= 0, _CODE[None], _CODE[IllPosedReason.PEOPLE_ABSENT])
     for inj in spec.ill_posed_injections:
-        for i in np.flatnonzero((times >= inj.start_s) & (times < inj.end_s)):
-            reasons[int(i)] = inj.reason
+        codes[(times >= inj.start_s) & (times < inj.end_s)] = _CODE[inj.reason]
 
     # Fixed RNG consumption order keeps output byte-identical per seed.
     noise = rng.normal(0.0, 1.0, size=(n, FEATURE_DIM)) if n else np.zeros((0, FEATURE_DIM))
@@ -359,42 +338,22 @@ def generate_session(
     features[rows, onehot_col[rows]] += 1.0
     np.clip(features, 0.0, 1.0, out=features)
     features = features.astype(np.float32)
+    check_unit_range(features)
 
-    landmark_cache: dict[tuple, LandmarkSet | None] = {}
-    frames: list[FrameRecord] = []
-    truth: list[FrameTruth] = []
-    for i in range(n):
-        t = float(times[i])
-        reason = reasons[i]
-        cx, neck_y, torso = _trajectory_at(spec, t)
-        key = (reason, round(cx, 4), round(neck_y, 4), round(torso, 4))
-        if key in landmark_cache:
-            lm = landmark_cache[key]
-        else:
-            lm = _geometry_for(reason, cx, neck_y, torso, spec, cfg)
-            landmark_cache[key] = lm
-        blur = float(dull_blur[i] if reason is IllPosedReason.BLURRED else sharp_blur[i])
-        _check_intended(i, reason, lm, blur, spec, cfg)
-        frames.append(
-            FrameRecord(
-                frame_id=i,
-                timestamp=t,
-                width=spec.frame_width,
-                height=spec.frame_height,
-                landmarks=lm,
-                blur_variance=blur,
-                features=FeatureVector(values=features[i]),
-            )
-        )
-        truth.append(
-            FrameTruth(
-                frame_id=i,
-                well_posed=reason is None,
-                reason=reason,
-                segment_id=int(segment_id[i]) if segment_id[i] >= 0 else None,
-            )
-        )
-    return frames, truth
+    points = _geometry(codes, times, spec, cfg)
+    check_points(points)
+    blur = np.where(codes == _CODE[IllPosedReason.BLURRED], dull_blur, sharp_blur)
+    _check_intended(codes, points, blur, spec, cfg)
+    ids, person = np.arange(n), codes != _CODE[IllPosedReason.PEOPLE_ABSENT]
+    # Every frame has features: its feature row is its own index.
+    table = FrameTable(
+        ids, times, _ints([spec.frame_width] * n), _ints([spec.frame_height] * n), blur, person, points, ids, features
+    )
+    truth = [
+        FrameTruth(i, code == _CODE[None], _LABELS[code], None if seg < 0 else seg)
+        for i, (code, seg) in enumerate(zip(codes.tolist(), segment_id.tolist()))
+    ]
+    return list(table), truth
 
 
 def frame_image(frame_id: int, blurred: bool, seed: int = 0) -> np.ndarray:

@@ -432,6 +432,18 @@ class TestVerbose:
         assert json.loads(summary.read_text())["m"] == 2
         assert [(bar[1], bar[-2]) for bar in bars] == [("1", "30"), ("2", "30")]
 
+    def test_summarize_prints_a_bar_per_kept_cluster_and_the_cluster_count(self, tmp_path, capsys):
+        # No gaps: at h* every frame is its own cluster, and only the k kept get a bar.
+        spec = ScenarioSpec(duration_s=120.0, fps=1.0, activity_segments=(ActivitySegment(0.0, 120.0, activity_id=3),))
+        frames, feats, summary = tmp_path / "frames.jsonl", tmp_path / "feat.bin", tmp_path / "s.json"
+        assert main(["gen", "--spec", str(write_spec(tmp_path, spec)), "--out", str(frames), "--features", str(feats)]) == 0
+        capsys.readouterr()
+        assert main(["--verbose", "summarize", "--frames", str(frames), "--features", str(feats), "--out", str(summary)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        k = AppConfig().summarizer.k
+        assert len([line for line in err if line.startswith("cluster")]) == k
+        assert f"120 clusters at h* = 0.9375 s, {k} kept" in err
+
     def test_summarize_warns_of_a_session_shorter_than_k(self, pipeline_files, capsys):
         tmp_path, frames, feats = pipeline_files
         short = tmp_path / "short.jsonl"

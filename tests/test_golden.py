@@ -29,6 +29,17 @@ INT_TURN_TRACE_SHA256 = "32bdd3caf81f9e0303465d843259b09b93f329b097ffaae0ab3c684
 
 INT_TURN_CONFIG = {"controller": {"search_turn_deg": 30}}
 
+# The generated files themselves: ``gen --features`` (frames.jsonl and feat.bin), ``gen --images`` (frames.jsonl,
+# and the 2,100 images concatenated in frame order) and ``gen`` under CORNER_CONFIG, which moves the AtCorner
+# frames' skeletons (its feat.bin is the first run's).
+GEN_FRAMES_SHA256 = "b24a99ee2959cc8f09532427944de041065a684f1df832f6356706f177f97de4"
+GEN_FEATURES_SHA256 = "94b75bf66fb67e2c9bfdee9b28f0414e28171ee0e039626073249f490bb49445"
+GEN_IMAGES_FRAMES_SHA256 = "c61da806aa0fc13b52577e8b3a59bb246e7319b5bb295e7d7a28aaa29b2bb420"
+GEN_IMAGES_SHA256 = "1d36f95c9cdca614fd6f249dee978f2aa02c6214c163e08639daaee5cdda52cb"
+GEN_CORNER_FRAMES_SHA256 = "41ed2199728d45626010cb3208aee5f914a51d40adfd49069a549f88c47fbe77"
+
+CORNER_CONFIG = {"filter": {"corner_margin_fraction": 0.2}}
+
 
 def golden_spec() -> ScenarioSpec:
     """Three activity segments; the second gap outlasts a search cycle and the idle period."""
@@ -113,3 +124,30 @@ def test_int_config_value_stays_an_int_on_the_wire(session):
     assert sha256(data) == INT_TURN_TRACE_SHA256
     live = replay_trace(frames, feats, ServiceConfig(controller_config=ControllerConfig(**INT_TURN_CONFIG["controller"])))
     assert sha256(live) == INT_TURN_TRACE_SHA256
+
+
+def test_generated_frames_and_features(session):
+    _, frames, feats = session
+    assert sha256(frames.read_bytes()) == GEN_FRAMES_SHA256
+    assert sha256(feats.read_bytes()) == GEN_FEATURES_SHA256
+
+
+def test_generated_frames_and_images(session):
+    root, _, _ = session
+    frames, images = root / "imaged.jsonl", root / "images"
+    spec = str(root / "spec.json")
+    assert main(["--seed", str(SEED), "gen", "--spec", spec, "--out", str(frames), "--images", str(images)]) == 0
+    assert sha256(frames.read_bytes()) == GEN_IMAGES_FRAMES_SHA256
+    count = golden_spec().frame_count
+    assert len(list(images.iterdir())) == count
+    assert sha256(b"".join((images / f"{i}.pgm").read_bytes() for i in range(count))) == GEN_IMAGES_SHA256
+
+
+def test_generated_frames_under_a_moved_corner_margin(session):
+    root, _, _ = session
+    config, frames, feats = root / "corner.json", root / "corner.jsonl", root / "corner.bin"
+    config.write_text(json.dumps(CORNER_CONFIG))
+    argv = ["--config", str(config), "--seed", str(SEED), "gen", "--spec", str(root / "spec.json")]
+    assert main([*argv, "--out", str(frames), "--features", str(feats)]) == 0
+    assert sha256(frames.read_bytes()) == GEN_CORNER_FRAMES_SHA256
+    assert sha256(feats.read_bytes()) == GEN_FEATURES_SHA256

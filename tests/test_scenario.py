@@ -1,16 +1,54 @@
 """Generator determinism, label soundness, and spec validation."""
 
+import io
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from robosum.content_filter import FilterConfig, classify_frame, filter_frames, variance_of_laplacian
 from robosum.errors import PipelineError
-from robosum.model import IllPosedReason
+from robosum.frameio import write_frames_jsonl
+from robosum.model import (
+    ABSENT,
+    FEATURE_DIM,
+    L_ANKLE,
+    L_EAR,
+    L_ELBOW,
+    L_EYE,
+    L_HIP,
+    L_KNEE,
+    L_SHOULDER,
+    L_WRIST,
+    NECK,
+    NOSE,
+    NUM_LANDMARKS,
+    R_ANKLE,
+    R_EAR,
+    R_ELBOW,
+    R_EYE,
+    R_HIP,
+    R_KNEE,
+    R_SHOULDER,
+    R_WRIST,
+    FeatureVector,
+    FrameRecord,
+    IllPosedReason,
+    LandmarkSet,
+)
 from robosum.scenario import (
+    _BBOX_FACTOR,
+    _BODY_DROP,
+    _EYE_RISE,
+    _HEAD_RISE,
+    _HIP_DX,
+    _HIP_DY,
+    _POINT_CONFIDENCE,
     ActivitySegment,
+    FrameTruth,
     Injection,
     ScenarioSpec,
     Waypoint,
@@ -256,3 +294,275 @@ class TestFrameImages:
     def test_images_deterministic_per_seed_and_frame(self):
         assert np.array_equal(frame_image(5, False, seed=2), frame_image(5, False, seed=2))
         assert not np.array_equal(frame_image(5, False, seed=2), frame_image(6, False, seed=2))
+
+
+# --- The per-frame reference generator -----------------------------------------------------------------------
+# generate_session builds a session as columns. This is the same generator written frame by frame, with scalar
+# Python arithmetic: one trajectory point, one skeleton, one LandmarkSet, one FeatureVector and one oracle call per
+# frame, and a dict of skeletons keyed by the label and the trajectory point rounded to 4 decimals.
+
+
+def _trajectory_at(spec: ScenarioSpec, t: float) -> tuple[float, float, float]:
+    """Neck (x, y) and torso length at time t; centered defaults if unset."""
+    wps = spec.person_trajectory
+    if not wps:
+        return spec.frame_width / 2.0, 0.35 * spec.frame_height, 0.3125 * spec.frame_height
+    times = [w.t for w in wps]
+    x = float(np.interp(t, times, [w.x for w in wps]))
+    y = float(np.interp(t, times, [w.y for w in wps]))
+    torso = float(np.interp(t, times, [w.torso_px for w in wps]))
+    return x, y, torso
+
+
+def _build_landmarks(cx, neck_y, torso, width, height, drop_eyes=False) -> LandmarkSet:
+    """An 18-point skeleton; points outside the frame are absent."""
+    nose_y = neck_y - _HEAD_RISE * torso
+    spots = {
+        NOSE: (cx, nose_y),
+        NECK: (cx, neck_y),
+        R_EYE: (cx - 0.06 * torso, nose_y - 0.04 * torso),
+        L_EYE: (cx + 0.06 * torso, nose_y - 0.04 * torso),
+        R_EAR: (cx - 0.12 * torso, nose_y + 0.02 * torso),
+        L_EAR: (cx + 0.12 * torso, nose_y + 0.02 * torso),
+        R_SHOULDER: (cx - 0.22 * torso, neck_y + 0.05 * torso),
+        L_SHOULDER: (cx + 0.22 * torso, neck_y + 0.05 * torso),
+        R_ELBOW: (cx - 0.30 * torso, neck_y + 0.45 * torso),
+        L_ELBOW: (cx + 0.30 * torso, neck_y + 0.45 * torso),
+        R_WRIST: (cx - 0.32 * torso, neck_y + 0.85 * torso),
+        L_WRIST: (cx + 0.32 * torso, neck_y + 0.85 * torso),
+        R_HIP: (cx - _HIP_DX * torso, neck_y + _HIP_DY * torso),
+        L_HIP: (cx + _HIP_DX * torso, neck_y + _HIP_DY * torso),
+        R_KNEE: (cx - 0.11 * torso, neck_y + 1.5 * torso),
+        L_KNEE: (cx + 0.11 * torso, neck_y + 1.5 * torso),
+        R_ANKLE: (cx - 0.12 * torso, neck_y + _BODY_DROP * torso),
+        L_ANKLE: (cx + 0.12 * torso, neck_y + _BODY_DROP * torso),
+    }
+    points = [ABSENT] * NUM_LANDMARKS
+    for idx, (x, y) in spots.items():
+        if drop_eyes and idx in (R_EYE, L_EYE):
+            continue
+        if 0 <= x < width and 0 <= y < height:
+            points[idx] = (x, y, _POINT_CONFIDENCE)
+    return LandmarkSet(points=points)
+
+
+def _geometry_for(reason, cx, neck_y, torso, spec, cfg) -> LandmarkSet | None:
+    """Landmarks realizing the intended label at the trajectory point."""
+    w, h = spec.frame_width, spec.frame_height
+    if reason is IllPosedReason.PEOPLE_ABSENT:
+        return None
+    if reason is IllPosedReason.AT_CORNER:
+        cx = cfg.corner_margin_fraction * w * 0.5
+    elif reason is IllPosedReason.FOREHEAD_CROPPED:
+        neck_y = _EYE_RISE * torso + 0.5
+    elif reason is IllPosedReason.TOO_SMALL:
+        torso = cfg.min_torso_fraction * h / _BBOX_FACTOR * 0.8
+    return _build_landmarks(cx, neck_y, torso, w, h, drop_eyes=reason is IllPosedReason.EYES_INVISIBLE)
+
+
+def _check_intended(frame_id, reason, lm, blur, spec, cfg) -> None:
+    """The built frame must match its intended label, by the rule arithmetic written out again."""
+    w, h = spec.frame_width, spec.frame_height
+
+    def fail(msg: str) -> None:
+        raise PipelineError(f"frame {frame_id}: cannot realize label {reason}: {msg}")
+
+    if reason is IllPosedReason.PEOPLE_ABSENT:
+        if lm is not None:
+            fail("landmarks present")
+        return
+    pts = [] if lm is None else lm.rows()
+    if all(p is None for p in pts):
+        fail("no visible landmarks")
+    ys = [p[1] for p in pts if p is not None]
+    xs = [p[0] for p in pts if p is not None]
+    bbox_h = max(ys) - min(ys)
+    margin = cfg.corner_margin_fraction * w
+    neck = pts[NECK]
+    center_x = neck[0] if neck is not None else (min(xs) + max(xs)) / 2.0
+    nose = pts[NOSE]
+    eyes_visible = pts[R_EYE] is not None or pts[L_EYE] is not None
+
+    if reason is IllPosedReason.BLURRED:
+        if blur >= cfg.blur_threshold:
+            fail("blur variance not below threshold")
+        return
+    if blur < cfg.blur_threshold:
+        fail("frame unintentionally blurred")
+    if reason is IllPosedReason.TOO_SMALL:
+        if bbox_h >= cfg.min_torso_fraction * h:
+            fail("person too large")
+        return
+    if bbox_h < cfg.min_torso_fraction * h:
+        fail("person unintentionally too small")
+    if reason is IllPosedReason.AT_CORNER:
+        if margin < center_x < w - margin:
+            fail("person not at a corner")
+        return
+    if not margin < center_x < w - margin:
+        fail("person unintentionally at a corner")
+    if reason is IllPosedReason.FOREHEAD_CROPPED:
+        if nose is None or nose[1] >= cfg.forehead_margin_fraction * h:
+            fail("nose not above the forehead margin")
+        return
+    if nose is not None and nose[1] < cfg.forehead_margin_fraction * h:
+        fail("forehead unintentionally cropped")
+    if reason is IllPosedReason.EYES_INVISIBLE:
+        if eyes_visible:
+            fail("an eye is still visible")
+        return
+    if not eyes_visible:
+        fail("eyes unintentionally invisible")
+
+
+def reference_session(spec: ScenarioSpec, cfg: FilterConfig | None = None):
+    """(frames, truth) as generate_session gives them, built one frame at a time."""
+    cfg = cfg or FilterConfig()
+    n = spec.frame_count
+    rng = np.random.default_rng(spec.rng_seed)
+    times = np.arange(n, dtype=np.float64) / spec.fps
+    segment_id = np.full(n, -1, dtype=np.int64)
+    sigma = np.zeros(n)
+    onehot_col = np.full(n, -1, dtype=np.int64)
+    for si, seg in enumerate(spec.activity_segments):
+        mask = (times >= seg.start_s) & (times < seg.end_s)
+        segment_id[mask] = si
+        sigma[mask] = seg.feature_noise_sigma
+        onehot_col[mask] = seg.activity_id
+    reasons = [None if segment_id[i] >= 0 else IllPosedReason.PEOPLE_ABSENT for i in range(n)]
+    for inj in spec.ill_posed_injections:
+        for i in np.flatnonzero((times >= inj.start_s) & (times < inj.end_s)):
+            reasons[int(i)] = inj.reason
+    noise = rng.normal(0.0, 1.0, size=(n, FEATURE_DIM)) if n else np.zeros((0, FEATURE_DIM))
+    sharp_blur = cfg.blur_threshold + 50.0 + 250.0 * rng.random(n)
+    dull_blur = cfg.blur_threshold * (0.2 + 0.3 * rng.random(n))
+    features = sigma[:, None] * noise
+    rows = np.flatnonzero(onehot_col >= 0)
+    features[rows, onehot_col[rows]] += 1.0
+    np.clip(features, 0.0, 1.0, out=features)
+    features = features.astype(np.float32)
+
+    landmark_cache = {}
+    frames, truth = [], []
+    for i in range(n):
+        t = float(times[i])
+        reason = reasons[i]
+        cx, neck_y, torso = _trajectory_at(spec, t)
+        key = (reason, round(cx, 4), round(neck_y, 4), round(torso, 4))
+        if key in landmark_cache:
+            lm = landmark_cache[key]
+        else:
+            lm = landmark_cache[key] = _geometry_for(reason, cx, neck_y, torso, spec, cfg)
+        blur = float(dull_blur[i] if reason is IllPosedReason.BLURRED else sharp_blur[i])
+        _check_intended(i, reason, lm, blur, spec, cfg)
+        frames.append(FrameRecord(i, t, spec.frame_width, spec.frame_height, lm, blur, FeatureVector(values=features[i])))
+        segment = int(segment_id[i]) if segment_id[i] >= 0 else None
+        truth.append(FrameTruth(frame_id=i, well_posed=reason is None, reason=reason, segment_id=segment))
+    return frames, truth
+
+
+def outcome(generate, spec, cfg):
+    """What ``generate`` makes of the spec: the written frames, feature matrix, records and truth, or its error."""
+    try:
+        frames, truth = generate(spec, cfg)
+    except Exception as exc:  # the error itself is the outcome, whatever its type
+        return type(exc), str(exc)
+    out = io.StringIO()
+    matrix = write_frames_jsonl(frames, out)
+    return out.getvalue(), None if matrix is None else matrix.tobytes(), frames, truth
+
+
+#: Sizes past where a float holds every int (2**53) and past int64 (2**63), as the spec allows them.
+BIG = (2**53, 2**53 + 1, 2**64, 2**64 + 1, 2**70 + 3)
+FRACTIONS = st.sampled_from([0.15, 0.125, 0.08, 0.001, 0.499]) | st.floats(0.001, 0.499)
+
+
+@st.composite
+def generator_cases(draw):
+    """A small spec (at most 24 frames) and the filter config its labels must hold under."""
+    fps = draw(st.sampled_from([1.0, 2.0, 0.5, 3]) | st.floats(0.2, 5.0))
+    n = draw(st.integers(0, 24))
+    width = draw(st.sampled_from([640, 64, 8, *BIG]) | st.integers(8, 2000))
+    height = draw(st.sampled_from([480, 48, 8, *BIG]) | st.integers(8, 2000))
+    # Segment and injection edges on frame times, or between them.
+    edges = st.lists(st.integers(0, 2 * n), max_size=6, unique=True).map(lambda e: [v / (2 * fps) for v in sorted(e)])
+    bounds = draw(edges)
+    segments = tuple(
+        ActivitySegment(a, b, activity_id=draw(st.integers(0, FEATURE_DIM - 1)),
+                        feature_noise_sigma=draw(st.sampled_from([0.0, 0.05, 0.8])))
+        for a, b in zip(bounds[::2], bounds[1::2])
+    )
+    bounds = draw(edges)
+    injections = tuple(Injection(a, b, draw(st.sampled_from(list(IllPosedReason)))) for a, b in zip(bounds[::2], bounds[1::2]))
+    # Positions and sizes relative to the frame, some of which break labels: at an edge, past it, tiny or huge.
+    xs = st.sampled_from([0.5, 0.3, 0.7, 0.02, 0.99, 1.0, 1.5]).map(lambda f: f * width) | st.just(float(width))
+    ys = st.sampled_from([0.35, 0.2, 0.1, 0.02, 0.9, 1.0]).map(lambda f: f * height) | st.just(float(height))
+    torsos = st.sampled_from([0.3125, 0.25, 0.02, 0.5, 2.0]).map(lambda f: f * height) | st.floats(0.001, 3000.0)
+    times = sorted(draw(st.lists(st.floats(0.0, max(n / fps, 1.0)), max_size=3)))
+    trajectory = tuple(Waypoint(t, draw(xs), draw(ys), draw(torsos)) for t in times)
+    spec = ScenarioSpec(
+        duration_s=n / fps, fps=fps, activity_segments=segments, ill_posed_injections=injections,
+        person_trajectory=trajectory, rng_seed=draw(st.integers(0, 2**32)), frame_width=width, frame_height=height,
+    )
+    thresholds = st.sampled_from([100.0, 0, 0.0, 2**53 + 1, 2**60 + 1, 1e300]) | st.floats(0.0, 1e4) | st.integers(0, 2**70)
+    cfg = FilterConfig(
+        blur_threshold=draw(thresholds),
+        min_torso_fraction=draw(FRACTIONS),
+        corner_margin_fraction=draw(FRACTIONS),
+        forehead_margin_fraction=draw(FRACTIONS),
+    )
+    return spec, cfg
+
+
+def one_segment(n, *waypoints, injections=(), seed=0, width=640, height=480):
+    """An ``n``-frame 1 fps spec whose frames are all in one segment."""
+    return ScenarioSpec(
+        duration_s=float(n), fps=1.0, activity_segments=(ActivitySegment(0.0, float(n), activity_id=4),),
+        ill_posed_injections=injections, person_trajectory=waypoints, rng_seed=seed, frame_width=width, frame_height=height,
+    )
+
+
+DEFAULT_CFG = FilterConfig()
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_cases())
+# Frames 0 and 1 differ by 4e-5 px but share the key 533.1033, so frame 1 takes frame 0's skeleton; numpy's
+# rounding would give frame 0 the key 533.1034 and frame 1 its own skeleton.
+@example((one_segment(2, Waypoint(0, 533.10331, 170.0, 150.0), Waypoint(1, 533.10335, 170.0, 150.0)), DEFAULT_CFG))
+# The neck lies at y = 2**53 in a frame 2**53 + 1 high (and at 2**64 in one 2**64 + 1 high): inside it, as
+# Python compares the float with the int; numpy rounds the height to the float 2**53 (2**64) first.
+@example((one_segment(1, Waypoint(0, 2.0**54, 2.0**53, 1e16), width=2**55, height=2**53 + 1), DEFAULT_CFG))
+@example((one_segment(1, Waypoint(0, 2.0**63, 2.0**64, 1e19), width=2**64 + 1, height=2**64 + 1), DEFAULT_CFG))
+# Each of the oracle's messages that a spec can reach ("landmarks present", "person too large" and "an eye is
+# still visible" cannot be: the generator builds those labels so that they hold), each at frame 0.
+@example((one_segment(1, Waypoint(0, 960.0, 170.0, 150.0)), DEFAULT_CFG))  # no visible landmarks
+@example((one_segment(1, injections=(Injection(0, 1, IllPosedReason.BLURRED),)), FilterConfig(blur_threshold=0)))
+# The threshold 2**60 + 1 plus 50.0 is the float 2**60, below it: frame unintentionally blurred.
+@example((one_segment(1), FilterConfig(blur_threshold=2**60 + 1)))
+@example((one_segment(1, Waypoint(0, 320.0, 170.0, 10.0)), DEFAULT_CFG))  # person unintentionally too small
+# The neck is below the frame and the right-hand points past its left edge, so the centre of what is seen
+# is right of the margin: person not at a corner.
+@example((
+    one_segment(1, Waypoint(0, 320.0, 480.0, 700.0), injections=(Injection(0, 1, IllPosedReason.AT_CORNER),)),
+    FilterConfig(min_torso_fraction=0.001),
+))
+@example((one_segment(1, Waypoint(0, 10.0, 170.0, 150.0)), DEFAULT_CFG))  # person unintentionally at a corner
+@example((  # nose not above the forehead margin
+    one_segment(1, Waypoint(0, 320.0, 170.0, 1000.0), injections=(Injection(0, 1, IllPosedReason.FOREHEAD_CROPPED),)),
+    DEFAULT_CFG,
+))
+@example((one_segment(1, Waypoint(0, 320.0, 80.0, 150.0)), DEFAULT_CFG))  # forehead unintentionally cropped
+@example((one_segment(1, Waypoint(0, 320.0, 50.0, 150.0)), DEFAULT_CFG))  # eyes unintentionally invisible
+# Frame 2 is both too small and at a corner: the first check in order names it.
+@example((one_segment(3, Waypoint(0, 320.0, 170.0, 150.0), Waypoint(2, 10.0, 170.0, 10.0)), DEFAULT_CFG))
+def test_generator_matches_the_per_frame_reference(case):
+    spec, cfg = case
+    assert outcome(generate_session, spec, cfg) == outcome(reference_session, spec, cfg)
+
+
+def test_records_view_one_read_only_table():
+    frames, _ = generate_session(spec_with_all_reasons())
+    person = next(f for f in frames if f.landmarks is not None)
+    assert not person.landmarks.points.flags.writeable and not person.features.values.flags.writeable
+    assert frames[1].features.values.base is frames[0].features.values.base
