@@ -75,7 +75,7 @@ def load_app_config(path: str | None) -> AppConfig:
     except OSError as exc:
         raise _UsageError(f"cannot read config file: {exc}") from exc
     except frameio.JSON_FAULTS as exc:
-        raise _UsageError(f"config file is not valid JSON: {exc}") from exc
+        raise _UsageError(f"config file is not valid JSON: {frameio._json_fault(exc)}") from exc
     try:
         given = read_fields(AppConfig, obj, "config file")
         classes = {f.name: f.default_factory for f in dataclasses.fields(AppConfig)}
@@ -127,7 +127,7 @@ def _cmd_gen(args, cfg: AppConfig) -> int:
         try:
             spec_obj = json.load(fh)
         except frameio.JSON_FAULTS as exc:
-            raise _UsageError(f"scenario spec is not valid JSON: {exc}") from exc
+            raise _UsageError(f"scenario spec is not valid JSON: {frameio._json_fault(exc)}") from exc
     spec = scenario.spec_from_dict(spec_obj)
     if args.seed is not None:
         spec = dataclasses.replace(spec, rng_seed=args.seed)

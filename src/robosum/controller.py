@@ -112,12 +112,12 @@ class ControllerConfig:
 
 @dataclass(frozen=True)
 class ControllerState:
-    """Mutable-through-replacement controller state between steps."""
+    """What the rules read between steps: the ``mode`` last entered, the ``turns_done`` of the search under
+    way (0 outside one), the ``last_seen_side`` a search turns toward, the neck's absolute ``current_pitch``
+    in degrees, and ``idle_until``, when an idle period ends (0.0 outside one). A step builds a new one."""
 
     mode: Mode = Mode.SEARCHING
     turns_done: int = 0
-    pitch_raised: bool = False
-    search_direction: Side = Side.RIGHT
     last_seen_side: Side = Side.UNKNOWN
     current_pitch: float = 0.0
     idle_until: float = 0.0
@@ -260,25 +260,17 @@ def _search(state: ControllerState, timestamp: float, cfg: ControllerConfig) -> 
     turns = state.turns_done if state.mode is Mode.SEARCHING else 0
     if turns >= 2 * cfg.turns_per_revolution:
         idle_until = timestamp + cfg.idle_duration_s
-        new_state = ControllerState(
-            Mode.IDLE, 0, False, state.search_direction, state.last_seen_side, state.current_pitch, idle_until
-        )
-        return new_state, _IDLE_COMMAND
+        return ControllerState(Mode.IDLE, 0, state.last_seen_side, state.current_pitch, idle_until), _IDLE_COMMAND
 
     direction = Side.RIGHT if state.last_seen_side is Side.UNKNOWN else state.last_seen_side
     rotate = cfg.search_turn_deg if direction is Side.RIGHT else -cfg.search_turn_deg
-    pitch_target: float | None = None
-    pitch_raised = state.pitch_raised
-    new_pitch = state.current_pitch
-    if turns >= cfg.turns_per_revolution and not pitch_raised:
-        # One full fruitless revolution: raise the neck to spot distant people.
-        pitch_target = cfg.search_pitch_deg
-        new_pitch = cfg.search_pitch_deg
-        pitch_raised = True
+    pitch_target, new_pitch = None, state.current_pitch
+    if turns == cfg.turns_per_revolution:  # One full fruitless revolution: raise the neck to spot distant people.
+        pitch_target = new_pitch = cfg.search_pitch_deg
 
     expression = Expression.AWARE_LEFT if direction is Side.LEFT else Expression.AWARE_RIGHT
     return (
-        ControllerState(Mode.SEARCHING, turns + 1, pitch_raised, direction, state.last_seen_side, new_pitch, 0.0),
+        ControllerState(Mode.SEARCHING, turns + 1, state.last_seen_side, new_pitch, 0.0),
         ActionCommand(rotate, pitch_target, 0.0, expression, Mode.SEARCHING),
     )
 
@@ -301,16 +293,11 @@ def advance(
         target = pitch if pitch != state.current_pitch else None
         expression = Expression.ACTIVE if eye else Expression.EXPECTING
         return (
-            ControllerState(Mode.FOLLOWING, 0, False, state.search_direction, side, pitch, 0.0),
+            ControllerState(Mode.FOLLOWING, 0, side, pitch, 0.0),
             ActionCommand(rotate, target, forward, expression, Mode.FOLLOWING),
         )
-    if state.mode is Mode.IDLE:
-        if timestamp < state.idle_until:
-            return state, _IDLE_COMMAND
-        # Idle period over with nobody in sight: start a fresh search cycle.
-        state = ControllerState(
-            Mode.SEARCHING, 0, False, state.search_direction, state.last_seen_side, state.current_pitch, 0.0
-        )
+    if state.mode is Mode.IDLE and timestamp < state.idle_until:  # once it expires, a search starts at turn 0
+        return state, _IDLE_COMMAND
     return _search(state, timestamp, cfg)
 
 

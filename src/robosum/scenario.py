@@ -182,9 +182,12 @@ class FrameTruth:
     """Ground-truth label for one generated frame."""
 
     frame_id: int
-    well_posed: bool
     reason: IllPosedReason | None = None
     segment_id: int | None = None
+
+    @property
+    def well_posed(self) -> bool:
+        return self.reason is None
 
 
 #: The labels in the oracle's check order, well-posed (None) last; a frame's label code is its index here.
@@ -350,7 +353,7 @@ def generate_session(
         ids, times, _ints([spec.frame_width] * n), _ints([spec.frame_height] * n), blur, person, points, ids, features
     )
     truth = [
-        FrameTruth(i, code == _CODE[None], _LABELS[code], None if seg < 0 else seg)
+        FrameTruth(i, _LABELS[code], None if seg < 0 else seg)
         for i, (code, seg) in enumerate(zip(codes.tolist(), segment_id.tolist()))
     ]
     return list(table), truth

@@ -194,7 +194,6 @@ class _SessionHandler(socketserver.StreamRequestHandler):
 
     def _reply(self, line: str) -> None:
         self.wfile.write((line + "\n").encode("utf-8"))
-        self.wfile.flush()
 
     def handle(self) -> None:
         session = Session(self.server.service_config)  # type: ignore[attr-defined]

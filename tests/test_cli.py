@@ -178,6 +178,24 @@ class TestUsageErrors:
             assert code == 1
             assert msg in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, fault", [
+        (b'{"filter": {"blur_threshold": ' + b"1" * 5001 + b"}}", "value has 5001 digits"),
+        (b'\xff{"filter": {}}', "not UTF-8 (byte 0xff)"),
+    ], ids=["int-too-long", "not-utf-8"])
+    @pytest.mark.parametrize("reader, argv, prefix", [
+        ("config", ["simulate", "--frames", "frames.jsonl"], "config file is not valid JSON: "),
+        ("spec", ["gen"], "scenario spec is not valid JSON: "),
+    ], ids=["config", "spec"])
+    def test_undecodable_settings_file_is_worded_for_users(self, tmp_path, capsys, text, fault, reader, argv, prefix):
+        # Python's own text would end in "; use sys.set_int_max_str_digits() ..." or name the codec and a position.
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        flag = ["--config", str(path), *argv] if reader == "config" else [*argv, "--spec", str(path)]
+        assert main([*flag, "--out", str(tmp_path / "out.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {prefix}") and err.endswith(f"{fault}\n")
+        assert "set_int_max_str_digits" not in err and "codec" not in err
+
     def test_config_value_of_the_wrong_number_type_is_usage_error(self, tmp_path, pipeline_files, capsys):
         # A JSON boolean is not a number, and an int field takes only JSON integers.
         _, frames, _ = pipeline_files

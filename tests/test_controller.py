@@ -1,10 +1,10 @@
 """State machine behavior: following, searching, idling, and expressions."""
 
 import math
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import frame, landmarks
@@ -127,7 +127,7 @@ class TestSelectExpression:
     def test_searching_matches_direction(self):
         for side, expression in ((Side.LEFT, Expression.AWARE_LEFT), (Side.RIGHT, Expression.AWARE_RIGHT)):
             state, cmd = controller_step(ControllerState(last_seen_side=side), obs(0.0, None))
-            assert state.search_direction is side
+            assert cmd.rotate_deg == (CFG.search_turn_deg if side is Side.RIGHT else -CFG.search_turn_deg)
             assert cmd.expression is expression
 
 
@@ -261,9 +261,8 @@ class TestSearchCycle:
         # A detection also re-arms the head raise after one fruitless revolution.
         for t in range(8, 20):
             state, cmd = controller_step(state, obs(float(t), None))
-        assert state.turns_done == 13 and state.pitch_raised and cmd.pitch_deg == CFG.search_pitch_deg
+        assert state.turns_done == 13 and cmd.pitch_deg == CFG.search_pitch_deg
         state, _ = controller_step(state, obs(20.0, full_person()))
-        assert not state.pitch_raised
         for t in range(21, 34):
             state, cmd = controller_step(state, obs(float(t), None))
         assert state.turns_done == 13 and cmd.pitch_deg == CFG.search_pitch_deg
@@ -308,8 +307,13 @@ class TestIdle:
         next_state, cmd = controller_step(state, obs(wake, None))
         assert next_state.mode is Mode.SEARCHING
         assert next_state.turns_done == 1
-        assert next_state.pitch_raised is False
         assert cmd.rotate_deg != 0.0
+        # The fresh cycle raises the head again, on its 13th turn and on no other.
+        pitches = [cmd.pitch_deg]
+        for i in range(1, 24):
+            next_state, cmd = controller_step(next_state, obs(wake + i, None))
+            pitches.append(cmd.pitch_deg)
+        assert pitches == [None] * 12 + [CFG.search_pitch_deg] + [None] * 11
 
 
 class TestApproach:
@@ -439,3 +443,118 @@ def test_clamp_is_max_of_min(value, lo, hi):
     expected = max(lo, min(hi, value))
     got = controller._clamp(value, lo, hi)
     assert type(got) is type(expected) and got == expected
+
+
+# --- The seven-field reference machine ---------------------------------------------------------------------------
+# ControllerState holds only what the rules read. This is the step as it was written with two more fields: the
+# search direction, written on every step and read by no rule, and a flag that the head was raised in this search,
+# which a search start, a sighting and an idle expiry reset by hand.
+
+
+@dataclass(frozen=True)
+class _ReferenceState:
+    mode: Mode = Mode.SEARCHING
+    turns_done: int = 0
+    pitch_raised: bool = False
+    search_direction: Side = Side.RIGHT
+    last_seen_side: Side = Side.UNKNOWN
+    current_pitch: float = 0.0
+    idle_until: float = 0.0
+
+
+def _reference_search(state, timestamp, cfg):
+    turns = state.turns_done if state.mode is Mode.SEARCHING else 0
+    if turns >= 2 * cfg.turns_per_revolution:
+        idle_until = timestamp + cfg.idle_duration_s
+        new_state = _ReferenceState(
+            Mode.IDLE, 0, False, state.search_direction, state.last_seen_side, state.current_pitch, idle_until
+        )
+        return new_state, controller._IDLE_COMMAND
+
+    direction = Side.RIGHT if state.last_seen_side is Side.UNKNOWN else state.last_seen_side
+    rotate = cfg.search_turn_deg if direction is Side.RIGHT else -cfg.search_turn_deg
+    pitch_target = None
+    pitch_raised = state.pitch_raised
+    new_pitch = state.current_pitch
+    if turns >= cfg.turns_per_revolution and not pitch_raised:
+        pitch_target = cfg.search_pitch_deg
+        new_pitch = cfg.search_pitch_deg
+        pitch_raised = True
+
+    expression = Expression.AWARE_LEFT if direction is Side.LEFT else Expression.AWARE_RIGHT
+    return (
+        _ReferenceState(Mode.SEARCHING, turns + 1, pitch_raised, direction, state.last_seen_side, new_pitch, 0.0),
+        ActionCommand(rotate, pitch_target, 0.0, expression, Mode.SEARCHING),
+    )
+
+
+def reference_advance(state, sensing, timestamp, cfg):
+    if sensing is not None:
+        side, rotate, pitch_delta, forward, neck, eye = sensing
+        pitch = state.current_pitch
+        if pitch_delta is not None:
+            pitch = controller._clamp(pitch + pitch_delta, -cfg.max_pitch_deg, cfg.max_pitch_deg)
+        elif neck:
+            pitch = min(pitch + cfg.face_raise_pitch_deg, cfg.max_pitch_deg)
+        target = pitch if pitch != state.current_pitch else None
+        expression = Expression.ACTIVE if eye else Expression.EXPECTING
+        return (
+            _ReferenceState(Mode.FOLLOWING, 0, False, state.search_direction, side, pitch, 0.0),
+            ActionCommand(rotate, target, forward, expression, Mode.FOLLOWING),
+        )
+    if state.mode is Mode.IDLE:
+        if timestamp < state.idle_until:
+            return state, controller._IDLE_COMMAND
+        state = _ReferenceState(
+            Mode.SEARCHING, 0, False, state.search_direction, state.last_seen_side, state.current_pitch, 0.0
+        )
+    return _reference_search(state, timestamp, cfg)
+
+
+#: A frame with a person in view: either side, with or without facial points (pitch_delta None), a neck or an eye.
+sightings = st.tuples(
+    st.sampled_from([Side.LEFT, Side.RIGHT]),
+    st.floats(-MAX_ROTATE_DEG, MAX_ROTATE_DEG),
+    st.none() | st.floats(-60.0, 60.0),
+    st.floats(0.0, 0.3),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+@st.composite
+def sensing_scripts(draw):
+    """A config and a list of (sensing, seconds since the last frame).
+
+    Turns are 30, 15 or 7.5 degrees (2 x 12, 24 or 48 turns to idle), and the idle period is 5 s or the default
+    900 s. Runs of empty frames reach up to 250 frames, at 1 s or 60 s apart, so they pass two revolutions and
+    the idle deadline (at 1 s, exactly on it) and start a fresh cycle; runs of sightings come between them.
+    """
+    cfg = ControllerConfig(
+        search_turn_deg=draw(st.sampled_from([30.0, 15.0, 7.5])), idle_duration_s=draw(st.sampled_from([5.0, 900.0]))
+    )
+    script = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            dt = draw(st.sampled_from([1.0, 60.0]))
+            script += [(None, dt)] * draw(st.integers(1, 250))
+        else:
+            script += [(s, 1.0) for s in draw(st.lists(sightings, min_size=1, max_size=4))]
+    return cfg, script
+
+
+@settings(max_examples=200, deadline=None)
+@given(sensing_scripts())
+@example((ControllerConfig(idle_duration_s=5.0), [(None, 1.0)] * 70))  # two cycles, the second from an exact expiry
+@example((  # a neck seen on the left, then 48-turn revolutions 60 s apart, through the 900 s idle and on
+    ControllerConfig(search_turn_deg=7.5), [((Side.LEFT, 0.0, None, 0.0, True, False), 1.0), *[(None, 60.0)] * 130]
+))
+def test_step_matches_the_seven_field_reference(case):
+    cfg, script = case
+    state, ref, t = initial_state(), _ReferenceState(), 0.0
+    for sensing, dt in script:
+        t += dt
+        state, cmd = controller.advance(state, sensing, t, cfg)
+        ref, ref_cmd = reference_advance(ref, sensing, t, cfg)
+        assert cmd == ref_cmd
+        assert state == ControllerState(ref.mode, ref.turns_done, ref.last_seen_side, ref.current_pitch, ref.idle_until)

@@ -457,7 +457,7 @@ def reference_session(spec: ScenarioSpec, cfg: FilterConfig | None = None):
         _check_intended(i, reason, lm, blur, spec, cfg)
         frames.append(FrameRecord(i, t, spec.frame_width, spec.frame_height, lm, blur, FeatureVector(values=features[i])))
         segment = int(segment_id[i]) if segment_id[i] >= 0 else None
-        truth.append(FrameTruth(frame_id=i, well_posed=reason is None, reason=reason, segment_id=segment))
+        truth.append(FrameTruth(frame_id=i, reason=reason, segment_id=segment))
     return frames, truth
 
 
