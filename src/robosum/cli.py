@@ -113,10 +113,11 @@ def _parse_addr(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep or not host:
         raise _UsageError(f"--addr must look like HOST:PORT, got {text!r}")
-    try:
-        return host, int(port)
-    except ValueError as exc:
-        raise _UsageError(f"bad port in {text!r}") from exc
+    # int() would also take a sign, spaces, underscores and non-ASCII digits; bind() raises OverflowError past
+    # 65535, and connect() takes the port mod 65536.
+    if not (port.isascii() and port.isdigit() and len(port) <= 5 and int(port) <= 65535):
+        raise _UsageError(f"bad port in {text!r}: must be 0-65535")
+    return host, int(port)
 
 
 # --- subcommand implementations ----------------------------------------------
@@ -205,7 +206,7 @@ def _cmd_baseline(args, cfg: AppConfig) -> int:
     if args.method == "uniform":
         with open(args.frames, "r", encoding="utf-8") as fh:
             parsed = frameio.parse_frames_jsonl(fh)
-        manifest = uniform_keyframes(list(parsed.frames), k)
+        manifest = uniform_keyframes(parsed.frames, k)
     else:
         if not args.features:
             raise _UsageError("--features is required for the kmeans baseline")

@@ -18,7 +18,7 @@ import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .model import (
     _checked_landmarks,
     _ints,
     check_point,
-    feature_rows,
     require_int,
     require_number,
 )
@@ -161,7 +160,7 @@ class ParseResult:
 _CHUNK_LINES = 256
 #: A frame line's scalar fields, and the value types the columns of those and of the landmark values may hold.
 _SCALARS = operator.itemgetter("frame_id", "w", "h", "t", "blur_var", "feat_row")
-_COLUMN_TYPES = ({int}, {int}, {int}, {float}, {float, type(None)}, {int, type(None)}, {float})
+_COLUMN_TYPES = ({int}, {int}, {int}, {int, float}, {int, float, type(None)}, {int, type(None)}, {int, float})
 
 
 class _Parse:
@@ -213,8 +212,14 @@ class _Parse:
         self.person.append(landmarks is not None)
 
     def chunk(self, columns: list[tuple]) -> FrameTable | None:
-        """The chunk as a table; None unless every value is one the per-line rules accept as it is."""
-        if not all({*map(type, c)} <= types for c, types in zip((*columns, self.values), _COLUMN_TYPES)):
+        """The chunk as a table; None unless every value is one the per-line rules accept."""
+        columns = (*columns, self.values)
+        types = [{*map(type, c)} for c in columns]
+        # Columns 3, 4 and 6 (t, blur_var, the landmark values) become floats. numpy would round an int past the
+        # float range to the largest float, where require_number rejects it, so only those columns' ints are sized.
+        if not all(have <= allowed for have, allowed in zip(types, _COLUMN_TYPES)) or any(
+            int in types[i] and not all(-FLOAT_MAX <= v <= FLOAT_MAX for v in columns[i] if type(v) is int) for i in (3, 4, 6)
+        ):
             return None
         ids, ws, hs = map(_ints, columns[:3])
         rows = _ints([-1 if row is None else row for row in columns[5]])
@@ -236,33 +241,27 @@ class _Parse:
         return FrameTable(ids, ts, ws, hs, blur, np.array(self.person, dtype=bool), points, rows)
 
     def flush(self) -> None:
-        """Keep the chunk's frames; a chunk the column checks do not accept is walked by the per-line rules."""
-        ids, _, _, ts, _, _ = columns = list(zip(*self.scalars)) or [()] * 6
+        """Keep the chunk's frames as columns; a chunk the column checks reject has a fault for the walk to name."""
+        ids, *_ = columns = list(zip(*self.scalars)) or [()] * 6
         table = None if self.unchecked else self.chunk(columns)
         if table is None:
-            table = self.walk()
-        else:
-            kept = [self.admit(*frame) for frame in zip(ids, ts, itertools.count(self.first_line))]
-            table = table if all(kept) else table.take(kept)
-        self.keep(table)
+            self.walk()
+        # The cross-line rules compare the floats the frames hold, not the numbers the lines spell.
+        kept = [self.admit(*frame) for frame in zip(ids, table.t.tolist(), itertools.count(self.first_line))]
+        self.keep(table if all(kept) else table.take(kept))
 
-    def walk(self) -> FrameTable:
-        """The chunk's frames by the per-line rules, which raise at the first line they reject."""
-        recs, rows = [], []
+    def walk(self) -> NoReturn:
+        """Raise at the chunk's first line the per-line rules reject, reading each line as the column decode does."""
         for line_no, line in enumerate(self.lines, start=self.first_line):
-            text = line.strip()
-            if not text:
+            if not line.strip():
                 raise ParseError("blank line", line_no)
             try:
-                obj = json.loads(text)
+                obj = json.loads(line)
             except JSON_FAULTS as exc:
                 raise ParseError(f"invalid JSON: {_json_fault(exc)}", line_no) from exc
-            rec, feat_row = frame_from_wire(obj, line=line_no)
-            if self.admit(rec.frame_id, rec.timestamp, line_no):
-                recs.append(rec)
-                rows.append(-1 if feat_row is None else feat_row)
-        table = FrameTable.of(recs)
-        return FrameTable(table.frame_id, table.t, table.w, table.h, table.blur, table.person, table.points, _ints(rows))
+            rec, _ = frame_from_wire(obj, line=line_no)
+            self.admit(rec.frame_id, rec.timestamp, line_no)
+        raise RuntimeError(f"the column checks rejected lines from {self.first_line} that the per-line rules accept")
 
     def admit(self, frame_id: int, t: float, line_no: int) -> bool:
         """The cross-line rules: whether a frame is kept; a duplicate id or a decreasing timestamp raises."""
@@ -302,10 +301,11 @@ def parse_frames_jsonl(stream: Iterable[str]) -> ParseResult:
     Frames with a timestamp equal to their predecessor's are dropped
     (first occurrence wins) and counted; a decreasing timestamp raises
     :class:`OrderError`; duplicate frame ids raise :class:`ParseError`.
-    Lines are decoded into columns and checked a chunk at a time. A chunk
-    the column checks do not accept is walked again by the per-line rules
-    (:func:`frame_from_wire` and the two above), which name the first
-    faulty line or keep the chunk's frames.
+    Lines are decoded into columns and checked a chunk at a time, and
+    frames are kept only as those columns. The column checks take every
+    value the per-line rules (:func:`frame_from_wire` and the two above)
+    take, so a chunk they reject has a fault: the per-line rules walk it
+    again only to name its first faulty line.
     """
     parse, line_no = _Parse(), 0
     try:
@@ -323,18 +323,16 @@ def parse_frames_jsonl(stream: Iterable[str]) -> ParseResult:
 def write_frames_jsonl(frames: Sequence[FrameRecord], stream: IO[str]) -> np.ndarray | None:
     """Write frames as JSONL, each with its feature-file row; returns the matrix those rows index.
 
-    Records get rows in frame order, one per frame with features
-    (:func:`~robosum.model.feature_rows`); a parsed or filtered table keeps
-    its own ``feat_row`` and ``features``. The matrix is None when there is
-    none: no frame has features, or no matrix is bound.
+    The rows and the matrix are :meth:`FrameTable.of(frames) <robosum.model.FrameTable.of>`'s:
+    records get rows in frame order, one per frame with features, and a
+    parsed or filtered table keeps its own ``feat_row`` and ``features``.
+    The matrix is None when there is none: no frame has features, or no
+    matrix is bound.
     """
-    if isinstance(frames, FrameTable):
-        rows, matrix = frames.feat_row.tolist(), frames.features
-    else:
-        rows, matrix = feature_rows(frames)
-    for rec, row in zip(frames, rows):
+    table = FrameTable.of(frames)
+    for rec, row in zip(frames, table.feat_row.tolist()):
         stream.write(json.dumps(frame_to_wire(rec, None if row < 0 else row)) + "\n")
-    return matrix
+    return table.features
 
 
 def check_feat_row_bounds(frames: FrameTable, count: int) -> None:

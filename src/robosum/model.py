@@ -291,16 +291,6 @@ class FrameRecord:
             raise ValueError(f"frame {self.frame_id}: blur variance must be a finite non-negative real")
 
 
-def feature_rows(frames: Iterable[FrameRecord]) -> tuple[list[int], np.ndarray | None]:
-    """Each record's row in the stack of the featured records' vectors, numbered in order (-1 for none), and that stack.
-
-    The stack is None when no record has features.
-    """
-    recs, row = list(frames), itertools.count()
-    vectors = [r.features.values for r in recs if r.features is not None]
-    return [-1 if r.features is None else next(row) for r in recs], np.array(vectors, dtype=np.float32) if vectors else None
-
-
 def _ints(values) -> np.ndarray:
     """Integers as int64, or as Python ints where one does not fit."""
     try:
@@ -332,9 +322,9 @@ class FrameTable(Sequence):
         """``frames`` itself if it is a table, else a table of its records, the featured ones given rows in order."""
         if isinstance(frames, FrameTable):
             return frames
-        recs = list(frames)
+        recs, row = list(frames), itertools.count()
         lms = [r.landmarks for r in recs]
-        rows, matrix = feature_rows(recs)
+        vectors = [r.features.values for r in recs if r.features is not None]
         absent = np.broadcast_to(np.nan, (len(recs), NUM_LANDMARKS, 3))
         return cls(
             _ints([r.frame_id for r in recs]),
@@ -345,8 +335,8 @@ class FrameTable(Sequence):
             np.array([lm is not None for lm in lms], dtype=bool),
             # With no landmarks at all (a server session's kept frames), every row is absent: one view, no copy.
             np.stack([absent[0] if lm is None else lm.points for lm in lms]) if any(lms) else absent,
-            np.array(rows, dtype=np.int64),
-            matrix,
+            np.array([-1 if r.features is None else next(row) for r in recs], dtype=np.int64),
+            np.array(vectors, dtype=np.float32) if vectors else None,
         )
 
     def take(self, rows) -> FrameTable:

@@ -215,7 +215,6 @@ def summarize(
 
 def uniform_keyframes(frames: Sequence[FrameRecord], k: int) -> SummaryManifest:
     """Index-uniform baseline: frames at round(i*(n-1)/(k-1)), de-duplicated."""
-    frames = list(frames)
     n = len(frames)
     if n == 0:
         raise PipelineError("cannot summarize an empty session")
@@ -256,6 +255,8 @@ def kmeans_keyframes(
         raise PipelineError(f"k-means needs at least k={k} frames, got {n}")
     if k < 1:
         raise ValueError("k must be at least 1")
+    if seed < 0:
+        raise PipelineError(f"seed must be non-negative, got {seed}")
     matrix = _feature_matrix(_featured(table))
     ts = table.t
 

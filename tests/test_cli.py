@@ -112,6 +112,20 @@ class TestUsageErrors:
         assert main(argv) == 1
         assert f"error: {msg}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "port",
+        ["70000", "65536", "-1", "+80", "8_0", "\u0668\u0660", "1" * 5000],
+        ids=["70000", "65536", "negative", "sign", "underscore", "arabic-indic digits", "5000 digits"],
+    )
+    def test_port_not_spelled_0_to_65535_is_usage_error_before_any_socket(self, pipeline_files, capsys, port):
+        _, frames, _ = pipeline_files
+        addr = f"127.0.0.1:{port}"
+        with mock.patch("socket.create_connection", side_effect=AssertionError("connected")), \
+                mock.patch("robosum.service.serve", side_effect=AssertionError("served")):
+            assert main(["serve", "--addr", addr]) == 1
+            assert main(["replay", "--addr", addr, "--frames", str(frames)]) == 1
+        assert capsys.readouterr().err.count(f"error: bad port in '{addr}': must be 0-65535") == 2
+
     def test_missing_required_flag(self):
         assert main(["summarize"]) == 1
 
@@ -337,6 +351,27 @@ class TestDataErrors:
         assert main(argv) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and msg in err and "Traceback" not in err
+
+    def test_negative_seed_is_exit_2(self, pipeline_files, capsys):
+        tmp_path, frames, feats = pipeline_files
+        spec_path = write_spec(tmp_path, small_spec())
+        assert main(["--seed", "-1", "gen", "--spec", str(spec_path), "--out", str(tmp_path / "again.jsonl")]) == 2
+        assert main(["--seed", "-1", "baseline", "--method", "kmeans", "--frames", str(frames),
+                     "--features", str(feats), "--k", "3", "--out", str(tmp_path / "kmeans.json")]) == 2
+        err = capsys.readouterr().err
+        assert "error: rng_seed must be non-negative" in err
+        assert "error: seed must be non-negative, got -1" in err and "Traceback" not in err
+
+    def test_missing_image_is_exit_2(self, tmp_path, capsys):
+        spec_path = write_spec(tmp_path, small_spec())
+        frames = tmp_path / "frames.jsonl"
+        images = tmp_path / "imgs"
+        assert main(["gen", "--spec", str(spec_path), "--out", str(frames), "--images", str(images)]) == 0
+        (images / "3.pgm").unlink()
+        code = main(["filter", "--frames", str(frames), "--images", str(images),
+                     "--out", str(tmp_path / "wp.jsonl"), "--report", str(tmp_path / "report.json")])
+        assert code == 2
+        assert "error: frame 3: blur variance absent and no image supplied" in capsys.readouterr().err
 
     def test_missing_input_file_is_exit_2(self, tmp_path):
         code = main(["summarize", "--frames", str(tmp_path / "nope.jsonl"),

@@ -480,6 +480,24 @@ class TestManifest:
         with pytest.raises(ParseError):
             frameio.manifest_from_dict(obj)
 
+    @pytest.mark.parametrize(
+        "change, msg",
+        [
+            (lambda obj: [obj], "manifest must be a JSON object"),
+            (lambda obj: dict(obj, entries=[dict(obj["entries"][0], rank=1)]), r"unknown entry keys \['rank'\]"),
+            (lambda obj: {k: v for k, v in obj.items() if k != "m"}, r"malformed manifest: KeyError\('m'\)"),
+            (lambda obj: dict(obj, entries=5), r"malformed manifest: TypeError\("),
+            (lambda obj: dict(obj, k="3"), "k must be an integer, got '3'"),
+            (lambda obj: dict(obj, k=1), "manifest holds 2 entries but k=1"),
+        ],
+        ids=["not an object", "unknown entry key", "missing key", "entries not a list", "string k", "too many entries"],
+    )
+    def test_malformed_manifest_is_parse_error(self, tmp_path, change, msg):
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(change(frameio.manifest_to_dict(self.manifest()))))
+        with pytest.raises(ParseError, match=f"^{msg}"):
+            frameio.read_summary_manifest(path)
+
     @pytest.mark.parametrize("text", UNDECODABLE_JSON.values(), ids=UNDECODABLE_JSON.keys())
     def test_undecodable_json_is_parse_error(self, tmp_path, text):
         path = tmp_path / "summary.json"

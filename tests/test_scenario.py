@@ -242,6 +242,25 @@ class TestSpecValidation:
                 ),
             )
 
+    @pytest.mark.parametrize(
+        "build, msg",
+        [
+            (lambda: ActivitySegment(5.0, 5.0, activity_id=0), r"segment \[5.0, 5.0\) is empty or reversed"),
+            (lambda: ActivitySegment(0.0, 5.0, activity_id=0, feature_noise_sigma=-0.1), "feature_noise_sigma must be non-negative"),
+            (lambda: Injection(5.0, 1.0, IllPosedReason.BLURRED), r"injection \[5.0, 1.0\) is empty or reversed"),
+            (lambda: ScenarioSpec(duration_s=-1.0, fps=1.0), "duration_s must be non-negative"),
+            (lambda: ScenarioSpec(duration_s=5.0, fps=1.0, frame_height=7), "frame dimensions are too small to place a person"),
+            (
+                lambda: ScenarioSpec(duration_s=5.0, fps=1.0, person_trajectory=(Waypoint(2.0, 1.0, 1.0, 1.0), Waypoint(1.0, 1.0, 1.0, 1.0))),
+                "trajectory waypoints must be sorted by time",
+            ),
+        ],
+        ids=["empty segment", "negative noise", "reversed injection", "negative duration", "tiny frame", "unsorted waypoints"],
+    )
+    def test_spec_part_rules(self, build, msg):
+        with pytest.raises(PipelineError, match=f"^{msg}$"):
+            build()
+
     def test_trajectory_breaking_intended_label_is_loud(self):
         # A person walked into the corner cannot be labeled well-posed.
         spec = ScenarioSpec(

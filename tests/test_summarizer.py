@@ -1,6 +1,7 @@
 """Clustering, threshold adaptation, and keyframe selection vs brute force."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from robosum.errors import (
     PipelineError,
     TimestampsNotIncreasing,
 )
-from robosum.model import Cluster, FEATURE_DIM, FeatureVector
+from robosum.model import Cluster, FEATURE_DIM, FeatureVector, FrameTable
 from robosum.summarizer import (
     MAX_THRESHOLD_STEPS,
     SummarizerConfig,
@@ -420,6 +421,12 @@ class TestUniformBaseline:
     def test_empty(self):
         with pytest.raises(PipelineError, match="cannot summarize an empty session"):
             uniform_keyframes([], 3)
+
+    def test_a_table_is_read_row_by_row_not_listed(self):
+        frames = _session(np.arange(40.0), np.full((40, FEATURE_DIM), 0.5))
+        table = FrameTable.of(frames)
+        with mock.patch.object(FrameTable, "__iter__", side_effect=AssertionError("the table was listed")):
+            assert uniform_keyframes(table, 5) == uniform_keyframes(frames, 5)
 
 
 class TestKMeansBaseline:

@@ -24,6 +24,7 @@ from robosum.errors import InvalidImage, OrderError, ParseError, PipelineError
 from robosum.model import (
     ABSENT,
     FEATURE_DIM,
+    FLOAT_MAX,
     L_HIP,
     MIN_POINT_CONFIDENCE,
     NECK,
@@ -92,7 +93,7 @@ def parse_by_line(lines):
         if not line.strip():
             raise ParseError("blank line", line_no)
         try:
-            obj = json.loads(line.strip())
+            obj = json.loads(line)
         except frameio.JSON_FAULTS as exc:
             raise ParseError(f"invalid JSON: {frameio._json_fault(exc)}", line_no) from exc
         rec, row = frameio.frame_from_wire(obj, line=line_no)
@@ -110,7 +111,7 @@ def parse_by_line(lines):
     return frames, rows, dropped
 
 
-#: Changes to one line's object: faults for the per-line rules, and values only they accept.
+#: Changes to one line's object: faults for the per-line rules, and values on the edge of what they accept.
 FAULTS = {
     "blank": lambda obj: "",
     "not json": lambda obj: "{oops",
@@ -132,11 +133,20 @@ FAULTS = {
     "huge x": lambda obj: dict(obj, landmarks=[[10**400, 2.0, 0.5]] + [None] * 17),
     "repeated id": lambda obj: dict(obj, frame_id=0),
     "earlier t": lambda obj: dict(obj, t=-1.0),
-    # Accepted by the per-line rules, not by the column checks:
+    # Accepted by the per-line rules, so the column checks must take them too:
     "integer t": lambda obj: dict(obj, t=int(obj["t"]) + 10**6),
     "integer point": lambda obj: dict(obj, landmarks=[[1, 2, 1]] + [None] * 17),
     "huge id": lambda obj: dict(obj, frame_id=obj["frame_id"] + 2**70),
     "huge feat_row": lambda obj: dict(obj, feat_row=2**70),
+    # The largest int a float holds is kept; one more is too large, where numpy would round it down to a float.
+    "largest int t": lambda obj: dict(obj, t=int(FLOAT_MAX)),
+    "largest int blur": lambda obj: dict(obj, blur_var=int(FLOAT_MAX)),
+    "largest int x": lambda obj: dict(obj, landmarks=[[int(FLOAT_MAX), 2.0, 0.5]] + [None] * 17),
+    "int t past a float": lambda obj: dict(obj, t=int(FLOAT_MAX) + 1),
+    "int blur past a float": lambda obj: dict(obj, blur_var=int(FLOAT_MAX) + 1),
+    "int x past a float": lambda obj: dict(obj, landmarks=[[int(FLOAT_MAX) + 1, 2.0, 0.5]] + [None] * 17),
+    # Python's strip() takes a form feed, JSON does not: the file reads a line as the wire does.
+    "led by a form feed": lambda obj: "\x0c" + json.dumps(obj),
 }
 
 
@@ -179,6 +189,41 @@ def test_a_faulty_line_is_named_as_the_per_line_parser_names_it(fault, records, 
     changed = FAULTS[fault](json.loads(lines[i]))
     lines[i] = (changed if isinstance(changed, str) else json.dumps(changed)) + "\n"
     check_parse(lines, chunk)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 1024])
+def test_the_cross_line_rules_compare_the_floats_the_frames_hold(chunk):
+    # An int t of 2**53 + 1 holds the float 2**53, so the float 2**53 after it is an equal timestamp, not an earlier one.
+    ts = [2**53 + 1, float(2**53), float(2**53 + 2)]
+    lines = [json.dumps(dict(frameio.frame_to_wire(FrameRecord(i, 0.0, W, H)), t=t)) + "\n" for i, t in enumerate(ts)]
+    check_parse(lines, chunk)
+    with mock.patch.object(frameio, "_CHUNK_LINES", chunk):
+        parsed = frameio.parse_frames_jsonl(lines)
+    assert (parsed.frames.frame_id.tolist(), parsed.duplicates_dropped) == ([0, 2], 1)
+
+
+def as_ints(value):
+    """A line's value with every integral float in it an int, as a hand-written file may spell it."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return [as_ints(v) for v in value] if isinstance(value, list) else value
+
+
+@settings(max_examples=40, deadline=None)
+@given(sessions(), st.sampled_from([1, 3, 1024]))
+def test_integer_values_are_kept_as_columns(records, chunk):
+    floats = wire_lines(records)
+    ints = []
+    for line in floats:
+        obj = json.loads(line)
+        ints.append(json.dumps(dict(obj, **{key: as_ints(obj[key]) for key in ("t", "blur_var", "landmarks")})) + "\n")
+    with mock.patch.object(frameio, "_CHUNK_LINES", chunk):
+        expected = frameio.parse_frames_jsonl(floats)
+        with mock.patch.object(frameio._Parse, "walk", side_effect=AssertionError("a chunk was walked")):
+            got = frameio.parse_frames_jsonl(ints)
+    assert (list(got.frames), got.frames.feat_row.tolist(), got.duplicates_dropped) == (
+        list(expected.frames), expected.frames.feat_row.tolist(), expected.duplicates_dropped
+    )
 
 
 def images_for(log, missing_every=0):
