@@ -163,7 +163,7 @@ def _cmd_gen(args, cfg: AppConfig) -> int:
 
 
 def _cmd_filter(args, cfg: AppConfig) -> int:
-    with open(args.frames, "r", encoding="utf-8") as fh:
+    with open(args.frames, "r", encoding="utf-8", newline="\n") as fh:
         parsed = frameio.parse_frames_jsonl(fh)
     accepted, report = filter_frames(parsed.frames, cfg.filter, images=_image_provider(args.images))
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -177,7 +177,7 @@ def _cmd_filter(args, cfg: AppConfig) -> int:
 
 
 def _load_session_with_features(frames_path: str, features_path: str):
-    with open(frames_path, "r", encoding="utf-8") as fh:
+    with open(frames_path, "r", encoding="utf-8", newline="\n") as fh:
         parsed = frameio.parse_frames_jsonl(fh)
     matrix = frameio.load_features(features_path)
     return frameio.attach_features(parsed, matrix)
@@ -204,7 +204,7 @@ def _cmd_summarize(args, cfg: AppConfig) -> int:
 def _cmd_baseline(args, cfg: AppConfig) -> int:
     k = _summarizer_config(args, cfg).k
     if args.method == "uniform":
-        with open(args.frames, "r", encoding="utf-8") as fh:
+        with open(args.frames, "r", encoding="utf-8", newline="\n") as fh:
             parsed = frameio.parse_frames_jsonl(fh)
         manifest = uniform_keyframes(parsed.frames, k)
     else:
@@ -217,7 +217,7 @@ def _cmd_baseline(args, cfg: AppConfig) -> int:
 
 
 def _cmd_simulate(args, cfg: AppConfig) -> int:
-    with open(args.frames, "r", encoding="utf-8") as fh:
+    with open(args.frames, "r", encoding="utf-8", newline="\n") as fh:
         parsed = frameio.parse_frames_jsonl(fh)
     lines = service.simulate_actions(parsed.frames, cfg.controller)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -235,7 +235,7 @@ def _cmd_serve(args, cfg: AppConfig) -> int:
 def _cmd_replay(args, cfg: AppConfig) -> int:
     sum_cfg = _summarizer_config(args, cfg)
     host, port = _parse_addr(args.addr)
-    with open(args.frames, "r", encoding="utf-8") as fh:
+    with open(args.frames, "r", encoding="utf-8", newline="\n") as fh:
         parsed = frameio.parse_frames_jsonl(fh)
     matrix = frameio.load_features(args.features) if args.features else None
     out_fh = open(args.out, "w", encoding="utf-8") if args.out else None

@@ -347,23 +347,27 @@ def _check_feature_matrix(matrix: np.ndarray) -> None:
     """Every component of an n x 157 matrix must lie in [0, 1]; NaN never does."""
     if matrix.ndim != 2 or matrix.shape[1] != FEATURE_DIM:
         raise FeatureFileError(f"expected an n x {FEATURE_DIM} matrix, got shape {matrix.shape}")
-    bad = ~((matrix >= 0.0) & (matrix <= 1.0))
-    if bool(bad.any()):
-        row, col = (int(v) for v in np.argwhere(bad)[0])
-        raise RangeViolation(row, col, float(matrix[row, col]))
+    # A NaN makes min() and max() NaN, which fails both tests; the masks are built only to name the first bad cell.
+    if matrix.size == 0 or (matrix.min() >= 0.0 and matrix.max() <= 1.0):
+        return
+    row, col = (int(v) for v in np.argwhere(~((matrix >= 0.0) & (matrix <= 1.0)))[0])
+    raise RangeViolation(row, col, float(matrix[row, col]))
 
 
 def attach_features(result: ParseResult, matrix: np.ndarray) -> FrameTable:
     """The parsed table with a feature matrix bound, once every ``feat_row`` is checked to lie within it.
 
-    The matrix is checked once as a whole and copied once, read-only, so
-    later writes to ``matrix`` cannot reach a frame; each frame's
-    :class:`~robosum.model.FeatureVector` is a view of its row of that copy.
+    The matrix is range-checked as a whole. A read-only float32 matrix that
+    owns its data (as :func:`load_features` returns) is bound as it is; any
+    other is copied once, read-only, so later writes to ``matrix`` cannot
+    reach a frame. Each frame's :class:`~robosum.model.FeatureVector` is a
+    view of its row of the bound matrix.
     """
     matrix = np.asarray(matrix)
     if matrix.dtype.kind not in "fiu":
         raise FeatureFileError(f"feature matrix must hold numbers, got dtype {matrix.dtype}")
-    checked = matrix.astype(np.float32)
+    shared = matrix.dtype == np.float32 and matrix.flags.owndata and not matrix.flags.writeable
+    checked = matrix if shared else matrix.astype(np.float32)
     _check_feature_matrix(checked)
     table = result.frames
     check_feat_row_bounds(table, len(checked))
@@ -381,7 +385,7 @@ def save_features(matrix: np.ndarray, path: str | Path) -> None:
 
 
 def load_features(path: str | Path) -> np.ndarray:
-    """Load and validate a FEAT matrix; every component must lie in [0, 1]."""
+    """Load and validate a FEAT matrix, read-only; every component must lie in [0, 1]."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -400,6 +404,7 @@ def load_features(path: str | Path) -> np.ndarray:
         raise FeatureFileError(f"expected {expected} payload bytes for {count} rows, got {got}")
     matrix = matrix.astype(np.float32, copy=False)
     _check_feature_matrix(matrix)
+    matrix.flags.writeable = False
     return matrix
 
 

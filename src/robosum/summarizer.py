@@ -150,9 +150,20 @@ def _feature_matrix(table: FrameTable) -> np.ndarray:
     return table.features[table.feat_row].astype(np.float64)
 
 
+def _distances(matrix: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Each row's Euclidean distance to ``center``, computed inside float64 ``matrix``, which is overwritten.
+
+    These are the operations ``np.linalg.norm(matrix - center, axis=1)`` runs, so the distances are its own
+    without its two n x 157 temporaries.
+    """
+    np.subtract(matrix, center, out=matrix)
+    np.multiply(matrix, matrix, out=matrix)
+    return np.sqrt(np.add.reduce(matrix, axis=1))
+
+
 def _nearest_row(matrix: np.ndarray, center: np.ndarray, timestamps: np.ndarray) -> int:
-    """Row index closest (Euclidean) to ``center``; ties -> earliest timestamp."""
-    dists = np.linalg.norm(matrix - center, axis=1)
+    """Row index closest (Euclidean) to ``center``; ties -> earliest timestamp. Overwrites ``matrix``: pass a copy."""
+    dists = _distances(matrix, center)
     tied = np.flatnonzero(dists == dists.min())
     return int(tied[np.argmin(timestamps[tied])])
 
@@ -291,6 +302,7 @@ def kmeans_keyframes(
     entries = []
     for j in range(k):
         members = np.flatnonzero(assign == j)
+        # matrix[members] is a copy (fancy indexing), so _nearest_row may overwrite it.
         i = int(members[_nearest_row(matrix[members], centroids[j], ts[members])])
         entries.append(
             SummaryEntry(cluster_index=j + 1, frame_id=int(table.frame_id[i]), timestamp=float(ts[i]), cluster_size=int(members.size))

@@ -373,6 +373,44 @@ class TestDataErrors:
         assert code == 2
         assert "error: frame 3: blur variance absent and no image supplied" in capsys.readouterr().err
 
+    def test_frames_files_split_lines_on_lf_only(self, pipeline_files, capsys):
+        # The wire splits its stream on LF alone, so a file does too: three frames joined by a lone CR are one
+        # line that is not JSON. A CRLF file is an LF file whose lines end in JSON whitespace.
+        tmp_path, frames, feats = pipeline_files
+        lines = frames.read_bytes().splitlines()
+        cr_joined, crlf = tmp_path / "cr.jsonl", tmp_path / "crlf.jsonl"
+        cr_joined.write_bytes(b"\r".join(lines[:3]) + b"\r")
+        crlf.write_bytes(b"".join(line + b"\r\n" for line in lines))
+
+        def runs(path, tag):
+            out = tmp_path / tag
+            out.mkdir(exist_ok=True)
+            return {
+                "simulate": ["simulate", "--frames", str(path), "--out", str(out / "trace.jsonl")],
+                "filter": ["filter", "--frames", str(path), "--out", str(out / "kept.jsonl"),
+                           "--report", str(out / "report.json")],
+                "summarize": ["summarize", "--frames", str(path), "--features", str(feats), "--k", "3",
+                              "--out", str(out / "summary.json")],
+                "uniform": ["baseline", "--method", "uniform", "--frames", str(path), "--k", "3",
+                            "--out", str(out / "uniform.json")],
+                "kmeans": ["baseline", "--method", "kmeans", "--frames", str(path), "--features", str(feats),
+                           "--k", "3", "--out", str(out / "kmeans.json")],
+                "replay": ["replay", "--addr", "127.0.0.1:1", "--frames", str(path)],
+            }
+
+        for name, argv in runs(cr_joined, "cr").items():
+            assert main(argv) == 2, name
+            err = capsys.readouterr().err
+            assert err.startswith("error: line 1: invalid JSON: Extra data") and "Traceback" not in err, name
+        for tag, path in (("lf", frames), ("crlf", crlf)):
+            for name, argv in runs(path, tag).items():
+                if name != "replay":
+                    assert main(argv) == 0, (tag, name)
+        written = sorted(p.name for p in (tmp_path / "lf").iterdir())
+        assert len(written) == 6
+        for name in written:
+            assert (tmp_path / "crlf" / name).read_bytes() == (tmp_path / "lf" / name).read_bytes(), name
+
     def test_missing_input_file_is_exit_2(self, tmp_path):
         code = main(["summarize", "--frames", str(tmp_path / "nope.jsonl"),
                      "--features", str(tmp_path / "nope.bin"), "--out", str(tmp_path / "s.json")])

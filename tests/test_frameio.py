@@ -1,6 +1,7 @@
 """Round-trip exactness and strict rejection of malformed input."""
 
 import io
+import itertools
 import json
 import math
 import re
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import UNDECODABLE_JSON
 from robosum import frameio
@@ -216,9 +218,11 @@ class TestFramesJsonl:
             frameio.attach_features(parsed, np.zeros((2, FEATURE_DIM), dtype=np.float32))
 
         parsed = parsed_with_rows([0])
-        for value in (1.5, -0.25, math.nan):
+        # A read-only float32 matrix is bound without a copy, and is checked all the same.
+        for value, writeable in itertools.product((1.5, -0.25, math.nan), (True, False)):
             bad = np.zeros((4, FEATURE_DIM), dtype=np.float32)
             bad[2, 9] = value
+            bad.flags.writeable = writeable
             with pytest.raises(RangeViolation) as excinfo:
                 frameio.attach_features(parsed, bad)
             assert (excinfo.value.row, excinfo.value.col) == (2, 9)
@@ -423,6 +427,71 @@ class TestFeatureFile:
         path.write_bytes(struct.pack("<4sII", b"FEAT", 2, FEATURE_DIM) + b"\x00" * 100)
         with pytest.raises(FeatureFileError):
             frameio.load_features(path)
+
+    def test_loaded_matrix_is_read_only_and_bound_without_a_copy(self, tmp_path, rng):
+        matrix = rng.random((4, FEATURE_DIM)).astype(np.float32)
+        path = tmp_path / "feat.bin"
+        frameio.save_features(matrix, path)
+        loaded = frameio.load_features(path)
+        assert loaded.dtype == np.float32 and loaded.flags.owndata and not loaded.flags.writeable
+        with pytest.raises(ValueError):
+            loaded[0, 0] = 0.5
+        attached = frameio.attach_features(parsed_with_rows([3, None, 0]), loaded)
+        assert np.shares_memory(attached.features, loaded)
+        assert np.shares_memory(attached[0].features.values, loaded)
+        assert np.array_equal(attached[2].features.values, matrix[0])
+
+    def test_any_other_matrix_is_copied_and_left_as_it_was(self, rng):
+        parsed = parsed_with_rows([0, 1])
+        writable = rng.random((2, FEATURE_DIM)).astype(np.float32)
+        read_only_f64 = writable.astype(np.float64)
+        read_only_view = writable[:]
+        big_endian = writable.astype(">f4")
+        for read_only in (read_only_f64, read_only_view, big_endian):
+            read_only.flags.writeable = False
+        for matrix in (writable, read_only_f64, read_only_view, big_endian):
+            writeable = matrix.flags.writeable
+            attached = frameio.attach_features(parsed, matrix)
+            assert not np.shares_memory(attached.features, matrix)
+            assert attached.features.dtype == np.float32 and not attached.features.flags.writeable
+            assert np.array_equal(attached.features, writable)
+            assert matrix.flags.writeable == writeable
+
+
+def mask_rule(matrix: np.ndarray):
+    """Reference: the former range check, a mask over every cell; the first bad cell's (row, col, value) or None."""
+    bad = ~((matrix >= 0.0) & (matrix <= 1.0))
+    if bool(bad.any()):
+        row, col = (int(v) for v in np.argwhere(bad)[0])
+        return row, col, float(matrix[row, col])
+    return None
+
+
+in_range_float32 = st.one_of(st.sampled_from([-0.0, 0.0, 1.0]), st.floats(0.0, 1.0, width=32))
+any_float32 = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, -1e-45, 1.0000001, 2.0]),
+    st.floats(width=32, allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    matrix=hnp.arrays(np.float32, st.tuples(st.integers(0, 6), st.just(FEATURE_DIM)), elements=in_range_float32),
+    injected=st.lists(st.tuples(st.integers(0, 5), st.integers(0, FEATURE_DIM - 1), any_float32), max_size=4),
+)
+def test_range_check_names_the_cell_the_mask_rule_names(matrix, injected):
+    for row, col, value in injected:
+        if row < len(matrix):
+            matrix[row, col] = value
+    want = mask_rule(matrix)
+    if want is None:
+        frameio._check_feature_matrix(matrix)
+        return
+    with pytest.raises(RangeViolation) as excinfo:
+        frameio._check_feature_matrix(matrix)
+    got = excinfo.value
+    assert (got.row, got.col) == want[:2]
+    assert np.float64(got.value).tobytes() == np.float64(want[2]).tobytes()
 
 
 class TestManifest:

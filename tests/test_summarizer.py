@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import feature_from_pattern, features, frame
+from robosum import summarizer
 from robosum.errors import (
     InfeasibleK,
     MissingFeatures,
@@ -475,3 +477,50 @@ class TestKMeansBaseline:
         frames = _session([0.0], np.full((1, FEATURE_DIM), 0.5))
         with pytest.raises(PipelineError, match="k-means needs at least k=2 frames, got 1"):
             kmeans_keyframes(frames, 2)
+
+
+def norm_distances(matrix, center):
+    """Reference: the former distances, ``np.linalg.norm`` of a fresh difference."""
+    return np.linalg.norm(matrix - center, axis=1)
+
+
+#: Sessions of 1-30 float32 feature rows drawn from at most 6 distinct rows of quarter steps and free values,
+#: so that equal rows, and rows equally far from the mean, tie exactly.
+feature_rows = st.tuples(
+    hnp.arrays(
+        np.float32,
+        st.tuples(st.integers(1, 6), st.just(FEATURE_DIM)),
+        elements=st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0, width=32)),
+    ),
+    st.lists(st.integers(0, 5), min_size=1, max_size=30),
+).map(lambda drawn: drawn[0][[i % len(drawn[0]) for i in drawn[1]]])
+#: Gaps below, near and far above the default h0 of 60 s, so sessions split into clusters of several sizes.
+session_gaps = st.lists(st.sampled_from([0.5, 1.0, 59.0, 60.0, 700.0]), min_size=30, max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=feature_rows, center_row=st.integers(0, 29), at_mean=st.booleans())
+def test_in_place_distances_are_the_linalg_norm_distances_bit_for_bit(rows, center_row, at_mean):
+    matrix = rows.astype(np.float64)
+    center = matrix.mean(axis=0) if at_mean else matrix[center_row % len(matrix)].copy()
+    want = norm_distances(matrix, center)
+    assert summarizer._distances(matrix.copy(), center).tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=feature_rows, gaps=session_gaps, k=st.integers(1, 4))
+def test_keyframes_are_the_ones_linalg_norm_picks(rows, gaps, k):
+    frames = _session(np.cumsum(gaps[: len(rows)]), rows)
+    table = FrameTable.of(frames)
+    before = table.features.tobytes()
+
+    def picks():
+        kmeans = kmeans_keyframes(table, min(k, len(table)), seed=1)
+        return select_keyframe(frames), summarize(frames, SummarizerConfig(k=k)), kmeans
+
+    got = picks()
+    with mock.patch.object(summarizer, "_distances", norm_distances):
+        assert got == picks()
+    # The k-means baseline and the summarizer leave the caller's matrix and records as they were.
+    assert table.features.tobytes() == before
+    assert np.stack([f.features.values for f in frames]).tobytes() == before
