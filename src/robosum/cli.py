@@ -109,6 +109,12 @@ def _image_provider(directory: str | None):
     return load
 
 
+def _read_frames(path: str) -> frameio.ParseResult:
+    # newline="\n": a frames file splits its lines on LF only, as the wire splits its stream.
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        return frameio.parse_frames_jsonl(fh)
+
+
 def _parse_addr(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep or not host:
@@ -163,9 +169,7 @@ def _cmd_gen(args, cfg: AppConfig) -> int:
 
 
 def _cmd_filter(args, cfg: AppConfig) -> int:
-    with open(args.frames, "r", encoding="utf-8", newline="\n") as fh:
-        parsed = frameio.parse_frames_jsonl(fh)
-    accepted, report = filter_frames(parsed.frames, cfg.filter, images=_image_provider(args.images))
+    accepted, report = filter_frames(_read_frames(args.frames).frames, cfg.filter, images=_image_provider(args.images))
     with open(args.out, "w", encoding="utf-8") as fh:
         frameio.write_frames_jsonl(accepted, fh)
     with open(args.report, "w", encoding="utf-8") as fh:
@@ -177,10 +181,7 @@ def _cmd_filter(args, cfg: AppConfig) -> int:
 
 
 def _load_session_with_features(frames_path: str, features_path: str):
-    with open(frames_path, "r", encoding="utf-8", newline="\n") as fh:
-        parsed = frameio.parse_frames_jsonl(fh)
-    matrix = frameio.load_features(features_path)
-    return frameio.attach_features(parsed, matrix)
+    return frameio.attach_features(_read_frames(frames_path), frameio.load_features(features_path))
 
 
 def _cmd_summarize(args, cfg: AppConfig) -> int:
@@ -204,9 +205,7 @@ def _cmd_summarize(args, cfg: AppConfig) -> int:
 def _cmd_baseline(args, cfg: AppConfig) -> int:
     k = _summarizer_config(args, cfg).k
     if args.method == "uniform":
-        with open(args.frames, "r", encoding="utf-8", newline="\n") as fh:
-            parsed = frameio.parse_frames_jsonl(fh)
-        manifest = uniform_keyframes(parsed.frames, k)
+        manifest = uniform_keyframes(_read_frames(args.frames).frames, k)
     else:
         if not args.features:
             raise _UsageError("--features is required for the kmeans baseline")
@@ -217,9 +216,7 @@ def _cmd_baseline(args, cfg: AppConfig) -> int:
 
 
 def _cmd_simulate(args, cfg: AppConfig) -> int:
-    with open(args.frames, "r", encoding="utf-8", newline="\n") as fh:
-        parsed = frameio.parse_frames_jsonl(fh)
-    lines = service.simulate_actions(parsed.frames, cfg.controller)
+    lines = service.simulate_actions(_read_frames(args.frames).frames, cfg.controller)
     with open(args.out, "w", encoding="utf-8") as fh:
         for line in lines:
             fh.write(line + "\n")
@@ -235,8 +232,7 @@ def _cmd_serve(args, cfg: AppConfig) -> int:
 def _cmd_replay(args, cfg: AppConfig) -> int:
     sum_cfg = _summarizer_config(args, cfg)
     host, port = _parse_addr(args.addr)
-    with open(args.frames, "r", encoding="utf-8", newline="\n") as fh:
-        parsed = frameio.parse_frames_jsonl(fh)
+    parsed = _read_frames(args.frames)
     matrix = frameio.load_features(args.features) if args.features else None
     out_fh = open(args.out, "w", encoding="utf-8") if args.out else None
     try:

@@ -357,17 +357,20 @@ def _check_feature_matrix(matrix: np.ndarray) -> None:
 def attach_features(result: ParseResult, matrix: np.ndarray) -> FrameTable:
     """The parsed table with a feature matrix bound, once every ``feat_row`` is checked to lie within it.
 
-    The matrix is range-checked as a whole. A read-only float32 matrix that
-    owns its data (as :func:`load_features` returns) is bound as it is; any
-    other is copied once, read-only, so later writes to ``matrix`` cannot
-    reach a frame. Each frame's :class:`~robosum.model.FeatureVector` is a
-    view of its row of the bound matrix.
+    The matrix is range-checked as a whole. A float32 view over ``bytes`` (as
+    :func:`load_features` returns), which no holder can make writable, is
+    bound as it is; any other is copied once, read-only, so later writes to
+    ``matrix`` cannot reach a frame. Each frame's
+    :class:`~robosum.model.FeatureVector` is a view of its row of the bound matrix.
     """
     matrix = np.asarray(matrix)
     if matrix.dtype.kind not in "fiu":
         raise FeatureFileError(f"feature matrix must hold numbers, got dtype {matrix.dtype}")
-    shared = matrix.dtype == np.float32 and matrix.flags.owndata and not matrix.flags.writeable
-    checked = matrix if shared else matrix.astype(np.float32)
+    # numpy lets the owner of an array's memory set its writeable flag back; nothing can write to ``bytes``.
+    base = matrix
+    while isinstance(base, np.ndarray) and not base.flags.writeable and not base.flags.owndata:
+        base = base.base
+    checked = matrix if matrix.dtype == np.float32 and isinstance(base, bytes) else matrix.astype(np.float32)
     _check_feature_matrix(checked)
     table = result.frames
     check_feat_row_bounds(table, len(checked))
@@ -385,7 +388,7 @@ def save_features(matrix: np.ndarray, path: str | Path) -> None:
 
 
 def load_features(path: str | Path) -> np.ndarray:
-    """Load and validate a FEAT matrix, read-only; every component must lie in [0, 1]."""
+    """Load and validate a FEAT matrix, a read-only view over the file's bytes; every component must lie in [0, 1]."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -397,14 +400,13 @@ def load_features(path: str | Path) -> np.ndarray:
             raise FeatureFileError(f"expected dimension {FEATURE_DIM}, got {dim}")
         expected = count * dim * 4
         got = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if got == expected:  # read straight into the matrix, allocated once the file's size vouches for it
-            matrix = np.empty((count, dim), dtype="<f4")
-            got = fh.readinto(matrix)
+        if got == expected:  # read the payload once the file's size vouches for it
+            payload = fh.read(expected)
+            got = len(payload)
     if got != expected:
         raise FeatureFileError(f"expected {expected} payload bytes for {count} rows, got {got}")
-    matrix = matrix.astype(np.float32, copy=False)
+    matrix = np.frombuffer(payload, dtype="<f4").reshape(count, dim)
     _check_feature_matrix(matrix)
-    matrix.flags.writeable = False
     return matrix
 
 

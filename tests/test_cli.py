@@ -3,7 +3,11 @@
 import dataclasses
 import json
 import math
+import re
+import signal
 import socket
+import subprocess
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -14,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import robosum
 from conftest import UNDECODABLE_JSON
 from robosum import frameio, scenario
 from robosum.cli import AppConfig, main
@@ -301,6 +306,10 @@ class TestDataErrors:
             ("ill_posed_injections[1]: unknown ill-posed reason 'Sideways'",
              {"ill_posed_injections": [{"start_s": 1, "end_s": 2, "reason": "Blurred"},
                                        {"start_s": 3, "end_s": 4, "reason": "Sideways"}]}),
+            # The trajectory walks the person into a corner, so the label oracle cannot make a frame well-posed.
+            ("cannot realize label", {"duration_s": 10.0,
+                                      "activity_segments": [{"start_s": 0.0, "end_s": 10.0, "activity_id": 0}],
+                                      "person_trajectory": [{"t": 0.0, "x": 10.0, "y": 170.0, "torso_px": 150.0}]}),
         ],
     )
     def test_bad_spec_value_is_exit_2_naming_the_field(self, tmp_path, capsys, field, value):
@@ -680,6 +689,114 @@ class TestSimulateAndReplay:
         finally:
             server.shutdown()
             server.server_close()
+
+
+# --- one session through every subcommand, the server in its own process ------------
+
+# Two activities, one injection of each ill-posed reason, and a 40 s gap with nobody in view: the controller follows,
+# searches for 24 turns, then falls idle until the second activity.
+GAP_SPEC = ScenarioSpec(
+    duration_s=160.0,
+    fps=1.0,
+    activity_segments=(ActivitySegment(0.0, 60.0, activity_id=12), ActivitySegment(100.0, 160.0, activity_id=40)),
+    ill_posed_injections=tuple(Injection(5.0 + 7 * i, 8.0 + 7 * i, reason) for i, reason in enumerate(IllPosedReason)),
+)
+
+
+@pytest.fixture(scope="module")
+def gap_session(tmp_path_factory):
+    """The directory holding GAP_SPEC's frames.jsonl and feat.bin, its filter's kept.jsonl and report.json, and
+    its simulate trace.jsonl."""
+    d = tmp_path_factory.mktemp("gap")
+    assert main(["gen", "--spec", str(write_spec(d, GAP_SPEC)), "--out", str(d / "frames.jsonl"),
+                 "--features", str(d / "feat.bin")]) == 0
+    assert main(["filter", "--frames", str(d / "frames.jsonl"), "--out", str(d / "kept.jsonl"),
+                 "--report", str(d / "report.json")]) == 0
+    assert main(["simulate", "--frames", str(d / "frames.jsonl"), "--out", str(d / "trace.jsonl")]) == 0
+    return d
+
+
+class TestGapSession:
+    def test_gen_writes_one_line_per_frame(self, gap_session):
+        assert len((gap_session / "frames.jsonl").read_bytes().splitlines()) == 160
+
+    def test_filter_keeps_input_lines_one_per_accepted_frame(self, gap_session):
+        kept = (gap_session / "kept.jsonl").read_bytes().splitlines()
+        assert set(kept) <= set((gap_session / "frames.jsonl").read_bytes().splitlines())
+        assert len(kept) == json.loads((gap_session / "report.json").read_text())["accepted"] == 102
+
+    def test_simulate_follows_searches_and_falls_idle(self, gap_session):
+        lines = (gap_session / "trace.jsonl").read_text().splitlines()
+        assert len(lines) == 160
+        modes = {mode: [line for line in lines if f'"mode":"{mode}"' in line]
+                 for mode in ("following", "searching", "idle")}
+        assert all(modes.values())
+        assert len(modes["searching"]) == 27 and len(modes["idle"]) == 16
+        # The head rises once, on the 13th turn of the gap's search: the turn after one revolution.
+        raised = [line for line in modes["searching"] if '"pitch_deg":15.0' in line]
+        assert [json.loads(line)["frame_id"] for line in raised] == [72]
+
+    def test_integer_timestamps_give_the_same_trace_report_and_kept_lines(self, gap_session, tmp_path):
+        # The parser's column checks take integers, and records hold floats.
+        frames = gap_session / "frames.jsonl"
+        int_frames = tmp_path / "int-frames.jsonl"
+        int_frames.write_text(re.sub(r'"t": ([0-9]+)\.0,', r'"t": \1,', frames.read_text()))
+        assert int_frames.read_bytes() != frames.read_bytes()
+        assert main(["simulate", "--frames", str(int_frames), "--out", str(tmp_path / "trace.jsonl")]) == 0
+        assert main(["filter", "--frames", str(int_frames), "--out", str(tmp_path / "kept.jsonl"),
+                     "--report", str(tmp_path / "report.json")]) == 0
+        for name in ("trace.jsonl", "report.json", "kept.jsonl"):
+            assert (tmp_path / name).read_bytes() == (gap_session / name).read_bytes(), name
+
+    def test_replay_of_a_session_without_blur_scores_ends_in_the_servers_data_error(self, tmp_path, capsys):
+        # With --images no frame has a blur score, so the server cannot classify the first featured frame.
+        frames, feats = tmp_path / "imaged.jsonl", tmp_path / "imaged.bin"
+        assert main(["gen", "--spec", str(write_spec(tmp_path, GAP_SPEC)), "--out", str(frames),
+                     "--features", str(feats), "--images", str(tmp_path / "imgs")]) == 0
+        server, thread = run_server_in_thread(ServiceConfig())
+        host, port = server.bound_address
+        try:
+            code = main(["replay", "--addr", f"{host}:{port}", "--frames", str(frames), "--features", str(feats)])
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert code == 2
+        prefix = 'error: server replied: {"type":"error","code":"data_error",'
+        assert any(line.startswith(prefix) for line in capsys.readouterr().err.splitlines())
+
+    def test_serve_answers_a_replay_as_simulate_does_and_exits_0_on_sigint(self, gap_session, tmp_path):
+        # Run from the directory that holds the imported package, so that ``-m`` finds this copy of it.
+        argv = [sys.executable, "-m", "robosum.cli", "--verbose", "serve", "--addr", "127.0.0.1:0"]
+        server = subprocess.Popen(argv, cwd=Path(robosum.__file__).parents[1], stderr=subprocess.PIPE, text=True)
+        # Reading stderr blocks; a server that never logs its address is killed rather than waited on forever.
+        watchdog = threading.Timer(60, server.kill)
+        watchdog.start()
+        log = []
+        try:
+            for line in server.stderr:
+                log.append(line)
+                if "serving on " in line:
+                    break
+            assert log and "serving on " in log[-1], "".join(log)
+            addr = log[-1].rpartition("serving on ")[2].strip()
+            replies = tmp_path / "replies.jsonl"
+            assert main(["replay", "--addr", addr, "--frames", str(gap_session / "frames.jsonl"),
+                         "--features", str(gap_session / "feat.bin"), "--out", str(replies)]) == 0
+        finally:
+            watchdog.cancel()
+            server.send_signal(signal.SIGINT)
+            try:
+                server.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                server.kill()
+                server.wait()
+            log.extend(server.stderr)
+            server.stderr.close()
+        assert server.returncode == 0
+        assert any("interrupt received" in line for line in log)
+        lines = replies.read_text().splitlines()
+        assert lines[:-1] == (gap_session / "trace.jsonl").read_text().splitlines()
+        assert lines[-1].startswith('{"type":"summary",')
 
 
 # --- no input escapes main -----------------------------------------------------------

@@ -433,9 +433,12 @@ class TestFeatureFile:
         path = tmp_path / "feat.bin"
         frameio.save_features(matrix, path)
         loaded = frameio.load_features(path)
-        assert loaded.dtype == np.float32 and loaded.flags.owndata and not loaded.flags.writeable
+        assert loaded.dtype == np.float32 and not loaded.flags.writeable
         with pytest.raises(ValueError):
             loaded[0, 0] = 0.5
+        # No holder can make the matrix writable again, so a write cannot reach a frame bound to it.
+        with pytest.raises(ValueError):
+            loaded.flags.writeable = True
         attached = frameio.attach_features(parsed_with_rows([3, None, 0]), loaded)
         assert np.shares_memory(attached.features, loaded)
         assert np.shares_memory(attached[0].features.values, loaded)
@@ -447,9 +450,12 @@ class TestFeatureFile:
         read_only_f64 = writable.astype(np.float64)
         read_only_view = writable[:]
         big_endian = writable.astype(">f4")
-        for read_only in (read_only_f64, read_only_view, big_endian):
+        # Each of these two can be made writable again: the owner by its holder, the view through its bytearray.
+        read_only_owner = writable.copy()
+        over_bytearray = np.frombuffer(bytearray(writable.tobytes()), dtype=np.float32).reshape(writable.shape)
+        for read_only in (read_only_f64, read_only_view, big_endian, read_only_owner, over_bytearray):
             read_only.flags.writeable = False
-        for matrix in (writable, read_only_f64, read_only_view, big_endian):
+        for matrix in (writable, read_only_f64, read_only_view, big_endian, read_only_owner, over_bytearray):
             writeable = matrix.flags.writeable
             attached = frameio.attach_features(parsed, matrix)
             assert not np.shares_memory(attached.features, matrix)
