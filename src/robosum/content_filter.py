@@ -164,33 +164,38 @@ def filter_frames(
     """Split a timestamp-ordered stream into its well-posed frames and a tally.
 
     The whole-session form of :func:`classify_frame`: each rule is a mask
-    over the session's table and the first that holds names a frame's
-    reason. Output preserves input order. ``images`` is called with each
-    frame that carries no blur score, in frame order; each image is checked,
-    and scored only where the blur rule is reached.
+    over a block of the session's table (:meth:`FrameTable.blocks`) and the
+    first that holds names a frame's reason, so the masks are a block long,
+    not the session's length. Output preserves input order. ``images`` is
+    called with each frame that carries no blur score, in frame order; each
+    image is checked, and scored only where the blur rule is reached.
     """
     cfg = cfg or FilterConfig()
     table = FrameTable.of(frames)
-    seen = confident_mask(table.points)
-    person = seen.any(axis=1)
-    blur = table.blur.copy()
-    for i in np.flatnonzero(np.isnan(blur)).tolist():
-        rec = table[i]
-        image = images(rec) if images is not None else None
-        if image is None:
-            raise MissingBlurScore(rec.frame_id)
-        try:
-            pixels = _checked_image(image)
-        except InvalidImage as exc:
-            raise type(exc)(f"frame {rec.frame_id}: {exc}") from exc
-        if person[i]:
-            blur[i] = _laplacian_variance(pixels)
     undecided = np.ones(len(table), dtype=bool)
-    counts = {}
-    for reason, holds in _rules(table, seen, blur, cfg).items():
-        hit = undecided & holds
-        counts[reason] = int(np.count_nonzero(hit))
-        undecided &= ~hit
+    counts = dict.fromkeys(IllPosedReason, 0)
+    for start, block in table.blocks():
+        seen = confident_mask(block.points)
+        blur = block.blur
+        missing = np.flatnonzero(np.isnan(blur))
+        if missing.size:
+            blur, person = blur.copy(), seen.any(axis=1)
+            for i in missing.tolist():
+                rec = block[i]
+                image = images(rec) if images is not None else None
+                if image is None:
+                    raise MissingBlurScore(rec.frame_id)
+                try:
+                    pixels = _checked_image(image)
+                except InvalidImage as exc:
+                    raise type(exc)(f"frame {rec.frame_id}: {exc}") from exc
+                if person[i]:
+                    blur[i] = _laplacian_variance(pixels)
+        left = undecided[start : start + len(block)]  # a view: the block's verdicts land in the session's mask
+        for reason, holds in _rules(block, seen, blur, cfg).items():
+            hit = left & holds
+            counts[reason] += int(np.count_nonzero(hit))
+            left &= ~hit
     accepted = table.take(undecided)
     return accepted, FilterReport(total=len(table), accepted=len(accepted), rejected_by_reason=counts)
 

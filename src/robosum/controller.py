@@ -182,7 +182,7 @@ def _clamp(value: float, lo: float, hi: float) -> float:
 
 
 #: The command of every idle step: stand still, show the default face.
-_IDLE_COMMAND = ActionCommand(0.0, None, 0.0, Expression.DEFAULT_STILL, Mode.IDLE)
+IDLE_COMMAND = ActionCommand(0.0, None, 0.0, Expression.DEFAULT_STILL, Mode.IDLE)
 
 
 #: What a frame shows the controller, whatever its state: None when no person is visible, else (side,
@@ -260,7 +260,7 @@ def _search(state: ControllerState, timestamp: float, cfg: ControllerConfig) -> 
     turns = state.turns_done if state.mode is Mode.SEARCHING else 0
     if turns >= 2 * cfg.turns_per_revolution:
         idle_until = timestamp + cfg.idle_duration_s
-        return ControllerState(Mode.IDLE, 0, state.last_seen_side, state.current_pitch, idle_until), _IDLE_COMMAND
+        return ControllerState(Mode.IDLE, 0, state.last_seen_side, state.current_pitch, idle_until), IDLE_COMMAND
 
     direction = Side.RIGHT if state.last_seen_side is Side.UNKNOWN else state.last_seen_side
     rotate = cfg.search_turn_deg if direction is Side.RIGHT else -cfg.search_turn_deg
@@ -297,7 +297,7 @@ def advance(
             ActionCommand(rotate, target, forward, expression, Mode.FOLLOWING),
         )
     if state.mode is Mode.IDLE and timestamp < state.idle_until:  # once it expires, a search starts at turn 0
-        return state, _IDLE_COMMAND
+        return state, IDLE_COMMAND
     return _search(state, timestamp, cfg)
 
 

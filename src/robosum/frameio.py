@@ -168,7 +168,7 @@ class _Parse:
 
     def __init__(self):
         self.seen, self.last_t, self.dropped, self.parts = set(), None, 0, []
-        # Kept frames' points in one buffer grown by doubling: arrays freed part by part would stay resident.
+        # Kept frames' points in one buffer, not in parts: arrays freed part by part would stay resident.
         self.points, self.kept = np.empty((_CHUNK_LINES, NUM_LANDMARKS, 3)), 0
         self.start(1)
 
@@ -281,9 +281,9 @@ class _Parse:
         """Add a part's frames: its points to the buffer, its other columns to the parts."""
         end = self.kept + len(table)
         if end > len(self.points):
-            grown = np.empty((2 * end, NUM_LANDMARKS, 3))
-            grown[: self.kept] = self.points[: self.kept]
-            self.points = grown
+            # Grown in place by a quarter, not into a second buffer that would be held beside it: realloc, which
+            # remaps a large block (glibc) rather than copy it. No view of the buffer outlives a call: no refcheck.
+            self.points.resize((max(end, len(self.points) * 5 // 4), NUM_LANDMARKS, 3), refcheck=False)
         self.points[self.kept : end] = table.points
         self.kept = end
         self.parts.append((table.frame_id, table.t, table.w, table.h, table.blur, table.person, table.feat_row))

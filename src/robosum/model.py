@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 
@@ -291,6 +291,11 @@ class FrameRecord:
             raise ValueError(f"frame {self.frame_id}: blur variance must be a finite non-negative real")
 
 
+#: Rows per block of a whole-session batch stage (see :meth:`FrameTable.blocks`): its temporaries are this
+#: many rows long, not the session's length.
+_BLOCK_ROWS = 2048
+
+
 def _ints(values) -> np.ndarray:
     """Integers as int64, or as Python ints where one does not fit."""
     try:
@@ -306,7 +311,8 @@ class FrameTable(Sequence):
     ``points``, an (n, 18, 3) float64 array with :data:`ABSENT` rows for absent points; ``feat_row``, the
     frame's row in the feature file, or -1 for none. ``features`` is the checked read-only float32 matrix
     those rows index, or None until one is bound; a row's record has features only once it is. ``table[i]``
-    builds row ``i``'s record, iterating builds every row's; a slice or :meth:`take` gives a table.
+    builds row ``i``'s record, iterating builds every row's; a slice or :meth:`take` gives a table, and
+    :meth:`blocks` gives the whole-session batch stages their tables of a fixed number of rows.
     """
 
     __slots__ = ("frame_id", "t", "w", "h", "blur", "person", "points", "feat_row", "features")
@@ -342,6 +348,14 @@ class FrameTable(Sequence):
     def take(self, rows) -> FrameTable:
         """The table of ``rows``: indices, a slice or a boolean mask."""
         return FrameTable(*(getattr(self, name)[rows] for name in self.__slots__[:8]), self.features)
+
+    def blocks(self) -> Iterator[tuple[int, FrameTable]]:
+        """The table in consecutive blocks of at most :data:`_BLOCK_ROWS` rows, each with the row it starts at.
+
+        A block is a slice, so its columns are views of these; none for an empty table.
+        """
+        for start in range(0, len(self), _BLOCK_ROWS):
+            yield start, self.take(slice(start, start + _BLOCK_ROWS))
 
     def __len__(self) -> int:
         return len(self.t)

@@ -35,7 +35,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from .content_filter import FilterConfig, classify_frame
-from .controller import ActionCommand, ControllerConfig, advance, controller_step, initial_state, sense_table
+from .controller import IDLE_COMMAND, ActionCommand, ControllerConfig, advance, controller_step, initial_state, sense_table
 from .errors import ConnectionLost, ParseError, PipelineError
 from .frameio import FEATURE_DIM, JSON_FAULTS, ParseResult, _json_fault, check_feat_row_bounds, frame_from_wire, frame_to_wire, manifest_to_dict
 from .model import FLOAT_MAX, FeatureVector, FrameRecord, FrameTable, SummaryManifest
@@ -133,16 +133,18 @@ class Session:
 def simulate_actions(frames: Sequence[FrameRecord], cfg: ControllerConfig | None = None) -> list[str]:
     """Offline controller run: the action line :class:`Session` answers each frame with, in order.
 
-    Every frame's sensing is taken for the whole session at once; then
-    :func:`~robosum.controller.advance`, the step the server takes, runs frame by frame.
+    The frames are sensed a block of the session's table at a time (:meth:`FrameTable.blocks`), so no
+    session-sized temporary is held beside the lines; then :func:`~robosum.controller.advance`, the step the
+    server takes, runs frame by frame. A step that returns the idle command is written from one template line.
     """
     cfg = cfg or ControllerConfig()
-    table = FrameTable.of(frames)
     state = initial_state()
+    idle_head, idle_tail = action_line(0, IDLE_COMMAND).split('"frame_id":0', 1)
     lines = []
-    for frame_id, t, sensing in zip(table.frame_id.tolist(), table.t.tolist(), sense_table(table, cfg)):
-        state, cmd = advance(state, sensing, t, cfg)
-        lines.append(action_line(frame_id, cmd))
+    for _, block in FrameTable.of(frames).blocks():
+        for frame_id, t, sensing in zip(block.frame_id.tolist(), block.t.tolist(), sense_table(block, cfg)):
+            state, cmd = advance(state, sensing, t, cfg)
+            lines.append(f'{idle_head}"frame_id":{frame_id}{idle_tail}' if cmd is IDLE_COMMAND else action_line(frame_id, cmd))
     return lines
 
 

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import model
 from .errors import (
     InfeasibleK,
     MissingFeatures,
@@ -147,7 +148,15 @@ def _featured(frames: Iterable[FrameRecord]) -> FrameTable:
 
 
 def _feature_matrix(table: FrameTable) -> np.ndarray:
-    return table.features[table.feat_row].astype(np.float64)
+    """The frames' feature rows as a new float64 matrix, filled :data:`~robosum.model._BLOCK_ROWS` rows at a time.
+
+    Only a block's float32 rows are gathered before they are widened, not a float32 copy of every row.
+    """
+    matrix = np.empty((len(table), table.features.shape[1]), dtype=np.float64)
+    rows = model._BLOCK_ROWS
+    for a in range(0, len(table), rows):
+        matrix[a : a + rows] = table.features[table.feat_row[a : a + rows]]
+    return matrix
 
 
 def _distances(matrix: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -201,12 +210,11 @@ def summarize(
     n = len(table)
     if n == 0:
         return SummaryManifest(k=cfg.k, h_star=0.0, cluster_count=0, entries=())
-    ts = _as_timestamp_array(table.t)
-    ids = table.frame_id.tolist()
+    ts, ids = _as_timestamp_array(table.t), table.frame_id
 
     if n < cfg.k:
         entries = tuple(
-            SummaryEntry(cluster_index=i + 1, frame_id=ids[i], timestamp=float(ts[i]), cluster_size=1) for i in range(n)
+            SummaryEntry(cluster_index=i + 1, frame_id=int(ids[i]), timestamp=float(ts[i]), cluster_size=1) for i in range(n)
         )
         return SummaryManifest(k=cfg.k, h_star=0.0, cluster_count=n, entries=entries)
 
@@ -216,7 +224,7 @@ def summarize(
         a = cluster.frame_ids[0]
         i = a + _keyframe(table[a : a + cluster.size])
         entries.append(
-            SummaryEntry(cluster_index=cluster.index, frame_id=ids[i], timestamp=float(ts[i]), cluster_size=cluster.size)
+            SummaryEntry(cluster_index=cluster.index, frame_id=int(ids[i]), timestamp=float(ts[i]), cluster_size=cluster.size)
         )
     entries.sort(key=lambda e: e.timestamp)
     return SummaryManifest(

@@ -469,7 +469,7 @@ def _reference_search(state, timestamp, cfg):
         new_state = _ReferenceState(
             Mode.IDLE, 0, False, state.search_direction, state.last_seen_side, state.current_pitch, idle_until
         )
-        return new_state, controller._IDLE_COMMAND
+        return new_state, controller.IDLE_COMMAND
 
     direction = Side.RIGHT if state.last_seen_side is Side.UNKNOWN else state.last_seen_side
     rotate = cfg.search_turn_deg if direction is Side.RIGHT else -cfg.search_turn_deg
@@ -504,7 +504,7 @@ def reference_advance(state, sensing, timestamp, cfg):
         )
     if state.mode is Mode.IDLE:
         if timestamp < state.idle_until:
-            return state, controller._IDLE_COMMAND
+            return state, controller.IDLE_COMMAND
         state = _ReferenceState(
             Mode.SEARCHING, 0, False, state.search_direction, state.last_seen_side, state.current_pitch, 0.0
         )

@@ -6,9 +6,11 @@ summarizer over stacked records and the server's ``Session`` run frame by
 frame. The sessions are drawn to sit on the rules' edges.
 """
 
+import gc
 import io
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -17,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import centered_person
-from robosum import frameio
+from robosum import frameio, model
 from robosum.content_filter import FilterConfig, FilterReport, classify_frame, filter_frames
 from robosum.controller import ControllerConfig
 from robosum.errors import InvalidImage, OrderError, ParseError, PipelineError
@@ -39,6 +41,7 @@ from robosum.model import (
     SummaryEntry,
     SummaryManifest,
 )
+from robosum.scenario import ActivitySegment, Injection, ScenarioSpec, generate_session
 from robosum.service import ServiceConfig, Session, simulate_actions
 from robosum.summarizer import SummarizerConfig, adapt_threshold, select_top_k_clusters, summarize
 
@@ -346,3 +349,65 @@ def test_filter_writes_each_kept_frame_as_the_line_it_was_read_from(records, row
     assert frameio.write_frames_jsonl(accepted, buf) is None
     line_of = {rec.frame_id: line for rec, line in zip(records, lines)}
     assert buf.getvalue().splitlines(keepends=True) == [line_of[i] for i in accepted.frame_id.tolist()]
+
+
+# --- Blocks: a whole-session stage works a fixed number of rows at a time ------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(sessions(max_size=40, increasing=True), CONTROLLER_CONFIGS, st.integers(1, 6))
+def test_blocked_stages_equal_their_one_block_results(records, cfg, k):
+    table = FrameTable.of(records)
+    featured = table.take(table.feat_row >= 0)
+
+    def stages():
+        calls = []
+        accepted, report = filter_frames(table, images=images_for(calls))
+        return simulate_actions(table, cfg), list(accepted), report, calls, summarize(featured, SummarizerConfig(k=k, h0=7.0))
+
+    one_block = stages()  # no drawn session reaches the default block size
+    for rows in (1, 2, 3, 7):
+        with mock.patch.object(model, "_BLOCK_ROWS", rows):
+            assert stages() == one_block
+
+
+#: 6,000 frames with two 600 s activity segments: most frames show nobody, so the filter keeps few, and each of
+#: the two clusters the summary finds is many blocks long.
+LONG_SPEC = ScenarioSpec(
+    duration_s=6000.0,
+    fps=1.0,
+    activity_segments=(ActivitySegment(500.0, 1100.0, activity_id=3), ActivitySegment(4000.0, 4600.0, activity_id=9)),
+    ill_posed_injections=(Injection(600.0, 620.0, IllPosedReason.BLURRED),),
+    rng_seed=5,
+)
+
+
+def held_beyond_output(call):
+    """``call()``, and the most bytes it held at once beyond those it left allocated (its output), by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        result = call()
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - left
+
+
+def test_batch_stages_hold_a_few_blocks_beyond_their_outputs():
+    rows = 48
+    table = FrameTable.of(generate_session(LONG_SPEC)[0])
+    block = rows * (sum(getattr(table, name)[:1].nbytes for name in FrameTable.__slots__[:8]) + table.features[:1].nbytes)
+    cfg = SummarizerConfig(k=2, h0=60.0)
+    with mock.patch.object(model, "_BLOCK_ROWS", rows):
+        # One block's columns: a session-sized temporary of 8 bytes a frame (48 KB here) would not fit beside a block's.
+        (accepted, _), held = held_beyond_output(lambda: filter_frames(table))
+        assert held <= block
+        _, held = held_beyond_output(lambda: simulate_actions(table))
+        assert held <= block
+        # The keyframe rule reads a cluster's float64 feature matrix whole. The four blocks also hold the clusters'
+        # tuples of frame positions, about 33 bytes an accepted frame.
+        largest = max(c.size for c in adapt_threshold(accepted.t, cfg.k, cfg.h0)[1])
+        _, held = held_beyond_output(lambda: summarize(accepted, cfg))
+        assert held <= largest * FEATURE_DIM * 8 + 4 * block
