@@ -20,7 +20,7 @@ from . import frameio, scenario, service
 from .content_filter import FilterConfig, filter_frames
 from .controller import ControllerConfig
 from .errors import PipelineError
-from .model import IllPosedReason, build_fields, read_fields
+from .model import FrameTable, IllPosedReason, build_fields, read_fields
 from .summarizer import (
     SummarizerConfig,
     assign_clusters,
@@ -143,19 +143,21 @@ def _cmd_gen(args, cfg: AppConfig) -> int:
     if args.images:
         images_dir = Path(args.images)
         images_dir.mkdir(parents=True, exist_ok=True)
-        blurred = {t.frame_id for t in truth if t.reason is IllPosedReason.BLURRED}
+        for t in truth:
+            image = scenario.frame_image(t.frame_id, t.reason is IllPosedReason.BLURRED, seed=spec.rng_seed)
+            frameio.save_pgm(image, images_dir / f"{t.frame_id}.pgm")
     # With images, a frame's blur score is left to its image; without a feature file, no frame has features.
-    stripped = {"blur_variance": None} if args.images else {}
-    if not args.features:
-        stripped["features"] = None
-    if stripped:
-        for i, rec in enumerate(frames):
-            if args.images:
-                frameio.save_pgm(
-                    scenario.frame_image(rec.frame_id, rec.frame_id in blurred, seed=spec.rng_seed),
-                    images_dir / f"{rec.frame_id}.pgm",
-                )
-            frames[i] = dataclasses.replace(rec, **stripped)
+    # Either writes a table over the session's columns with that column replaced.
+    if args.images or not args.features:
+        table = FrameTable.of(frames)
+        blur, feat_row, features = table.blur, table.feat_row, table.features
+        if args.images:
+            blur = np.full(len(table), np.nan)
+        if not args.features:
+            feat_row, features = np.full(len(table), -1, dtype=np.int64), None
+        frames = FrameTable(
+            table.frame_id, table.t, table.w, table.h, blur, table.point_row, feat_row, table.points, features
+        )
 
     with open(args.out, "w", encoding="utf-8") as fh:
         matrix = frameio.write_frames_jsonl(frames, fh)

@@ -166,16 +166,20 @@ def filter_frames(
     The whole-session form of :func:`classify_frame`: each rule is a mask
     over a block of the session's table (:meth:`FrameTable.blocks`) and the
     first that holds names a frame's reason, so the masks are a block long,
-    not the session's length. Output preserves input order. ``images`` is
-    called with each frame that carries no blur score, in frame order; each
-    image is checked, and scored only where the blur rule is reached.
+    not the session's length. Output preserves input order: the well-posed
+    frames' per-frame columns over the session's own ``points`` and
+    ``features`` matrices (:meth:`FrameTable.take`), so it copies neither.
+    ``images`` is called with each frame that carries no blur score, in
+    frame order; each image is checked, and scored only where the blur rule
+    is reached.
     """
     cfg = cfg or FilterConfig()
     table = FrameTable.of(frames)
     undecided = np.ones(len(table), dtype=bool)
     counts = dict.fromkeys(IllPosedReason, 0)
     for start, block in table.blocks():
-        seen = confident_mask(block.points)
+        points = block.frame_points()
+        seen = confident_mask(points)
         blur = block.blur
         missing = np.flatnonzero(np.isnan(blur))
         if missing.size:
@@ -192,7 +196,7 @@ def filter_frames(
                 if person[i]:
                     blur[i] = _laplacian_variance(pixels)
         left = undecided[start : start + len(block)]  # a view: the block's verdicts land in the session's mask
-        for reason, holds in _rules(block, seen, blur, cfg).items():
+        for reason, holds in _rules(block, points, seen, blur, cfg).items():
             hit = left & holds
             counts[reason] += int(np.count_nonzero(hit))
             left &= ~hit
@@ -201,9 +205,11 @@ def filter_frames(
 
 
 @np.errstate(all="ignore")  # overflow gives inf without a word, as in Python's float arithmetic
-def _rules(table: FrameTable, seen: np.ndarray, blur: np.ndarray, cfg: FilterConfig) -> dict[IllPosedReason, np.ndarray]:
-    """Each rule's mask over the session, in :func:`classify_frame`'s order and with its arithmetic."""
-    x, y = table.points[:, :, 0], table.points[:, :, 1]
+def _rules(
+    table: FrameTable, points: np.ndarray, seen: np.ndarray, blur: np.ndarray, cfg: FilterConfig
+) -> dict[IllPosedReason, np.ndarray]:
+    """Each rule's mask over a table, given its frames' points, in :func:`classify_frame`'s order and with its arithmetic."""
+    x, y = points[:, :, 0], points[:, :, 1]
     (x_lo, x_hi), (y_lo, y_hi) = visible_span(x, seen), visible_span(y, seen)
     center_x = np.where(seen[:, NECK], x[:, NECK], (x_lo + x_hi) / 2.0)
     margin = cfg.corner_margin_fraction * table.w

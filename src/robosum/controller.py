@@ -224,7 +224,8 @@ def sense(obs: Observation | FrameRecord, cfg: ControllerConfig) -> Sensing:
 @np.errstate(all="ignore")  # overflow gives inf without a word, as in Python's float arithmetic
 def sense_table(table: FrameTable, cfg: ControllerConfig) -> Iterator[Sensing]:
     """Every frame's :data:`Sensing` at once, with :func:`sense`'s float operations in its order."""
-    seen, x, y = confident_mask(table.points), table.points[:, :, 0], table.points[:, :, 1]
+    points = table.frame_points()
+    seen, x, y = confident_mask(points), points[:, :, 0], points[:, :, 1]
     x_lo, x_hi = visible_span(x, seen)
     face = np.count_nonzero(seen[:, FACIAL_INDICES], axis=1)
     ref_x = ref_y = 0.0  # the facial points summed in index order; adding 0.0 for an unseen one changes nothing

@@ -36,6 +36,7 @@ from .model import (
     _checked_landmarks,
     _ints,
     check_point,
+    matrix_rows,
     require_int,
     require_number,
 )
@@ -168,7 +169,7 @@ class _Parse:
 
     def __init__(self):
         self.seen, self.last_t, self.dropped, self.parts = set(), None, 0, []
-        # Kept frames' points in one buffer, not in parts: arrays freed part by part would stay resident.
+        # Kept frames' landmark sets in one buffer, not in parts: arrays freed part by part would stay resident.
         self.points, self.kept = np.empty((_CHUNK_LINES, NUM_LANDMARKS, 3)), 0
         self.start(1)
 
@@ -193,11 +194,8 @@ class _Parse:
         if type(obj) is not dict or obj.keys() != _FRAME_KEY_SET:
             raise ValueError
         landmarks = obj["landmarks"]
-        if landmarks is None:
-            self.values += ABSENT * NUM_LANDMARKS
-            self.absent += NUM_LANDMARKS
-        elif type(landmarks) is list and len(landmarks) == NUM_LANDMARKS:
-            values = self.values  # x, y, conf of every point, frame after frame; NaN where absent
+        if type(landmarks) is list and len(landmarks) == NUM_LANDMARKS:
+            values = self.values  # x, y, conf of every point of every set, set after set; NaN where absent
             for entry in landmarks:
                 if entry is None:
                     values += ABSENT
@@ -206,7 +204,7 @@ class _Parse:
                 else:
                     raise ValueError
             self.absent += landmarks.count(None)
-        else:
+        elif landmarks is not None:
             raise ValueError
         self.scalars.append(_SCALARS(obj))
         self.person.append(landmarks is not None)
@@ -238,7 +236,7 @@ class _Parse:
             and np.count_nonzero(absent) == self.absent
         ):
             return None
-        return FrameTable(ids, ts, ws, hs, blur, np.array(self.person, dtype=bool), points, rows)
+        return FrameTable(ids, ts, ws, hs, blur, matrix_rows(np.array(self.person, dtype=bool)), rows, points)
 
     def flush(self) -> None:
         """Keep the chunk's frames as columns; a chunk the column checks reject has a fault for the walk to name."""
@@ -278,21 +276,26 @@ class _Parse:
         return True
 
     def keep(self, table: FrameTable) -> None:
-        """Add a part's frames: its points to the buffer, its other columns to the parts."""
-        end = self.kept + len(table)
+        """Add a part's frames: the landmark sets its ``point_row`` names to the buffer, its columns to the parts.
+
+        A part that dropped a frame has sets in its points that no row names; they are not kept.
+        """
+        present = table.point_row >= 0
+        end = self.kept + np.count_nonzero(present)
         if end > len(self.points):
             # Grown in place by a quarter, not into a second buffer that would be held beside it: realloc, which
             # remaps a large block (glibc) rather than copy it. No view of the buffer outlives a call: no refcheck.
             self.points.resize((max(end, len(self.points) * 5 // 4), NUM_LANDMARKS, 3), refcheck=False)
-        self.points[self.kept : end] = table.points
+        self.points[self.kept : end] = table.points[table.point_row[present]]
+        rows = matrix_rows(present, self.kept)
         self.kept = end
-        self.parts.append((table.frame_id, table.t, table.w, table.h, table.blur, table.person, table.feat_row))
+        self.parts.append((table.frame_id, table.t, table.w, table.h, table.blur, rows, table.feat_row))
 
     def result(self) -> ParseResult:
         """The kept frames; the last flush keeps a part, empty or not."""
         self.points.resize((self.kept, NUM_LANDMARKS, 3), refcheck=False)  # in place: no copy
-        *columns, rows = (np.concatenate(column) for column in zip(*self.parts))
-        return ParseResult(FrameTable(*columns, self.points, rows), self.dropped)
+        columns = (np.concatenate(column) for column in zip(*self.parts))
+        return ParseResult(FrameTable(*columns, self.points), self.dropped)
 
 
 def parse_frames_jsonl(stream: Iterable[str]) -> ParseResult:
@@ -374,7 +377,7 @@ def attach_features(result: ParseResult, matrix: np.ndarray) -> FrameTable:
     _check_feature_matrix(checked)
     table = result.frames
     check_feat_row_bounds(table, len(checked))
-    return FrameTable(table.frame_id, table.t, table.w, table.h, table.blur, table.person, table.points, table.feat_row, checked)
+    return FrameTable(*(getattr(table, name) for name in FrameTable.__slots__[:8]), checked)
 
 
 def save_features(matrix: np.ndarray, path: str | Path) -> None:

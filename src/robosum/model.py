@@ -10,7 +10,6 @@ here too.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from collections.abc import Iterable, Iterator, Sequence
@@ -304,50 +303,58 @@ def _ints(values) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-class FrameTable(Sequence):
-    """A session's frames as read-only columns, and a ``Sequence[FrameRecord]`` of one-row views.
+def matrix_rows(present: np.ndarray, first: int = 0) -> np.ndarray:
+    """Each frame's row in a matrix that stacks the present frames' rows in frame order from row ``first``.
 
-    Per frame: ``frame_id``, ``w``, ``h``; ``t``; ``blur`` (NaN for no score); ``person`` (has landmarks);
-    ``points``, an (n, 18, 3) float64 array with :data:`ABSENT` rows for absent points; ``feat_row``, the
-    frame's row in the feature file, or -1 for none. ``features`` is the checked read-only float32 matrix
-    those rows index, or None until one is bound; a row's record has features only once it is. ``table[i]``
-    builds row ``i``'s record, iterating builds every row's; a slice or :meth:`take` gives a table, and
-    :meth:`blocks` gives the whole-session batch stages their tables of a fixed number of rows.
+    -1 where ``present`` is false.
+    """
+    return np.where(present, np.cumsum(present) + (first - 1), -1)
+
+
+class FrameTable(Sequence):
+    """A session's frames as read-only per-frame columns over two shared matrices, and a ``Sequence[FrameRecord]``.
+
+    Per frame: ``frame_id``, ``w``, ``h``; ``t``; ``blur`` (NaN for no score); ``point_row``, the frame's row of
+    ``points``, or -1 when it has no landmarks; ``feat_row``, its row in the feature file, or -1 for none.
+    ``points`` is an (m, 18, 3) float64 matrix of the landmark sets that are present, :data:`ABSENT` rows for
+    absent points; :meth:`frame_points` gives a table's frames their own. ``features`` is the checked read-only
+    float32 matrix the feature rows index, or None until one is bound; a row's record has features only once it
+    is. ``table[i]`` builds row ``i``'s record, iterating builds every row's; a slice or :meth:`take` gives a
+    table over the same two matrices, and :meth:`blocks` gives the whole-session batch stages their tables of a
+    fixed number of rows.
     """
 
-    __slots__ = ("frame_id", "t", "w", "h", "blur", "person", "points", "feat_row", "features")
+    __slots__ = ("frame_id", "t", "w", "h", "blur", "point_row", "feat_row", "points", "features")
 
-    def __init__(self, frame_id, t, w, h, blur, person, points, feat_row, features=None):
-        for name, column in zip(self.__slots__, (frame_id, t, w, h, blur, person, points, feat_row, features)):
+    def __init__(self, frame_id, t, w, h, blur, point_row, feat_row, points, features=None):
+        for name, column in zip(self.__slots__, (frame_id, t, w, h, blur, point_row, feat_row, points, features)):
             if column is not None:
                 column.flags.writeable = False
             setattr(self, name, column)
 
     @classmethod
     def of(cls, frames: Iterable[FrameRecord]) -> FrameTable:
-        """``frames`` itself if it is a table, else a table of its records, the featured ones given rows in order."""
+        """``frames`` itself if it is a table, else a table of its records, their sets and vectors stacked in order."""
         if isinstance(frames, FrameTable):
             return frames
-        recs, row = list(frames), itertools.count()
-        lms = [r.landmarks for r in recs]
+        recs = list(frames)
+        sets = [r.landmarks.points for r in recs if r.landmarks is not None]
         vectors = [r.features.values for r in recs if r.features is not None]
-        absent = np.broadcast_to(np.nan, (len(recs), NUM_LANDMARKS, 3))
         return cls(
             _ints([r.frame_id for r in recs]),
             np.array([r.timestamp for r in recs], dtype=np.float64),
             _ints([r.width for r in recs]),
             _ints([r.height for r in recs]),
             np.array([r.blur_variance for r in recs], dtype=np.float64),  # None becomes NaN
-            np.array([lm is not None for lm in lms], dtype=bool),
-            # With no landmarks at all (a server session's kept frames), every row is absent: one view, no copy.
-            np.stack([absent[0] if lm is None else lm.points for lm in lms]) if any(lms) else absent,
-            np.array([-1 if r.features is None else next(row) for r in recs], dtype=np.int64),
+            matrix_rows(np.array([r.landmarks is not None for r in recs], dtype=bool)),
+            matrix_rows(np.array([r.features is not None for r in recs], dtype=bool)),
+            np.array(sets, dtype=np.float64).reshape(-1, NUM_LANDMARKS, 3),
             np.array(vectors, dtype=np.float32) if vectors else None,
         )
 
     def take(self, rows) -> FrameTable:
-        """The table of ``rows``: indices, a slice or a boolean mask."""
-        return FrameTable(*(getattr(self, name)[rows] for name in self.__slots__[:8]), self.features)
+        """The table of ``rows`` (indices, a slice or a boolean mask): its per-frame columns, over these two matrices."""
+        return FrameTable(*(getattr(self, name)[rows] for name in self.__slots__[:7]), self.points, self.features)
 
     def blocks(self) -> Iterator[tuple[int, FrameTable]]:
         """The table in consecutive blocks of at most :data:`_BLOCK_ROWS` rows, each with the row it starts at.
@@ -356,6 +363,16 @@ class FrameTable(Sequence):
         """
         for start in range(0, len(self), _BLOCK_ROWS):
             yield start, self.take(slice(start, start + _BLOCK_ROWS))
+
+    def frame_points(self) -> np.ndarray:
+        """Each frame's (18, 3) points, all :data:`ABSENT` where it has no landmarks: a new (n, 18, 3) array.
+
+        It is as long as the table, so the batch stages call it on one block at a time.
+        """
+        present = self.point_row >= 0
+        points = np.full((len(self), NUM_LANDMARKS, 3), np.nan)
+        points[present] = self.points[self.point_row[present]]
+        return points
 
     def __len__(self) -> int:
         return len(self.t)
@@ -366,17 +383,16 @@ class FrameTable(Sequence):
         i = range(len(self))[i]
         return self._record(
             int(self.frame_id[i]), float(self.t[i]), int(self.w[i]), int(self.h[i]), float(self.blur[i]),
-            bool(self.person[i]), int(self.feat_row[i]), self.points[i],
+            int(self.point_row[i]), int(self.feat_row[i]),
         )
 
     def __iter__(self):
         # Each column is read once as Python values, which is about twice as fast as ``table[i]`` row by row.
-        columns = (self.frame_id, self.t, self.w, self.h, self.blur, self.person, self.feat_row)
-        return map(self._record, *(column.tolist() for column in columns), self.points)
+        return map(self._record, *(getattr(self, name).tolist() for name in self.__slots__[:7]))
 
-    def _record(self, frame_id, t, w, h, blur, person, row, points) -> FrameRecord:
-        """One row's record from its column values and its (18, 3) points."""
-        lm = _checked_landmarks(points) if person else None
+    def _record(self, frame_id, t, w, h, blur, point, row) -> FrameRecord:
+        """One row's record from its column values."""
+        lm = None if point < 0 else _checked_landmarks(self.points[point])
         features = None if row < 0 or self.features is None else _checked_feature_row(self.features[row])
         return FrameRecord(frame_id, t, w, h, lm, None if blur != blur else blur, features)
 

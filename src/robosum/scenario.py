@@ -52,6 +52,7 @@ from .model import (
     check_config_fields,
     check_points,
     check_unit_range,
+    matrix_rows,
     read_fields,
 )
 
@@ -350,7 +351,8 @@ def generate_session(
     ids, person = np.arange(n), codes != _CODE[IllPosedReason.PEOPLE_ABSENT]
     # Every frame has features: its feature row is its own index.
     table = FrameTable(
-        ids, times, _ints([spec.frame_width] * n), _ints([spec.frame_height] * n), blur, person, points, ids, features
+        ids, times, _ints([spec.frame_width] * n), _ints([spec.frame_height] * n), blur,
+        matrix_rows(person), ids, points[person], features,
     )
     truth = [
         FrameTruth(i, _LABELS[code], None if seg < 0 else seg)

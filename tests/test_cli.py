@@ -768,8 +768,14 @@ class TestGapSession:
         # Run from the directory that holds the imported package, so that ``-m`` finds this copy of it.
         argv = [sys.executable, "-m", "robosum.cli", "--verbose", "serve", "--addr", "127.0.0.1:0"]
         server = subprocess.Popen(argv, cwd=Path(robosum.__file__).parents[1], stderr=subprocess.PIPE, text=True)
+        killed_by = []  # which of the teardown's two kill paths ran, so that a -9 says which
+
+        def watchdog_kill():
+            killed_by.append("the 60 s watchdog")
+            server.kill()
+
         # Reading stderr blocks; a server that never logs its address is killed rather than waited on forever.
-        watchdog = threading.Timer(60, server.kill)
+        watchdog = threading.Timer(60, watchdog_kill)
         watchdog.start()
         log = []
         try:
@@ -788,11 +794,15 @@ class TestGapSession:
             try:
                 server.wait(timeout=10)
             except subprocess.TimeoutExpired:
+                killed_by.append("kill() after 10 s without exiting on SIGINT")
                 server.kill()
                 server.wait()
             log.extend(server.stderr)
             server.stderr.close()
-        assert server.returncode == 0
+        assert server.returncode == 0, (
+            f"returncode {server.returncode}, killed by {' and '.join(killed_by) or 'neither kill path'}; "
+            f"server stderr:\n{''.join(log)}"
+        )
         assert any("interrupt received" in line for line in log)
         lines = replies.read_text().splitlines()
         assert lines[:-1] == (gap_session / "trace.jsonl").read_text().splitlines()

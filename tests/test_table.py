@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import centered_person
-from robosum import frameio, model
+from robosum import frameio, model, scenario
 from robosum.content_filter import FilterConfig, FilterReport, classify_frame, filter_frames
 from robosum.controller import ControllerConfig
 from robosum.errors import InvalidImage, OrderError, ParseError, PipelineError
@@ -169,6 +169,14 @@ def check_parse(lines, chunk):
     else:
         assert isinstance(got, frameio.ParseResult)
         assert (list(got.frames), got.frames.feat_row.tolist(), got.duplicates_dropped) == expected
+        assert_sets_held_once(got.frames)
+
+
+def assert_sets_held_once(table):
+    """``table.points`` holds one landmark set per frame that has one, in frame order, and nothing else."""
+    rows = table.point_row[table.point_row >= 0]
+    assert rows.tolist() == list(range(len(rows)))
+    assert table.points.shape == (len(rows), NUM_LANDMARKS, 3)
 
 
 def wire_lines(records):
@@ -177,8 +185,16 @@ def wire_lines(records):
     return buf.getvalue().splitlines(keepends=True)
 
 
+#: An equal-``t`` frame with landmarks, dropped inside a chunk of 3 or as a whole chunk of 1; a file with nobody in it.
+EQUAL_T = [FrameRecord(i, t, W, H, None if i == 2 else centered_person()) for i, t in enumerate([0.0, 0.0, 1.0, 2.0])]
+NOBODY = [FrameRecord(i, float(i), W, H) for i in range(4)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(sessions(), st.sampled_from([1, 3, 1024]))
+@example(EQUAL_T, 1)
+@example(EQUAL_T, 3)
+@example(NOBODY, 3)
 def test_parse_matches_the_per_line_parser(records, chunk):
     check_parse(wire_lines(records), chunk)
 
@@ -369,6 +385,59 @@ def test_blocked_stages_equal_their_one_block_results(records, cfg, k):
     for rows in (1, 2, 3, 7):
         with mock.patch.object(model, "_BLOCK_ROWS", rows):
             assert stages() == one_block
+
+
+# --- Shared matrices: a part of a table copies its per-frame columns, never its points or features ---------------------
+
+
+def same_matrix(part, whole):
+    """Whether ``part`` is ``whole`` or a view of its memory; an empty matrix or None only by identity."""
+    return part is whole or (part is not None and whole is not None and np.shares_memory(part, whole))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sessions(max_size=12), st.data())
+def test_a_tables_parts_share_its_matrices_and_give_each_frame_its_points(records, data):
+    table, n = FrameTable.of(records), len(records)
+    mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    indices = data.draw(st.lists(st.integers(0, n - 1), max_size=n)) if n else []
+    start, stop = sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+    accepted, _ = filter_frames(table, images=images_for([]))
+    kept = set(accepted.frame_id.tolist())
+    parts = [
+        (table, records),
+        (table.take(np.array(mask, dtype=bool)), [r for r, m in zip(records, mask) if m]),
+        (table.take(indices), [records[i] for i in indices]),
+        (table.take(slice(start, stop)), records[start:stop]),
+        (accepted, [r for r in records if r.frame_id in kept]),
+    ]
+    with mock.patch.object(model, "_BLOCK_ROWS", 3):
+        parts += [(block, records[at : at + 3]) for at, block in table.blocks()]
+    for part, _ in parts:
+        assert same_matrix(part.points, table.points) and same_matrix(part.features, table.features)
+    for part, expected in parts:
+        assert list(part) == expected
+        points = part.frame_points()
+        assert points.shape == (len(expected), NUM_LANDMARKS, 3)
+        for got, rec in zip(points, expected):
+            assert np.array_equal(got, [ABSENT] * NUM_LANDMARKS if rec.landmarks is None else rec.landmarks.points, equal_nan=True)
+
+
+@pytest.mark.parametrize("segments", [(ActivitySegment(5.0, 20.0, activity_id=3),), ()], ids=["a person at times", "nobody"])
+def test_a_generated_table_holds_the_landmark_sets_of_its_frames_only(segments):
+    made = []
+
+    def table(*columns):
+        made.append(FrameTable(*columns))
+        return made[-1]
+
+    spec = ScenarioSpec(duration_s=30.0, fps=1.0, activity_segments=segments, rng_seed=3)
+    with mock.patch.object(scenario, "FrameTable", side_effect=table):
+        frames, truth = generate_session(spec)
+    (generated,) = made
+    assert_sets_held_once(generated)
+    assert (generated.point_row < 0).tolist() == [t.reason is IllPosedReason.PEOPLE_ABSENT for t in truth]
+    assert list(generated) == frames
 
 
 #: 6,000 frames with two 600 s activity segments: most frames show nobody, so the filter keeps few, and each of
