@@ -1,13 +1,19 @@
-"""Peak RSS (VmHWM) after each stage of one batch pass over a generated desk session, as a Markdown table.
+"""Peak RSS (VmHWM) after each stage of one batch pass, and of one server session, over a desk session; Markdown tables.
 
     PYTHONPATH=src python scripts/stage_memory.py [--segments N] [--seed S]
 
 Writes the benchmark's desk session (``perfbench/inputs.py``: 8 activity
 segments, 20,800 frames at 1 fps; 40 segments give 104,000) to a temporary
-directory. Then a fresh process runs ``perfbench/batch.py``'s own pass,
-``parse -> load_features -> attach -> filter -> summarize -> simulate``, and
-reads VmHWM from ``/proc/self/status`` as each of its stages ends, so the
-table shows which stage sets the peak. Linux only.
+directory, as a frames file with its feature file and as the ``frame``
+messages with inline features a client sends. Then a fresh process runs
+``perfbench/batch.py``'s own pass, ``parse -> load_features -> attach ->
+filter -> summarize -> simulate``, and reads VmHWM from
+``/proc/self/status`` as each of its stages ends, so the first table shows
+which stage sets the peak. A second fresh process answers the messages,
+one line at a time, through the server's own per-line path
+(``service._answer``) on one ``Session``, then ends the session; the second
+table reads VmHWM after the imports, after the last frame and after
+``end_session``. Linux only.
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ def write_session(out: Path, segments: int, seed: int) -> int:
     with open(out / "frames.jsonl", "w", encoding="utf-8") as fh:
         matrix = frameio.write_frames_jsonl(frames, fh)
     frameio.save_features(matrix, out / "feat.bin")
+    with open(out / "session.ndjson", "wb") as fh:
+        fh.writelines(map(inputs.frame_message_line, frames))
     return len(frames)
 
 
@@ -63,22 +71,52 @@ def one_pass(inputs: Path) -> None:
     batch.pipeline_pass(inputs, inputs / "out", images=False, trace=False)
 
 
+def answer_session(inputs_dir: Path) -> None:
+    """Answer the session's frame messages and its ``end_session`` as the server does, printing ``stage VmHWM``."""
+    import inputs
+
+    from robosum import service
+
+    session = service.Session(service.ServiceConfig())
+    print("imports", vm_hwm_mib())
+    line_no = 0
+    with open(inputs_dir / "session.ndjson", "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            reply, done = service._answer(session, raw, line_no)
+            if done:
+                raise SystemExit(f"line {line_no} ended the session: {reply}")
+    print("last_frame", vm_hwm_mib())
+    reply, _ = service._answer(session, inputs.end_session_line(), line_no + 1)
+    if '"type":"summary"' not in reply:
+        raise SystemExit(f"end_session was not answered with a summary: {reply}")
+    print("end_session", vm_hwm_mib())
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--segments", type=int, default=8, help="activity segments of 2,600 frames each (default 8)")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--pass-over", type=Path, help=argparse.SUPPRESS)  # the fresh process's part
+    parser.add_argument("--part", nargs=2, help=argparse.SUPPRESS)  # the fresh process's part, and the directory
     args = parser.parse_args(argv)
-    if args.pass_over:
-        one_pass(args.pass_over)
+    if args.part:
+        part, over = args.part
+        (one_pass if part == "pass" else answer_session)(Path(over))
         return 0
     with tempfile.TemporaryDirectory() as tmp:
         frames = write_session(Path(tmp), args.segments, args.seed)
-        run = subprocess.run([sys.executable, __file__, "--pass-over", tmp], capture_output=True, text=True, check=True)
-    print(f"| stage | VmHWM (MiB), desk session of {frames:,} frames, seed {args.seed} |\n|---|---|")
-    for line in run.stdout.splitlines():
-        stage, mib = line.split()
-        print(f"| {stage} | {float(mib):.1f} |")
+        runs = [
+            subprocess.run([sys.executable, __file__, "--part", part, tmp], capture_output=True, text=True, check=True).stdout
+            for part in ("pass", "session")
+        ]
+    titles = (
+        f"VmHWM (MiB), batch pass over a desk session of {frames:,} frames, seed {args.seed}",
+        f"VmHWM (MiB), server session of the same {frames:,} frames with inline features",
+    )
+    for i, (title, run) in enumerate(zip(titles, runs)):
+        print("\n" * (i > 0) + f"| stage | {title} |\n|---|---|")
+        for line in run.splitlines():
+            stage, mib = line.split()
+            print(f"| {stage} | {float(mib):.1f} |")
     return 0
 
 

@@ -12,7 +12,11 @@ before ``end_session`` or falls silent for :data:`IDLE_TIMEOUT_S` gets a
 line's reply is :func:`_answer` of the session and the line; the handler
 only moves bytes and answers the socket's own faults. Replies are written
 as they are produced, so per-session memory stays proportional to the
-kept frame count.
+kept frame count: a session holds its kept frames as columns, 644 B a
+frame (157 float32 features, an int64 id and a float64 time) plus at most
+a quarter for rows grown into but not yet filled. A session sends at most
+:data:`MAX_SESSION_FRAMES` (2**20) frames, so at the cap it holds at most
+644 MiB of kept frames, 805 MiB with the slack.
 
 The offline simulator takes the controller step a :class:`Session` takes,
 so a replayed session and an offline run produce byte-identical traces.
@@ -29,7 +33,7 @@ import socket
 import socketserver
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import IO, Sequence
 
 import numpy as np
@@ -38,7 +42,7 @@ from .content_filter import FilterConfig, classify_frame
 from .controller import IDLE_COMMAND, ActionCommand, ControllerConfig, advance, controller_step, initial_state, sense_table
 from .errors import ConnectionLost, ParseError, PipelineError
 from .frameio import FEATURE_DIM, JSON_FAULTS, ParseResult, _json_fault, check_feat_row_bounds, frame_from_wire, frame_to_wire, manifest_to_dict
-from .model import FLOAT_MAX, FeatureVector, FrameRecord, FrameTable, SummaryManifest
+from .model import FLOAT_MAX, NUM_LANDMARKS, FrameRecord, FrameTable, SummaryManifest, check_unit_range
 from .summarizer import SummarizerConfig, summarize
 
 logger = logging.getLogger(__name__)
@@ -54,6 +58,10 @@ MAX_DRAIN_BYTES = 64 << 20
 #: Longest wait on a connection, in seconds; a client silent that long gets a
 #: ``protocol_error`` and the connection closes, so an idle client cannot hold a thread.
 IDLE_TIMEOUT_S = 60.0
+
+#: Most frames one session may send; the frame past it gets a ``protocol_error`` and the connection closes. At
+#: least ``scenario.MAX_FRAMES``, so any session ``robosum gen`` writes can be replayed.
+MAX_SESSION_FRAMES = 1 << 20
 
 
 def dumps_wire(obj: dict) -> str:
@@ -105,29 +113,66 @@ class ServiceConfig:
     controller_config: ControllerConfig = field(default_factory=ControllerConfig)
 
 
+#: Rows a session's columns start with; full columns grow by a quarter.
+_FIRST_ROWS = 256
+
+
 class Session:
-    """One session's controller state and the frames kept for its summary."""
+    """One session's controller state, and the frames kept for its summary as columns.
+
+    The first :attr:`count` rows of ``frame_id`` (int64, or Python ints once an id does not fit one), ``t``
+    (float64) and ``features`` (float32, one row of 157 a frame) are the kept frames: 644 B each, and at most a
+    quarter more for the rows the columns have grown into but not filled.
+    """
 
     def __init__(self, cfg: ServiceConfig):
         self.cfg = cfg
         self.state = initial_state()
-        self.kept: list[FrameRecord] = []
+        self.count = 0
+        self.frame_id = np.empty(_FIRST_ROWS, dtype=np.int64)
+        self.t = np.empty(_FIRST_ROWS)
+        self.features = np.empty((_FIRST_ROWS, FEATURE_DIM), dtype=np.float32)
 
-    def frame(self, rec: FrameRecord, features: FeatureVector | None = None) -> str:
-        """The action line for the next frame; a well-posed frame with ``features`` is kept for :meth:`end`.
+    def next_row(self) -> np.ndarray:
+        """The feature row the next kept frame takes, a view to fill and drop within one call."""
+        if self.count == len(self.t):
+            # Grown in place, as frameio's point buffer grows; no view of a column outlives a call: no refcheck.
+            rows = max(self.count + 1, self.count * 5 // 4)
+            for column in (self.frame_id, self.t, self.features):
+                column.resize((rows, *column.shape[1:]), refcheck=False)
+        return self.features[self.count]
 
-        Only a featured frame can enter the summary, so only it is classified, before the
-        controller step: one the filter cannot classify raises and leaves the session as it was.
+    def frame(self, rec: FrameRecord, featured: bool = False) -> str:
+        """The action line for the next frame; a well-posed ``featured`` frame is kept, its features in :meth:`next_row`.
+
+        Only a featured frame can enter the summary, so only it is classified, before the controller step: one the
+        filter cannot classify raises and leaves the session as it was.
         """
-        keep = features is not None and classify_frame(rec, self.cfg.filter_config) is None
+        keep = featured and classify_frame(rec, self.cfg.filter_config) is None
         self.state, cmd = controller_step(self.state, rec, self.cfg.controller_config)
-        if keep:  # without its landmarks, which the summary does not read
-            self.kept.append(replace(rec, landmarks=None, features=features))
+        if keep:
+            try:
+                self.frame_id[self.count] = rec.frame_id
+            except OverflowError:  # an id past int64: Python ints from here on, as model._ints holds such ids
+                self.frame_id = self.frame_id.astype(object)
+                self.frame_id[self.count] = rec.frame_id
+            self.t[self.count] = rec.timestamp
+            self.count += 1
         return action_line(rec.frame_id, cmd)
 
     def end(self, summarizer_cfg: SummarizerConfig) -> SummaryManifest:
-        """The summary of the kept frames."""
-        return summarize(self.kept, summarizer_cfg)
+        """The summary of the kept frames, over one table of the columns' filled rows.
+
+        :func:`summarize` reads only ``frame_id``, ``t``, ``feat_row`` and ``features``; the other columns are
+        constants: no size (0), no blur score and no landmarks.
+        """
+        n = self.count
+        size, no_row = np.broadcast_to(0, n), np.broadcast_to(-1, n)
+        table = FrameTable(
+            self.frame_id[:n], self.t[:n], size, size, np.broadcast_to(np.nan, n), no_row, np.arange(n),
+            np.empty((0, NUM_LANDMARKS, 3)), self.features[:n],
+        )
+        return summarize(table, summarizer_cfg)
 
 
 def simulate_actions(frames: Sequence[FrameRecord], cfg: ControllerConfig | None = None) -> list[str]:
@@ -165,17 +210,20 @@ def _answer(session: Session, raw: bytes, line_no: int) -> tuple[str, bool]:
     kind = msg.pop("type")
     try:
         if kind == "frame":
+            if line_no > MAX_SESSION_FRAMES:  # every line before this one was a frame
+                return _error("protocol_error", f"line {line_no}: a session holds at most {MAX_SESSION_FRAMES} frames"), True
             inline = msg.pop("features", None)
             rec, _ = frame_from_wire(msg, line=line_no)  # frame faults are named before feature faults
-            if inline is not None and (
-                not isinstance(inline, list) or len(inline) != FEATURE_DIM or not {*map(type, inline)} <= {int, float}
-            ):
-                raise ParseError(f"features must be null or an array of {FEATURE_DIM} numbers", line_no)
-            try:
-                features = None if inline is None else FeatureVector(values=inline)
-            except (ValueError, OverflowError) as exc:
-                raise ParseError(f"bad feature vector: {exc}", line_no) from exc
-            return session.frame(rec, features), False
+            if inline is not None:
+                if not isinstance(inline, list) or len(inline) != FEATURE_DIM or not {*map(type, inline)} <= {int, float}:
+                    raise ParseError(f"features must be null or an array of {FEATURE_DIM} numbers", line_no)
+                row = session.next_row()
+                try:  # the float32 conversion and range rule FeatureVector applies
+                    row[:] = inline
+                    check_unit_range(row)
+                except (ValueError, OverflowError) as exc:
+                    raise ParseError(f"bad feature vector: {exc}", line_no) from exc
+            return session.frame(rec, inline is not None), False
         if kind != "end_session":
             return _error("protocol_error", f"unknown message type {kind!r}"), True
         try:
@@ -325,7 +373,7 @@ def replay_session(
                     time.sleep(delay)
             prev_t = rec.timestamp
             msg = {"type": "frame", **frame_to_wire(rec, None if row < 0 else row)}
-            msg["features"] = None if features is None or row < 0 else [float(v) for v in features[row]]
+            msg["features"] = None if features is None or row < 0 else features[row].tolist()
             reply, failed = exchange(msg)
             if failed:
                 return ReplayResult(tuple(actions), None, reply)

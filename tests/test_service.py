@@ -13,12 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robosum.service
-from conftest import UNDECODABLE_JSON, landmarks
-from robosum import frameio
+from conftest import UNDECODABLE_JSON, centered_person, landmarks
+from robosum import frameio, scenario
 from robosum.content_filter import classify_frame, filter_frames
 from robosum.controller import ActionCommand, Expression, Mode
 from robosum.errors import ConnectionLost, PipelineError
-from robosum.model import FeatureVector, IllPosedReason
+from robosum.model import FEATURE_DIM, FeatureVector, FrameRecord, IllPosedReason
 from robosum.scenario import ActivitySegment, Injection, ScenarioSpec, generate_session
 from robosum.service import (
     ServiceConfig,
@@ -381,6 +381,14 @@ class TestTerminalLine:
                 for _ in range(1024):
                     sock.sendall(b" " * (1 << 16))
 
+    def test_the_frame_past_the_session_cap_gets_one_protocol_error(self, server, monkeypatch):
+        assert robosum.service.MAX_SESSION_FRAMES >= scenario.MAX_FRAMES  # any generated session can be replayed
+        monkeypatch.setattr(robosum.service, "MAX_SESSION_FRAMES", 2)
+        parsed, matrix = parsed_session(session_spec())
+        replies = all_replies(server, frame_messages(parsed, matrix)[:3] + [GOOD_END_SESSIONS[0]])
+        assert [r["type"] for r in replies] == ["action", "action", "error"]
+        assert replies[-1] == {"type": "error", "code": "protocol_error", "msg": "line 3: a session holds at most 2 frames"}
+
     def test_parse_error_names_no_position_and_no_programmer_hint(self, server):
         for line in ('{"frame_id": ' + "1" * 5000 + "}", "{oops"):
             (error,) = all_replies(server, [line])
@@ -593,3 +601,57 @@ def test_a_silent_client_gets_one_protocol_error_naming_the_timeout(server, monk
     assert [json.loads(line)["type"] for line in lines] == ["action", "error"]
     assert json.loads(lines[1]) == {"type": "error", "code": "protocol_error", "msg": "no message within the 0.2 s idle timeout"}
     assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+
+WELL_POSED = FrameRecord(0, 0.0, 640, 480, centered_person(), 300.0)
+#: Feature components on the edges of the float32 conversion and the [0, 1] rule.
+EDGE_COMPONENTS = st.sampled_from(
+    [1.0000000000000002, -1e-46, 1e-46, -0.0, 1.5, -1e-30, math.nan, math.inf, 10**400, 2**70, 1e39, 0, 1, 2, 5e-324]
+)
+
+
+def answer_features(values):
+    """The reply to a well-posed frame carrying ``values`` inline, whether it ends the session, and the session."""
+    line = dumps_wire({"type": "frame", **frameio.frame_to_wire(WELL_POSED), "features": values}).encode("utf-8")
+    session = robosum.service.Session(ServiceConfig())
+    reply, done = robosum.service._answer(session, line, 1)
+    return json.loads(reply), done, session
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(0, 1), min_size=FEATURE_DIM, max_size=FEATURE_DIM),
+    st.integers(0, FEATURE_DIM - 1),
+    st.none() | EDGE_COMPONENTS,
+)
+def test_inline_features_are_read_as_a_feature_vector_reads_them(values, at, edge):
+    if edge is not None:
+        values[at] = edge
+    reply, done, session = answer_features(values)
+    try:
+        expected = FeatureVector(values=values).values
+    except (ValueError, OverflowError) as exc:
+        assert (reply, done) == ({"type": "error", "code": "data_error", "msg": f"line 1: bad feature vector: {exc}"}, True)
+        assert session.count == 0
+        return
+    assert not done and session.count == 1
+    assert np.array_equal(session.features[0], np.array(values, dtype=np.float32))
+    assert np.signbit(session.features[0]).tolist() == np.signbit(expected).tolist()
+
+
+@pytest.mark.parametrize(
+    "component, kept, fault",
+    [
+        (1.0000000000000002, 1.0, None),
+        (-1e-46, -0.0, None),
+        (1.5, None, "feature components must lie in [0, 1]"),
+        (10**400, None, "int too large to convert to float"),
+    ],
+)
+def test_inline_feature_edges(component, kept, fault):
+    reply, done, session = answer_features([component] + [0.5] * (FEATURE_DIM - 1))
+    if fault is None:
+        assert reply["type"] == "action" and session.count == 1
+        assert session.features[0, 0] == kept and np.signbit(session.features[0, 0]) == np.signbit(kept)
+    else:
+        assert reply["msg"] == f"line 1: bad feature vector: {fault}" and done

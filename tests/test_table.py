@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import centered_person
-from robosum import frameio, model, scenario
+from robosum import frameio, model, scenario, service
 from robosum.content_filter import FilterConfig, FilterReport, classify_frame, filter_frames
 from robosum.controller import ControllerConfig
 from robosum.errors import InvalidImage, OrderError, ParseError, PipelineError
@@ -42,7 +42,7 @@ from robosum.model import (
     SummaryManifest,
 )
 from robosum.scenario import ActivitySegment, Injection, ScenarioSpec, generate_session
-from robosum.service import ServiceConfig, Session, simulate_actions
+from robosum.service import ServiceConfig, Session, dumps_wire, simulate_actions
 from robosum.summarizer import SummarizerConfig, adapt_threshold, select_top_k_clusters, summarize
 
 W, H = 640, 480
@@ -327,6 +327,58 @@ def test_summarize_matches_the_per_record_summary(records, k):
     buf.seek(0)
     if matrix is not None:
         assert summarize(frameio.attach_features(frameio.parse_frames_jsonl(buf), matrix), cfg) == expected
+
+
+def frame_line(rec: FrameRecord) -> bytes:
+    """A record as the ``frame`` message a client sends, its features inline."""
+    features = None if rec.features is None else rec.features.values.tolist()
+    return dumps_wire({"type": "frame", **frameio.frame_to_wire(rec), "features": features}).encode("utf-8")
+
+
+def summary_or_fault(summary):
+    try:
+        return summary()
+    except PipelineError as exc:
+        return type(exc), str(exc)
+
+
+HALF = FeatureVector(values=np.full(FEATURE_DIM, 0.5))
+#: A session whose frames all lack features; one with an id past int64; one whose third featured frame has no
+#: blur score, so its classification raises.
+UNFEATURED = [FrameRecord(i, float(i), W, H, centered_person(), 300.0) for i in range(3)]
+HUGE_ID = [FrameRecord(2**70, 0.0, W, H, centered_person(), 300.0, HALF), FrameRecord(1, 1.0, W, H, centered_person(), 300.0, HALF)]
+UNSCORED_MIDWAY = [
+    FrameRecord(i, 40.0 * i, W, H, centered_person(), None if i == 2 else 300.0, FeatureVector(values=np.full(FEATURE_DIM, i / 8)))
+    for i in range(5)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sessions(), st.integers(1, 6))
+@example([], 2)
+@example(UNFEATURED, 1)
+@example(HUGE_ID, 1)
+@example(HUGE_ID, 2)
+@example(UNSCORED_MIDWAY, 2)
+def test_a_server_session_summarizes_its_kept_frames_as_summarize_does(records, k):
+    cfg = SummarizerConfig(k=k, h0=7.0)
+    with mock.patch.object(service, "_FIRST_ROWS", 1):  # so the columns grow
+        session = Session(ServiceConfig())
+    kept = []
+    for line_no, rec in enumerate(records, start=1):
+        try:
+            keep = rec.features is not None and classify_frame(rec) is None
+        except PipelineError:  # a featured frame without a blur score
+            before = summary_or_fault(lambda: session.end(cfg))
+            reply, done = service._answer(session, frame_line(rec), line_no)
+            assert done and json.loads(reply)["code"] == "data_error"
+            assert summary_or_fault(lambda: session.end(cfg)) == before
+            continue
+        assert service._answer(session, frame_line(rec), line_no)[1] is False
+        if keep:
+            kept.append(rec)
+    assert session.count == len(kept)
+    assert summary_or_fault(lambda: session.end(cfg)) == summary_or_fault(lambda: summarize(kept, cfg))
 
 
 # Integer settings stay integers in the action lines ("forward_m":1, not 1.0).
