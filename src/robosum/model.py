@@ -228,7 +228,8 @@ class FeatureVector:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float32, copy=True)
+        with np.errstate(over="ignore"):  # a number past float32 becomes inf, which the range rule rejects
+            arr = np.array(self.values, dtype=np.float32, copy=True)
         if arr.shape != (FEATURE_DIM,):
             raise ValueError(f"feature vector must have shape ({FEATURE_DIM},), got {arr.shape}")
         check_unit_range(arr)

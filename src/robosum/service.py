@@ -11,12 +11,15 @@ before ``end_session`` or falls silent for :data:`IDLE_TIMEOUT_S` gets a
 ``summary`` or ``error`` line unless the client goes away first. Each
 line's reply is :func:`_answer` of the session and the line; the handler
 only moves bytes and answers the socket's own faults. Replies are written
-as they are produced, so per-session memory stays proportional to the
-kept frame count: a session holds its kept frames as columns, 644 B a
-frame (157 float32 features, an int64 id and a float64 time) plus at most
-a quarter for rows grown into but not yet filled. A session sends at most
-:data:`MAX_SESSION_FRAMES` (2**20) frames, so at the cap it holds at most
-644 MiB of kept frames, 805 MiB with the slack.
+as they are produced. A session holds 16 B of RAM a kept frame, its int64
+id and float64 time as columns, plus at most a quarter for rows grown into
+but not yet filled; its 157 float32 features, 628 B a kept frame, go to an
+unlinked temporary file in ``TMPDIR``, one file descriptor for each session
+that keeps a frame. The file's pages sit in the page cache, which the
+system can reclaim only where ``TMPDIR`` is disk-backed; on tmpfs they stay
+in RAM, outside the process's RSS. A session sends at most
+:data:`MAX_SESSION_FRAMES` (2**20) frames, so at the cap it holds about
+20 MiB of RAM with the slack, and 628 MiB of file.
 
 The offline simulator takes the controller step a :class:`Session` takes,
 so a replayed session and an offline run produce byte-identical traces.
@@ -29,11 +32,13 @@ import itertools
 import json
 import logging
 import math
+import os
 import socket
 import socketserver
 import threading
 import time
 from dataclasses import dataclass, field
+from tempfile import TemporaryFile
 from typing import IO, Sequence
 
 import numpy as np
@@ -42,8 +47,8 @@ from .content_filter import FilterConfig, classify_frame
 from .controller import IDLE_COMMAND, ActionCommand, ControllerConfig, advance, controller_step, initial_state, sense_table
 from .errors import ConnectionLost, ParseError, PipelineError
 from .frameio import FEATURE_DIM, JSON_FAULTS, ParseResult, _json_fault, check_feat_row_bounds, frame_from_wire, frame_to_wire, manifest_to_dict
-from .model import FLOAT_MAX, NUM_LANDMARKS, FrameRecord, FrameTable, SummaryManifest, check_unit_range
-from .summarizer import SummarizerConfig, summarize
+from .model import FLOAT_MAX, FrameRecord, FrameTable, SummaryManifest, check_unit_range
+from .summarizer import SummarizerConfig, summarize_rows
 
 logger = logging.getLogger(__name__)
 
@@ -118,11 +123,12 @@ _FIRST_ROWS = 256
 
 
 class Session:
-    """One session's controller state, and the frames kept for its summary as columns.
+    """One session's controller state, and the frames kept for its summary.
 
-    The first :attr:`count` rows of ``frame_id`` (int64, or Python ints once an id does not fit one), ``t``
-    (float64) and ``features`` (float32, one row of 157 a frame) are the kept frames: 644 B each, and at most a
-    quarter more for the rows the columns have grown into but not filled.
+    The first :attr:`count` rows of ``frame_id`` (int64, or Python ints once an id does not fit one) and ``t``
+    (float64) are the kept frames' ids and times: 16 B each, and at most a quarter more for the rows the columns have
+    grown into but not filled. Their features, 157 float32 a frame, are appended to an unlinked temporary file opened
+    at the first kept frame, and read back by :meth:`rows`. :meth:`close` closes the file.
     """
 
     def __init__(self, cfg: ServiceConfig):
@@ -131,19 +137,12 @@ class Session:
         self.count = 0
         self.frame_id = np.empty(_FIRST_ROWS, dtype=np.int64)
         self.t = np.empty(_FIRST_ROWS)
-        self.features = np.empty((_FIRST_ROWS, FEATURE_DIM), dtype=np.float32)
-
-    def next_row(self) -> np.ndarray:
-        """The feature row the next kept frame takes, a view to fill and drop within one call."""
-        if self.count == len(self.t):
-            # Grown in place, as frameio's point buffer grows; no view of a column outlives a call: no refcheck.
-            rows = max(self.count + 1, self.count * 5 // 4)
-            for column in (self.frame_id, self.t, self.features):
-                column.resize((rows, *column.shape[1:]), refcheck=False)
-        return self.features[self.count]
+        #: The features of the frame being answered, filled before :meth:`frame` keeps them.
+        self.row = np.empty(FEATURE_DIM, dtype=np.float32)
+        self.file: IO[bytes] | None = None
 
     def frame(self, rec: FrameRecord, featured: bool = False) -> str:
-        """The action line for the next frame; a well-posed ``featured`` frame is kept, its features in :meth:`next_row`.
+        """The action line for the next frame; a well-posed ``featured`` frame is kept, its features those in :attr:`row`.
 
         Only a featured frame can enter the summary, so only it is classified, before the controller step: one the
         filter cannot classify raises and leaves the session as it was.
@@ -151,6 +150,14 @@ class Session:
         keep = featured and classify_frame(rec, self.cfg.filter_config) is None
         self.state, cmd = controller_step(self.state, rec, self.cfg.controller_config)
         if keep:
+            if self.count == len(self.t):
+                # Grown in place, as frameio's point buffer grows; no view of a column outlives a call: no refcheck.
+                rows = max(self.count + 1, self.count * 5 // 4)
+                for column in (self.frame_id, self.t):
+                    column.resize(rows, refcheck=False)
+            if self.file is None:
+                self.file = TemporaryFile()
+            self.file.write(self.row)  # through the file's own buffer; rows() flushes it before it reads
             try:
                 self.frame_id[self.count] = rec.frame_id
             except OverflowError:  # an id past int64: Python ints from here on, as model._ints holds such ids
@@ -160,19 +167,23 @@ class Session:
             self.count += 1
         return action_line(rec.frame_id, cmd)
 
-    def end(self, summarizer_cfg: SummarizerConfig) -> SummaryManifest:
-        """The summary of the kept frames, over one table of the columns' filled rows.
+    def rows(self, a: int, b: int) -> np.ndarray:
+        """Kept rows ``a`` to ``b`` of the features, read from the file at their offset, which moves no write position."""
+        self.file.flush()
+        size = self.row.nbytes
+        data = os.pread(self.file.fileno(), (b - a) * size, a * size)
+        return np.frombuffer(data, dtype=np.float32).reshape(b - a, FEATURE_DIM)
 
-        :func:`summarize` reads only ``frame_id``, ``t``, ``feat_row`` and ``features``; the other columns are
-        constants: no size (0), no blur score and no landmarks.
-        """
+    def end(self, summarizer_cfg: SummarizerConfig) -> SummaryManifest:
+        """The summary of the kept frames; the session stays open, so it may take frames and end again."""
         n = self.count
-        size, no_row = np.broadcast_to(0, n), np.broadcast_to(-1, n)
-        table = FrameTable(
-            self.frame_id[:n], self.t[:n], size, size, np.broadcast_to(np.nan, n), no_row, np.arange(n),
-            np.empty((0, NUM_LANDMARKS, 3)), self.features[:n],
-        )
-        return summarize(table, summarizer_cfg)
+        return summarize_rows(self.frame_id[:n], self.t[:n], self.rows, summarizer_cfg)
+
+    def close(self) -> None:
+        """Close the features' file, if the session opened one; its rows are dropped, so a failed flush is of no matter."""
+        if self.file is not None:
+            with contextlib.suppress(OSError):
+                self.file.close()
 
 
 def simulate_actions(frames: Sequence[FrameRecord], cfg: ControllerConfig | None = None) -> list[str]:
@@ -217,10 +228,10 @@ def _answer(session: Session, raw: bytes, line_no: int) -> tuple[str, bool]:
             if inline is not None:
                 if not isinstance(inline, list) or len(inline) != FEATURE_DIM or not {*map(type, inline)} <= {int, float}:
                     raise ParseError(f"features must be null or an array of {FEATURE_DIM} numbers", line_no)
-                row = session.next_row()
                 try:  # the float32 conversion and range rule FeatureVector applies
-                    row[:] = inline
-                    check_unit_range(row)
+                    with np.errstate(over="ignore"):  # a number past float32 becomes inf, which the range rule rejects
+                        session.row[:] = inline
+                    check_unit_range(session.row)
                 except (ValueError, OverflowError) as exc:
                     raise ParseError(f"bad feature vector: {exc}", line_no) from exc
             return session.frame(rec, inline is not None), False
@@ -246,7 +257,11 @@ class _SessionHandler(socketserver.StreamRequestHandler):
         self.wfile.write((line + "\n").encode("utf-8"))
 
     def handle(self) -> None:
-        session = Session(self.server.service_config)  # type: ignore[attr-defined]
+        # The session's features file is closed however the connection ends.
+        with contextlib.closing(Session(self.server.service_config)) as session:  # type: ignore[attr-defined]
+            self._serve(session)
+
+    def _serve(self, session: Session) -> None:
         self.connection.settimeout(IDLE_TIMEOUT_S)
         try:
             for line_no in itertools.count(1):

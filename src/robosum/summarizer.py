@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .errors import (
     PipelineError,
     TimestampsNotIncreasing,
 )
-from .model import FLOAT_MAX, Cluster, FrameRecord, FrameTable, SummaryEntry, SummaryManifest, check_config_fields
+from .model import FEATURE_DIM, FLOAT_MAX, Cluster, FrameRecord, FrameTable, SummaryEntry, SummaryManifest, check_config_fields
 
 #: Most doubling or halving steps from ``h0`` the threshold search may take.
 #: A search that needs more (``h`` at least 2**64 times ``h0`` or at most
@@ -159,6 +159,15 @@ def _feature_matrix(table: FrameTable) -> np.ndarray:
     return matrix
 
 
+#: A reader of a run of feature rows: ``rows(a, b)`` is rows ``a`` to ``b`` of the run, as a (b - a) x 157 array.
+RowReader = Callable[[int, int], np.ndarray]
+
+
+def _table_rows(table: FrameTable) -> RowReader:
+    """The reader of a featured table's rows, in table order."""
+    return lambda a, b: table.features[table.feat_row[a:b]]
+
+
 def _distances(matrix: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Each row's Euclidean distance to ``center``, computed inside float64 ``matrix``, which is overwritten.
 
@@ -170,17 +179,47 @@ def _distances(matrix: np.ndarray, center: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(matrix, axis=1))
 
 
-def _nearest_row(matrix: np.ndarray, center: np.ndarray, timestamps: np.ndarray) -> int:
-    """Row index closest (Euclidean) to ``center``; ties -> earliest timestamp. Overwrites ``matrix``: pass a copy."""
-    dists = _distances(matrix, center)
-    tied = np.flatnonzero(dists == dists.min())
-    return int(tied[np.argmin(timestamps[tied])])
+def row_mean(rows: RowReader, n: int) -> np.ndarray:
+    """The float64 mean of the ``n`` rows ``rows`` reads, read :data:`~robosum.model._BLOCK_ROWS` rows at a time.
+
+    The rows are added one by one in order, starting from the first row itself (a zero start would turn a ``-0.0``
+    mean into ``0.0``), then divided by their count: ``matrix.mean(axis=0)`` bit for bit.
+    """
+    step = model._BLOCK_ROWS
+    buf = np.empty((min(n, step) + 1, FEATURE_DIM))
+    for a in range(0, n, step):
+        m = min(step, n - a)
+        buf[1 : m + 1] = rows(a, a + m)
+        # Row 0 carries the sum so far; the first block has none, so its sum starts at its own first row.
+        buf[0] = np.add.reduce(buf[1 if a == 0 else 0 : m + 1], axis=0)
+    return buf[0] / n
 
 
-def _keyframe(table: FrameTable) -> int:
-    """The row of :func:`select_keyframe`'s frame."""
-    matrix = _feature_matrix(table)
-    return _nearest_row(matrix, matrix.mean(axis=0), table.t)
+def nearest_row(rows: RowReader, t: np.ndarray, center: np.ndarray) -> int:
+    """The index of the row nearest ``center`` (Euclidean) among the ``len(t)`` rows ``rows`` reads; ``t`` are their times.
+
+    The rows are read :data:`~robosum.model._BLOCK_ROWS` at a time into one float64 buffer, so nothing as long as the
+    run is held. Exact distance ties go to the earliest time, then to the first row.
+    """
+    n, step = len(t), model._BLOCK_ROWS
+    buf = np.empty((min(n, step), FEATURE_DIM))
+    best = None
+    for a in range(0, n, step):
+        m = min(step, n - a)
+        block = buf[:m]
+        block[:] = rows(a, a + m)
+        dists = _distances(block, center)
+        tied = np.flatnonzero(dists == dists.min())
+        i = int(tied[np.argmin(t[a + tied])])
+        # A later block's row wins only by a strictly smaller (distance, time), so a full tie keeps the first row.
+        if best is None or (dists[i], t[a + i]) < best[:2]:
+            best = dists[i], t[a + i], a + i
+    return best[2]
+
+
+def _keyframe(rows: RowReader, t: np.ndarray) -> int:
+    """The index of the row nearest the mean of the ``len(t)`` rows ``rows`` reads: :func:`select_keyframe`'s rule."""
+    return nearest_row(rows, t, row_mean(rows, len(t)))
 
 
 def select_keyframe(frames: Sequence[FrameRecord]) -> int:
@@ -191,7 +230,7 @@ def select_keyframe(frames: Sequence[FrameRecord]) -> int:
     if len(frames) == 0:
         raise PipelineError("cannot select a keyframe from an empty cluster")
     table = _featured(frames)
-    return int(table.frame_id[_keyframe(table)])
+    return int(table.frame_id[_keyframe(_table_rows(table), table.t)])
 
 
 def summarize(
@@ -202,19 +241,28 @@ def summarize(
 
     Sessions shorter than ``k`` frames degrade to one keyframe per frame
     (flagged via :attr:`SummaryManifest.is_short_session`); an empty session
-    yields an empty manifest. Deterministic for fixed input. Each cluster is
-    a slice of the session's table.
+    yields an empty manifest. Deterministic for fixed input.
+    """
+    table = _featured(frames)
+    return summarize_rows(table.frame_id, table.t, _table_rows(table), cfg)
+
+
+def summarize_rows(
+    frame_id: np.ndarray, t: np.ndarray, rows: RowReader, cfg: SummarizerConfig | None = None
+) -> SummaryManifest:
+    """:func:`summarize` of the frames with these ids and times, whose feature rows ``rows`` reads in the same order.
+
+    Only the top-k clusters' rows are read, a block at a time (:func:`row_mean`, then :func:`nearest_row`).
     """
     cfg = cfg or SummarizerConfig()
-    table = _featured(frames)
-    n = len(table)
+    n = len(t)
     if n == 0:
         return SummaryManifest(k=cfg.k, h_star=0.0, cluster_count=0, entries=())
-    ts, ids = _as_timestamp_array(table.t), table.frame_id
+    ts = _as_timestamp_array(t)
 
     if n < cfg.k:
         entries = tuple(
-            SummaryEntry(cluster_index=i + 1, frame_id=int(ids[i]), timestamp=float(ts[i]), cluster_size=1) for i in range(n)
+            SummaryEntry(cluster_index=i + 1, frame_id=int(frame_id[i]), timestamp=float(ts[i]), cluster_size=1) for i in range(n)
         )
         return SummaryManifest(k=cfg.k, h_star=0.0, cluster_count=n, entries=entries)
 
@@ -222,9 +270,9 @@ def summarize(
     entries = []
     for cluster in select_top_k_clusters(clusters, cfg.k):
         a = cluster.frame_ids[0]
-        i = a + _keyframe(table[a : a + cluster.size])
+        i = a + _keyframe(lambda b, c: rows(a + b, a + c), ts[a : a + cluster.size])
         entries.append(
-            SummaryEntry(cluster_index=cluster.index, frame_id=int(ids[i]), timestamp=float(ts[i]), cluster_size=cluster.size)
+            SummaryEntry(cluster_index=cluster.index, frame_id=int(frame_id[i]), timestamp=float(ts[i]), cluster_size=cluster.size)
         )
     entries.sort(key=lambda e: e.timestamp)
     return SummaryManifest(
@@ -310,8 +358,7 @@ def kmeans_keyframes(
     entries = []
     for j in range(k):
         members = np.flatnonzero(assign == j)
-        # matrix[members] is a copy (fancy indexing), so _nearest_row may overwrite it.
-        i = int(members[_nearest_row(matrix[members], centroids[j], ts[members])])
+        i = int(members[nearest_row(lambda a, b: matrix[members[a:b]], ts[members], centroids[j])])
         entries.append(
             SummaryEntry(cluster_index=j + 1, frame_id=int(table.frame_id[i]), timestamp=float(ts[i]), cluster_size=int(members.size))
         )

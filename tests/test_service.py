@@ -1,10 +1,17 @@
 """Wire protocol behavior: ordering, determinism, isolation, failures."""
 
+import contextlib
+import errno
+import io
 import json
 import logging
 import math
+import pathlib
+import re
 import socket
+import tempfile
 import threading
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -407,11 +414,11 @@ class TestTerminalLine:
         assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 
     def test_unexpected_failure_is_internal_error(self, server, monkeypatch, caplog):
-        def boom(frames, cfg=None):
+        def boom(frame_id, t, rows, cfg=None):
             raise RuntimeError("boom")
 
         parsed, matrix = parsed_session(session_spec())
-        monkeypatch.setattr(robosum.service, "summarize", boom)
+        monkeypatch.setattr(robosum.service, "summarize_rows", boom)
         result = replay_session(*server, parsed, features=matrix, k=3, h0=60.0)
         error = json.loads(result.error_line)
         assert error["type"] == "error"
@@ -420,6 +427,61 @@ class TestTerminalLine:
         monkeypatch.undo()
         result = replay_session(*server, parsed, features=matrix, k=3, h0=60.0)
         assert result.summary_line is not None
+
+    @pytest.mark.parametrize("fails", ["create", "write"])
+    def test_a_failed_features_file_ends_the_session_with_one_internal_error(self, server, monkeypatch, fails):
+        fault = OSError(errno.ENOSPC, "No space left on device")
+
+        class FullDisk(io.BytesIO):
+            def write(self, data):
+                raise fault
+
+        def temporary_file():
+            if fails == "create":
+                raise fault
+            return FullDisk()
+
+        parsed, matrix = parsed_session(session_spec())
+        well_posed, _ = filter_frames(frameio.attach_features(parsed, matrix))
+        first_kept = parsed.frames.frame_id.tolist().index(well_posed[0].frame_id)
+        messages = frame_messages(parsed, matrix) + [GOOD_END_SESSIONS[0]]
+        monkeypatch.setattr(robosum.service, "TemporaryFile", temporary_file)
+        replies = all_replies(server, messages)
+        assert [r["type"] for r in replies] == ["action"] * first_kept + ["error"]
+        assert replies[-1] == {"type": "error", "code": "internal_error", "msg": f"OSError: {fault}"}
+        monkeypatch.undo()
+        assert all_replies(server, messages)[-1]["type"] == "summary"
+
+
+def test_a_session_closes_its_features_file_however_it_ends(server, monkeypatch):
+    fds = pathlib.Path("/proc/self/fd")
+    if not fds.is_dir():
+        pytest.skip("no /proc/self/fd to count open files in")
+    opened = []
+
+    def temporary_file():
+        opened.append(tempfile.TemporaryFile())
+        return opened[-1]
+
+    monkeypatch.setattr(robosum.service, "TemporaryFile", temporary_file)
+    monkeypatch.setattr(robosum.service, "IDLE_TIMEOUT_S", 0.2)
+    parsed, matrix = parsed_session(session_spec())
+    frames = frame_messages(parsed, matrix)[:40]
+    out_of_range = {**frames[-1], "frame_id": 10**6, "timestamp": 10**6, "features": [1.5] * FEATURE_DIM}
+    before = len(list(fds.iterdir()))
+    assert all_replies(server, frames + [GOOD_END_SESSIONS[0]])[-1]["type"] == "summary"
+    assert all_replies(server, frames + [out_of_range])[-1]["code"] == "data_error"
+    assert all_replies(server, frames)[-1]["msg"] == "stream ended before end_session"
+    with socket.create_connection(server) as sock, sock.makefile("rb") as replies:
+        sock.sendall("".join(dumps_wire(m) + "\n" for m in frames).encode("utf-8"))
+        assert json.loads(replies.read().splitlines()[-1])["msg"] == "no message within the 0.2 s idle timeout"
+    assert len(opened) == 4
+    # The server closes a connection's socket just after the client reads its end, so allow it a moment.
+    deadline = time.monotonic() + 10
+    while len(list(fds.iterdir())) != before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert len(list(fds.iterdir())) == before
+    assert all(f.closed for f in opened)
 
 
 class TestConnectionLoss:
@@ -611,11 +673,11 @@ EDGE_COMPONENTS = st.sampled_from(
 
 
 def answer_features(values):
-    """The reply to a well-posed frame carrying ``values`` inline, whether it ends the session, and the session."""
+    """The reply to a well-posed frame carrying ``values`` inline, whether it ends the session, and the rows it kept."""
     line = dumps_wire({"type": "frame", **frameio.frame_to_wire(WELL_POSED), "features": values}).encode("utf-8")
-    session = robosum.service.Session(ServiceConfig())
-    reply, done = robosum.service._answer(session, line, 1)
-    return json.loads(reply), done, session
+    with contextlib.closing(robosum.service.Session(ServiceConfig())) as session:
+        reply, done = robosum.service._answer(session, line, 1)
+        return json.loads(reply), done, session.rows(0, 1) if session.count else []
 
 
 @settings(max_examples=200, deadline=None)
@@ -627,31 +689,39 @@ def answer_features(values):
 def test_inline_features_are_read_as_a_feature_vector_reads_them(values, at, edge):
     if edge is not None:
         values[at] = edge
-    reply, done, session = answer_features(values)
+    reply, done, kept = answer_features(values)
     try:
         expected = FeatureVector(values=values).values
     except (ValueError, OverflowError) as exc:
         assert (reply, done) == ({"type": "error", "code": "data_error", "msg": f"line 1: bad feature vector: {exc}"}, True)
-        assert session.count == 0
+        assert len(kept) == 0
         return
-    assert not done and session.count == 1
-    assert np.array_equal(session.features[0], np.array(values, dtype=np.float32))
-    assert np.signbit(session.features[0]).tolist() == np.signbit(expected).tolist()
+    assert not done and len(kept) == 1
+    assert np.array_equal(kept[0], np.array(values, dtype=np.float32))
+    assert np.signbit(kept[0]).tolist() == np.signbit(expected).tolist()
 
 
+@pytest.mark.filterwarnings("error")  # a number past float32 is a fault of the frame, not a warning on stderr
 @pytest.mark.parametrize(
     "component, kept, fault",
     [
         (1.0000000000000002, 1.0, None),
         (-1e-46, -0.0, None),
         (1.5, None, "feature components must lie in [0, 1]"),
+        (1e39, None, "feature components must lie in [0, 1]"),
+        (-1e39, None, "feature components must lie in [0, 1]"),
+        (10**39, None, "feature components must lie in [0, 1]"),
         (10**400, None, "int too large to convert to float"),
     ],
 )
 def test_inline_feature_edges(component, kept, fault):
-    reply, done, session = answer_features([component] + [0.5] * (FEATURE_DIM - 1))
+    values = [component] + [0.5] * (FEATURE_DIM - 1)
+    reply, done, rows = answer_features(values)
     if fault is None:
-        assert reply["type"] == "action" and session.count == 1
-        assert session.features[0, 0] == kept and np.signbit(session.features[0, 0]) == np.signbit(kept)
+        assert reply["type"] == "action" and len(rows) == 1
+        row = rows[0]
+        assert row[0] == kept and np.signbit(row[0]) == np.signbit(kept)
     else:
         assert reply["msg"] == f"line 1: bad feature vector: {fault}" and done
+        with pytest.raises((ValueError, OverflowError), match=re.escape(fault)):
+            FeatureVector(values=values)

@@ -303,6 +303,28 @@ class TestSelectKeyframe:
             assert got == want
 
 
+#: Components drawn from a few values, so rows repeat (exact distance ties) and columns may be all ``-0.0``.
+BLOCK_COMPONENTS = st.sampled_from([0.0, -0.0, 0.25, 1.0, 1 / 3]) | st.floats(0, 1, width=32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 7))
+def test_the_block_wise_keyframe_rule_is_the_whole_matrix_rule(data, block_rows):
+    n = data.draw(st.integers(1, 30))
+    pool = data.draw(hnp.arrays(np.float32, (data.draw(st.integers(1, n)), FEATURE_DIM), elements=BLOCK_COMPONENTS))
+    matrix = pool[data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))]
+    # Times in any order, some equal, so the tie rule's earliest time is not simply the first row.
+    t = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=n, max_size=n)))
+    whole = matrix.astype(np.float64)
+    dists = np.linalg.norm(whole - whole.mean(axis=0), axis=1)
+    tied = np.flatnonzero(dists == dists.min())
+    with mock.patch.object(summarizer.model, "_BLOCK_ROWS", block_rows):
+        rows = lambda a, b: matrix[a:b]  # noqa: E731
+        mean = summarizer.row_mean(rows, n)
+        assert mean.view(np.uint64).tolist() == whole.mean(axis=0).view(np.uint64).tolist()
+        assert summarizer.nearest_row(rows, t, mean) == tied[np.argmin(t[tied])]
+
+
 def _session(timestamps, feature_rows, first_id=0):
     return [
         frame(first_id + i, float(t), feats=FeatureVector(values=row))

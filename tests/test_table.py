@@ -6,6 +6,7 @@ summarizer over stacked records and the server's ``Session`` run frame by
 frame. The sessions are drawn to sit on the rules' edges.
 """
 
+import contextlib
 import gc
 import io
 import json
@@ -379,6 +380,7 @@ def test_a_server_session_summarizes_its_kept_frames_as_summarize_does(records, 
             kept.append(rec)
     assert session.count == len(kept)
     assert summary_or_fault(lambda: session.end(cfg)) == summary_or_fault(lambda: summarize(kept, cfg))
+    session.close()
 
 
 # Integer settings stay integers in the action lines ("forward_m":1, not 1.0).
@@ -527,8 +529,33 @@ def test_batch_stages_hold_a_few_blocks_beyond_their_outputs():
         assert held <= block
         _, held = held_beyond_output(lambda: simulate_actions(table))
         assert held <= block
-        # The keyframe rule reads a cluster's float64 feature matrix whole. The four blocks also hold the clusters'
-        # tuples of frame positions, about 33 bytes an accepted frame.
-        largest = max(c.size for c in adapt_threshold(accepted.t, cfg.k, cfg.h0)[1])
+        # The four blocks also hold the clusters' tuples of frame positions, about 33 bytes an accepted frame.
         _, held = held_beyond_output(lambda: summarize(accepted, cfg))
-        assert held <= largest * FEATURE_DIM * 8 + 4 * block
+        assert held <= 4 * block
+
+
+def test_a_server_session_holds_16_bytes_a_kept_frame_and_a_few_blocks():
+    rows, n = 48, 3000
+    lines = [
+        frame_line(FrameRecord(i, float(i), W, H, centered_person(), 300.0, FeatureVector(values=np.full(FEATURE_DIM, i % 7 / 8))))
+        for i in range(n)
+    ]
+    block = rows * FEATURE_DIM * 8  # a block of float64 feature rows
+    with mock.patch.object(model, "_BLOCK_ROWS", rows):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            session = Session(ServiceConfig())
+            for line_no, line in enumerate(lines, start=1):
+                assert service._answer(session, line, line_no)[1] is False
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The id and time columns, with a quarter of slack; the features file's buffer and the session's state fit in a block.
+        assert held <= 16 * n * 5 // 4 + block
+        with contextlib.closing(session):
+            # k = 1 makes one cluster of every frame. Beside the blocks, the summary holds the cluster's tuple of frame
+            # positions (36 B a frame) and the threshold search's arrays (9 B a frame).
+            manifest, held_at_end = held_beyond_output(lambda: session.end(SummarizerConfig(k=1)))
+    assert session.count == n and len(manifest.entries) == 1
+    assert held_at_end <= 48 * n + 4 * block
