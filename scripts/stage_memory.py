@@ -1,4 +1,4 @@
-"""Peak RSS (VmHWM) after each stage of one batch pass, and of one server session, over a desk session; Markdown tables.
+"""Peak RSS (VmHWM) after each stage of one batch pass and of one server session over a desk session, and of one image pass; Markdown tables.
 
     PYTHONPATH=src python scripts/stage_memory.py [--segments N] [--seed S]
 
@@ -13,7 +13,10 @@ which stage sets the peak. A second fresh process answers the messages,
 one line at a time, through the server's own per-line path
 (``service._answer``) on one ``Session``, then ends the session; the second
 table reads VmHWM after the imports, after the last frame and after
-``end_session``. Linux only.
+``end_session``. A third fresh process runs the same pass over the
+``batch_images`` workload's inputs (``perfbench/inputs.py``'s image layout:
+2,400 frames, half without a blur score, each of those scored from a
+640x480 PGM), so the third table shows what blur scoring holds. Linux only.
 """
 
 from __future__ import annotations
@@ -53,7 +56,14 @@ def write_session(out: Path, segments: int, seed: int) -> int:
     return len(frames)
 
 
-def one_pass(inputs: Path) -> None:
+def write_image_inputs(out: Path, seed: int) -> int:
+    import inputs
+    import tracing
+
+    return inputs.write_inputs("batch_images", seed, out, tiny=False, tracer=tracing.Tracer(False, "inputs"))["frames"]
+
+
+def one_pass(inputs: Path, images: bool = False) -> None:
     """Run the benchmark's pass with a tracer that prints ``stage VmHWM`` as each stage ends."""
     import batch
     import tracing
@@ -64,11 +74,11 @@ def one_pass(inputs: Path) -> None:
             if name == "bench.pass":  # the pass's own span opens once its imports are done
                 print("imports", vm_hwm_mib())
             yield
-            if name != "bench.pass":
+            if name not in ("bench.pass", "frameio.load_pgm"):  # one load_pgm span a scoreless frame, inside the filter
                 print(name.rsplit(".", 1)[-1], vm_hwm_mib())
 
     tracing.Tracer = StageTracer
-    batch.pipeline_pass(inputs, inputs / "out", images=False, trace=False)
+    batch.pipeline_pass(inputs, inputs / "out", images=images, trace=False)
 
 
 def answer_session(inputs_dir: Path) -> None:
@@ -100,17 +110,20 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.part:
         part, over = args.part
-        (one_pass if part == "pass" else answer_session)(Path(over))
+        parts = {"pass": one_pass, "session": answer_session, "images": lambda path: one_pass(path, images=True)}
+        parts[part](Path(over))
         return 0
     with tempfile.TemporaryDirectory() as tmp:
         frames = write_session(Path(tmp), args.segments, args.seed)
+        image_frames = write_image_inputs(Path(tmp) / "images_workload", args.seed)
         runs = [
-            subprocess.run([sys.executable, __file__, "--part", part, tmp], capture_output=True, text=True, check=True).stdout
-            for part in ("pass", "session")
+            subprocess.run([sys.executable, __file__, "--part", part, over], capture_output=True, text=True, check=True).stdout
+            for part, over in (("pass", tmp), ("session", tmp), ("images", str(Path(tmp) / "images_workload")))
         ]
     titles = (
         f"VmHWM (MiB), batch pass over a desk session of {frames:,} frames, seed {args.seed}",
         f"VmHWM (MiB), server session of the same {frames:,} frames with inline features",
+        f"VmHWM (MiB), batch pass over the image workload's {image_frames:,} frames, half scored from 640x480 PGMs, seed {args.seed}",
     )
     for i, (title, run) in enumerate(zip(titles, runs)):
         print("\n" * (i > 0) + f"| stage | {title} |\n|---|---|")

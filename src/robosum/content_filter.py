@@ -72,10 +72,11 @@ def variance_of_laplacian(image) -> float:
     The kernel is [[0,1,0],[1,-4,1],[0,1,0]] applied to the valid region
     only (no border padding). The image must be 8-bit grayscale (``uint8``);
     any other dtype is an :class:`InvalidImage` (a ValueError) naming it.
-    The result is exact and correctly rounded; constant images score 0.0,
-    and low scores mean blur.
+    The result is exact and correctly rounded for an image of any size;
+    constant images score 0.0, and low scores mean blur. Each call scores
+    with buffers of its own, two int16 arrays the interior's size.
     """
-    return _laplacian_variance(_checked_image(image))
+    return _LaplacianScorer()(_checked_image(image))
 
 
 def _checked_image(image) -> np.ndarray:
@@ -91,21 +92,50 @@ def _checked_image(image) -> np.ndarray:
     return img
 
 
-def _laplacian_variance(img: np.ndarray) -> float:
-    """Score an image that :func:`_checked_image` returned."""
-    # Responses lie in [-1020, 1020], so int16 cannot overflow; their squares need int32 and the
-    # sums int64. With n responses, S1 = sum and S2 = sum of squares, the variance is
-    # (n*S2 - S1**2) / n**2, and Python's integer true division rounds it correctly. Summing in
-    # place, straight from the uint8 views, keeps the large temporaries to three; with more, the
-    # allocator returned them to the kernel and faulted them back in on every call.
-    lap = np.add(img[:-2, 1:-1], img[2:, 1:-1], dtype=np.int16)
-    lap += img[1:-1, :-2]
-    lap += img[1:-1, 2:]
-    lap -= np.multiply(img[1:-1, 1:-1], 4, dtype=np.int16)
-    n = lap.size
-    s1 = int(lap.sum(dtype=np.int64))
-    s2 = int(np.square(lap, dtype=np.int32).sum(dtype=np.int64))
-    return (n * s2 - s1 * s1) / (n * n)
+#: Widest run of responses whose sum of squares fits int32: each square is at most 1020**2.
+_INT32_COLS = (2**31 - 1) // 1020**2
+
+
+class _LaplacianScorer:
+    """Scores images that :func:`_checked_image` returned, in buffers kept while images keep one shape.
+
+    Responses lie in [-1020, 1020], so int16 holds them. With n responses, S1 = their sum and
+    S2 = the sum of their squares, the variance is (n*S2 - S1**2) / n**2 in Python integers, and
+    Python's integer true division rounds it correctly. Fresh interior-sized temporaries for each
+    image went to ``mmap`` and were faulted in again on every call, costing more than the
+    arithmetic, so the response and the ``4*C`` term are written into two buffers made again only
+    when an image's shape differs from the last one.
+    """
+
+    __slots__ = ("shape", "lap", "center")
+
+    def __init__(self):
+        self.shape = None
+
+    def __call__(self, img: np.ndarray) -> float:
+        if img.shape != self.shape:
+            rows, cols = self.shape = img.shape
+            self.lap = np.empty((rows - 2, cols - 2), dtype=np.int16)
+            self.center = np.empty_like(self.lap)
+        lap = self.lap
+        np.add(img[:-2, 1:-1], img[2:, 1:-1], out=lap, dtype=np.int16)
+        lap += img[1:-1, :-2]
+        lap += img[1:-1, 2:]
+        lap -= np.multiply(img[1:-1, 1:-1], 4, out=self.center, dtype=np.int16)
+        # Down each interior column the vertical second differences telescope to the first differences
+        # at its two ends, and across each interior row the horizontal ones do, so S1 is eight rim strips.
+        s1 = 0
+        for lines in (img[:, 1:-1], img[1:-1].T):  # the interior's columns, then its rows
+            first, second, second_last, last = (int(lines[k].sum(dtype=np.int64)) for k in (0, 1, -2, -1))
+            s1 += first - second - second_last + last
+        # Each row's sum of squares in int32, over at most _INT32_COLS columns at a time, so no
+        # int32 array of squares is built and no row sum can wrap.
+        s2 = 0
+        for start in range(0, lap.shape[1], _INT32_COLS):
+            piece = lap[:, start : start + _INT32_COLS]
+            s2 += int(np.einsum("ij,ij->i", piece, piece, dtype=np.int32).sum(dtype=np.int64))
+        n = lap.size
+        return (n * s2 - s1 * s1) / (n * n)
 
 
 def classify_frame(
@@ -117,7 +147,8 @@ def classify_frame(
 
     ``image`` supplies 8-bit grayscale pixels when ``rec.blur_variance`` is
     absent. Raises :class:`MissingBlurScore` when neither is available. The
-    image is validated up front but scored only if the blur rule is reached.
+    image is validated up front but scored only if the blur rule is reached,
+    with buffers of this call's own, as :func:`variance_of_laplacian` scores it.
     """
     cfg = cfg or FilterConfig()
     pixels = None
@@ -129,7 +160,7 @@ def classify_frame(
     pts = confident_subset(rec.landmarks)
     if pts is None:
         return IllPosedReason.PEOPLE_ABSENT
-    blur = rec.blur_variance if pixels is None else _laplacian_variance(pixels)
+    blur = rec.blur_variance if pixels is None else _LaplacianScorer()(pixels)
     if blur < cfg.blur_threshold:
         return IllPosedReason.BLURRED
 
@@ -171,12 +202,15 @@ def filter_frames(
     ``features`` matrices (:meth:`FrameTable.take`), so it copies neither.
     ``images`` is called with each frame that carries no blur score, in
     frame order; each image is checked, and scored only where the blur rule
-    is reached.
+    is reached. Scoring holds two int16 buffers the size of an image's
+    interior for the whole call, made again only when an image's shape
+    differs from the last one, and each image only until the next is made.
     """
     cfg = cfg or FilterConfig()
     table = FrameTable.of(frames)
     undecided = np.ones(len(table), dtype=bool)
     counts = dict.fromkeys(IllPosedReason, 0)
+    score = _LaplacianScorer()
     for start, block in table.blocks():
         points = block.frame_points()
         seen = confident_mask(points)
@@ -194,7 +228,8 @@ def filter_frames(
                 except InvalidImage as exc:
                     raise type(exc)(f"frame {rec.frame_id}: {exc}") from exc
                 if person[i]:
-                    blur[i] = _laplacian_variance(pixels)
+                    blur[i] = score(pixels)
+                del image, pixels  # so the provider makes the next image without this one beside it
         left = undecided[start : start + len(block)]  # a view: the block's verdicts land in the session's mask
         for reason, holds in _rules(block, points, seen, blur, cfg).items():
             hit = left & holds

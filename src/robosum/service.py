@@ -19,7 +19,10 @@ that keeps a frame. The file's pages sit in the page cache, which the
 system can reclaim only where ``TMPDIR`` is disk-backed; on tmpfs they stay
 in RAM, outside the process's RSS. A session sends at most
 :data:`MAX_SESSION_FRAMES` (2**20) frames, so at the cap it holds about
-20 MiB of RAM with the slack, and 628 MiB of file.
+20 MiB of RAM with the slack, and 628 MiB of file. The server runs at most
+:data:`MAX_SESSIONS` sessions at once, one thread each; a connection past
+them gets one ``protocol_error`` and is closed at once, so the whole worst
+case is that many times a session's.
 
 The offline simulator takes the controller step a :class:`Session` takes,
 so a replayed session and an offline run produce byte-identical traces.
@@ -67,6 +70,10 @@ IDLE_TIMEOUT_S = 60.0
 #: Most frames one session may send; the frame past it gets a ``protocol_error`` and the connection closes. At
 #: least ``scenario.MAX_FRAMES``, so any session ``robosum gen`` writes can be replayed.
 MAX_SESSION_FRAMES = 1 << 20
+
+#: Most sessions served at once, one thread each; a connection past it gets one ``protocol_error`` and is closed at
+#: once, not queued, so connections cannot multiply the per-session worst case without bound.
+MAX_SESSIONS = 32
 
 
 def dumps_wire(obj: dict) -> str:
@@ -302,6 +309,26 @@ class FrameServer(socketserver.ThreadingTCPServer):
     def __init__(self, address: tuple[str, int], config: ServiceConfig | None = None):
         super().__init__(address, _SessionHandler)
         self.service_config = config or ServiceConfig()
+        self._session_slots = threading.BoundedSemaphore(MAX_SESSIONS)
+
+    def process_request(self, request, client_address) -> None:
+        """Start the connection's session thread, or refuse the connection when :data:`MAX_SESSIONS` are running."""
+        if not self._session_slots.acquire(blocking=False):
+            with contextlib.suppress(OSError):
+                request.sendall((_error("protocol_error", f"server busy: at most {MAX_SESSIONS} sessions at once") + "\n").encode("utf-8"))
+            self.shutdown_request(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:  # no thread started, so none will release the slot
+            self._session_slots.release()
+            raise
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._session_slots.release()
 
     @property
     def bound_address(self) -> tuple[str, int]:

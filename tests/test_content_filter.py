@@ -87,6 +87,19 @@ class TestVarianceOfLaplacian:
         # Every response is +-1020, the extreme the int16 kernel must hold.
         assert variance_of_laplacian(checkerboard) == 1040400.0
 
+    def test_exact_past_the_widest_int32_row_sum(self, rng):
+        # Up to 2,064 squares of 1,020 fit an int32 row sum; wider rows are summed in column pieces.
+        for shape in ((3, 2066), (3, 2067), (3, 4200)):
+            checkerboard = ((np.indices(shape).sum(axis=0) % 2) * 255).astype(np.uint8)
+            assert variance_of_laplacian(checkerboard) == laplacian_variance_exact(checkerboard)
+        # Every response is +-1020 and they balance; without the pieces the row sums wrap and this reads about 17,301.5.
+        assert variance_of_laplacian(checkerboard) == 1040400.0
+        # With three rows or three columns, the rim strips that give the response sum overlap.
+        for n in (3, 4, 5, 17, 2066, 4200):
+            for shape in ((3, n), (n, 3)):
+                img = rng.integers(0, 256, size=shape, dtype=np.uint8)
+                assert variance_of_laplacian(img) == laplacian_variance_exact(img)
+
     def test_rejects_tiny_images(self):
         with pytest.raises(ImageTooSmall):
             variance_of_laplacian(np.zeros((2, 5)))
@@ -265,6 +278,27 @@ class TestFilterFrames:
         _, report = filter_frames(frames, images=provider)
         assert requested == [1, 3, 5]
         assert report.total == 6
+
+    def test_images_changing_shape_midway_are_scored_as_variance_of_laplacian_scores_them(self, rng):
+        shapes = [(480, 640), (3, 3), (7, 9), (480, 640), (5, 2100), (480, 640)]
+        images = {i: rng.integers(0, 256, size=shape, dtype=np.uint8) for i, shape in enumerate(shapes)}
+        images[6] = rng.integers(0, 256, size=(11, 13), dtype=np.uint8)
+        frames = [frame(i, float(i), lm=None if i == 2 else centered_person(), blur=None) for i in range(6)]
+        frames.insert(3, frame(6, 2.5, lm=centered_person(), blur=500.0))
+        want = {i: variance_of_laplacian(images[i]) for i in (0, 1, 3, 4, 5)}
+        want[6] = 500.0
+        # A frame is accepted exactly when its blur reaches the threshold, so each threshold at a frame's
+        # score, and the float just above it, shows the score every frame was given.
+        for threshold in {t for v in want.values() for t in (v, math.nextafter(v, math.inf))}:
+            requested = []
+
+            def provider(rec):
+                requested.append(rec.frame_id)
+                return images[rec.frame_id]
+
+            accepted, _ = filter_frames(frames, FilterConfig(blur_threshold=threshold), images=provider)
+            assert requested == [0, 1, 2, 3, 4, 5]
+            assert [r.frame_id for r in accepted] == [f.frame_id for f in frames if f.frame_id in want and want[f.frame_id] >= threshold]
 
     def test_config_values_must_be_finite(self):
         # A NaN threshold would turn the Blurred rule off: ``blur < nan`` is always false.

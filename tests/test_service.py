@@ -665,7 +665,49 @@ def test_a_silent_client_gets_one_protocol_error_naming_the_timeout(server, monk
     assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 
 
-WELL_POSED = FrameRecord(0, 0.0, 640, 480, centered_person(), 300.0)
+def test_a_connection_past_the_session_cap_gets_one_protocol_error_at_once(monkeypatch):
+    assert robosum.service.MAX_SESSIONS > 3  # the benchmark's two live lanes and its start-up probe fit
+    monkeypatch.setattr(robosum.service, "MAX_SESSIONS", 2)
+    srv, thread = run_server_in_thread(ServiceConfig())
+    address = srv.bound_address
+    parsed, _ = parsed_session(session_spec())
+    frame = dumps_wire({"type": "frame", **frameio.frame_to_wire(parsed.frames[0]), "features": None})
+
+    def wait_for_free_slots(count):
+        slots = srv._session_slots
+        taken = sum(slots.acquire(timeout=10) for _ in range(count))
+        for _ in range(taken):
+            slots.release()
+        assert taken == count
+
+    try:
+        with contextlib.ExitStack() as stack:
+            socks = [stack.enter_context(socket.create_connection(address)) for _ in range(2)]
+            replies = [stack.enter_context(sock.makefile("rb")) for sock in socks]
+            for sock, lines in zip(socks, replies):
+                sock.settimeout(10)
+                sock.sendall(frame.encode("utf-8") + b"\n")
+                assert json.loads(lines.readline())["type"] == "action"
+            # A third connection while both sessions run: one error line, then the server closes it at once;
+            # a queued connection would time out here instead.
+            with socket.create_connection(address) as third, third.makefile("rb") as lines:
+                third.settimeout(10)
+                refused = [json.loads(line) for line in lines.read().splitlines()]
+            assert refused == [{"type": "error", "code": "protocol_error", "msg": "server busy: at most 2 sessions at once"}]
+            # The running sessions are untouched: one ends with a summary, the other by its client going away.
+            socks[0].sendall(dumps_wire(GOOD_END_SESSIONS[0]).encode("utf-8") + b"\n")
+            assert json.loads(replies[0].readline())["type"] == "summary"
+        # Each ended session gave its slot back, and a new connection is served.
+        wait_for_free_slots(2)
+        assert [r["type"] for r in all_replies(address, [frame, GOOD_END_SESSIONS[0]])] == ["action", "summary"]
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+WELL_POSED =FrameRecord(0, 0.0, 640, 480, centered_person(), 300.0)
 #: Feature components on the edges of the float32 conversion and the [0, 1] rule.
 EDGE_COMPONENTS = st.sampled_from(
     [1.0000000000000002, -1e-46, 1e-46, -0.0, 1.5, -1e-30, math.nan, math.inf, 10**400, 2**70, 1e39, 0, 1, 2, 5e-324]

@@ -534,6 +534,22 @@ def test_batch_stages_hold_a_few_blocks_beyond_their_outputs():
         assert held <= 4 * block
 
 
+def test_blur_scoring_holds_two_int16_interiors_an_image_and_a_block():
+    rows, shape = 48, (480, 640)
+    table = FrameTable.of(
+        [FrameRecord(i, float(i), W, H, centered_person(), None, FeatureVector(values=np.full(FEATURE_DIM, i % 7 / 8))) for i in range(3 * rows)]
+    )
+    block = rows * (sum(getattr(table, name)[:1].nbytes for name in FrameTable.__slots__[:8]) + table.features[:1].nbytes)
+    pool = [np.random.default_rng(seed).integers(0, 256, size=shape, dtype=np.uint8) for seed in range(4)]
+    interior = (shape[0] - 2) * (shape[1] - 2) * np.dtype(np.int16).itemsize
+    with mock.patch.object(model, "_BLOCK_ROWS", rows):
+        # Each call makes a fresh image, as loading a PGM does; an int32 array of squares would not fit.
+        (_, report), held = held_beyond_output(lambda: filter_frames(table, images=lambda rec: pool[rec.frame_id % 4].copy()))
+    assert report.total == 3 * rows
+    # Beside those, the iterator that casts the responses to int32 for their row sums buffers 8,192 of each operand.
+    assert held <= 2 * interior + pool[0].nbytes + block + 2 * 8192 * 4
+
+
 def test_a_server_session_holds_16_bytes_a_kept_frame_and_a_few_blocks():
     rows, n = 48, 3000
     lines = [
