@@ -16,6 +16,7 @@ import operator
 import os
 import re
 import struct
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Mapping, NoReturn, Sequence
@@ -90,10 +91,7 @@ def _landmarks_from_wire(raw) -> LandmarkSet | None:
                 flat += entry
                 continue
         flat += _landmark_entry(entry, len(flat) // 3)
-    points = np.array(flat, dtype=np.float64)
-    # In place, not a view: a reshaped view would keep a second array object
-    # alive per set. The size is unchanged, so nothing is reallocated.
-    points.resize((NUM_LANDMARKS, 3))
+    points = np.array(flat, dtype=np.float64).reshape(NUM_LANDMARKS, 3)
     points.flags.writeable = False
     return _checked_landmarks(points)
 
@@ -170,7 +168,7 @@ class _Parse:
     def __init__(self):
         self.seen, self.last_t, self.dropped, self.parts = set(), None, 0, []
         # Kept frames' landmark sets in one buffer, not in parts: arrays freed part by part would stay resident.
-        self.points, self.kept = np.empty((_CHUNK_LINES, NUM_LANDMARKS, 3)), 0
+        self.points = array("d")
         self.start(1)
 
     def start(self, first_line: int) -> None:
@@ -281,21 +279,15 @@ class _Parse:
         A part that dropped a frame has sets in its points that no row names; they are not kept.
         """
         present = table.point_row >= 0
-        end = self.kept + np.count_nonzero(present)
-        if end > len(self.points):
-            # Grown in place by a quarter, not into a second buffer that would be held beside it: realloc, which
-            # remaps a large block (glibc) rather than copy it. No view of the buffer outlives a call: no refcheck.
-            self.points.resize((max(end, len(self.points) * 5 // 4), NUM_LANDMARKS, 3), refcheck=False)
-        self.points[self.kept : end] = table.points[table.point_row[present]]
-        rows = matrix_rows(present, self.kept)
-        self.kept = end
+        rows = matrix_rows(present, len(self.points) // (NUM_LANDMARKS * 3))
+        self.points.frombytes(table.points[table.point_row[present]].tobytes())
         self.parts.append((table.frame_id, table.t, table.w, table.h, table.blur, rows, table.feat_row))
 
     def result(self) -> ParseResult:
         """The kept frames; the last flush keeps a part, empty or not."""
-        self.points.resize((self.kept, NUM_LANDMARKS, 3), refcheck=False)  # in place: no copy
         columns = (np.concatenate(column) for column in zip(*self.parts))
-        return ParseResult(FrameTable(*columns, self.points), self.dropped)
+        points = np.frombuffer(self.points).reshape(-1, NUM_LANDMARKS, 3)  # a view: the sets are not copied
+        return ParseResult(FrameTable(*columns, points), self.dropped)
 
 
 def parse_frames_jsonl(stream: Iterable[str]) -> ParseResult:

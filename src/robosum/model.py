@@ -228,11 +228,9 @@ class FeatureVector:
     values: np.ndarray
 
     def __post_init__(self):
-        with np.errstate(over="ignore"):  # a number past float32 becomes inf, which the range rule rejects
-            arr = np.array(self.values, dtype=np.float32, copy=True)
+        arr = unit_float32(self.values)
         if arr.shape != (FEATURE_DIM,):
             raise ValueError(f"feature vector must have shape ({FEATURE_DIM},), got {arr.shape}")
-        check_unit_range(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -242,10 +240,20 @@ class FeatureVector:
         return bool(np.array_equal(self.values, other.values))
 
 
-def check_unit_range(values: np.ndarray) -> None:
-    """:class:`FeatureVector`'s range rule over any array of components: each lies in [0, 1]; NaN does not."""
-    if not bool(np.all((values >= 0.0) & (values <= 1.0))):
+def unit_float32(values, out: np.ndarray | None = None) -> np.ndarray:
+    """The feature rule: ``values`` as float32 components, into ``out`` when one is given; each must lie in [0, 1].
+
+    A number past float32 becomes inf, which the range rule rejects as it rejects NaN (ValueError); an int too
+    large for a float raises OverflowError.
+    """
+    with np.errstate(over="ignore"):
+        if out is None:
+            out = np.array(values, dtype=np.float32)
+        else:
+            out[:] = values
+    if not bool(np.all((out >= 0.0) & (out <= 1.0))):
         raise ValueError("feature components must lie in [0, 1]")
+    return out
 
 
 def _checked_feature_row(row: np.ndarray) -> FeatureVector:

@@ -51,9 +51,9 @@ from .model import (
     build_fields,
     check_config_fields,
     check_points,
-    check_unit_range,
     matrix_rows,
     read_fields,
+    unit_float32,
 )
 
 _POINT_CONFIDENCE = 0.9
@@ -341,8 +341,7 @@ def generate_session(
     rows = np.flatnonzero(onehot_col >= 0)
     features[rows, onehot_col[rows]] += 1.0
     np.clip(features, 0.0, 1.0, out=features)
-    features = features.astype(np.float32)
-    check_unit_range(features)
+    features = unit_float32(features)
 
     points = _geometry(codes, times, spec, cfg)
     check_points(points)

@@ -12,14 +12,14 @@ before ``end_session`` or falls silent for :data:`IDLE_TIMEOUT_S` gets a
 line's reply is :func:`_answer` of the session and the line; the handler
 only moves bytes and answers the socket's own faults. Replies are written
 as they are produced. A session holds 16 B of RAM a kept frame, its int64
-id and float64 time as columns, plus at most a quarter for rows grown into
-but not yet filled; its 157 float32 features, 628 B a kept frame, go to an
+id and float64 time in two standard-library arrays that hold at most about
+a sixteenth more; its 157 float32 features, 628 B a kept frame, go to an
 unlinked temporary file in ``TMPDIR``, one file descriptor for each session
 that keeps a frame. The file's pages sit in the page cache, which the
 system can reclaim only where ``TMPDIR`` is disk-backed; on tmpfs they stay
 in RAM, outside the process's RSS. A session sends at most
 :data:`MAX_SESSION_FRAMES` (2**20) frames, so at the cap it holds about
-20 MiB of RAM with the slack, and 628 MiB of file. The server runs at most
+17 MiB of RAM with the slack, and 628 MiB of file. The server runs at most
 :data:`MAX_SESSIONS` sessions at once, one thread each; a connection past
 them gets one ``protocol_error`` and is closed at once, so the whole worst
 case is that many times a session's.
@@ -40,6 +40,7 @@ import socket
 import socketserver
 import threading
 import time
+from array import array
 from dataclasses import dataclass, field
 from tempfile import TemporaryFile
 from typing import IO, Sequence
@@ -47,10 +48,10 @@ from typing import IO, Sequence
 import numpy as np
 
 from .content_filter import FilterConfig, classify_frame
-from .controller import IDLE_COMMAND, ActionCommand, ControllerConfig, advance, controller_step, initial_state, sense_table
+from .controller import ActionCommand, ControllerConfig, advance, controller_step, initial_state, sense_table
 from .errors import ConnectionLost, ParseError, PipelineError
 from .frameio import FEATURE_DIM, JSON_FAULTS, ParseResult, _json_fault, check_feat_row_bounds, frame_from_wire, frame_to_wire, manifest_to_dict
-from .model import FLOAT_MAX, FrameRecord, FrameTable, SummaryManifest, check_unit_range
+from .model import FLOAT_MAX, FrameRecord, FrameTable, SummaryManifest, unit_float32
 from .summarizer import SummarizerConfig, summarize_rows
 
 logger = logging.getLogger(__name__)
@@ -125,15 +126,11 @@ class ServiceConfig:
     controller_config: ControllerConfig = field(default_factory=ControllerConfig)
 
 
-#: Rows a session's columns start with; full columns grow by a quarter.
-_FIRST_ROWS = 256
-
-
 class Session:
     """One session's controller state, and the frames kept for its summary.
 
-    The first :attr:`count` rows of ``frame_id`` (int64, or Python ints once an id does not fit one) and ``t``
-    (float64) are the kept frames' ids and times: 16 B each, and at most a quarter more for the rows the columns have
+    ``frame_id`` (an int64 ``array``, or a list of Python ints once an id does not fit one) and ``t`` (a float64
+    ``array``) are the kept frames' ids and times: 16 B each, and at most about a sixteenth more that the arrays have
     grown into but not filled. Their features, 157 float32 a frame, are appended to an unlinked temporary file opened
     at the first kept frame, and read back by :meth:`rows`. :meth:`close` closes the file.
     """
@@ -141,37 +138,29 @@ class Session:
     def __init__(self, cfg: ServiceConfig):
         self.cfg = cfg
         self.state = initial_state()
-        self.count = 0
-        self.frame_id = np.empty(_FIRST_ROWS, dtype=np.int64)
-        self.t = np.empty(_FIRST_ROWS)
-        #: The features of the frame being answered, filled before :meth:`frame` keeps them.
+        self.frame_id: array | list[int] = array("q")
+        self.t = array("d")
+        #: The one row :func:`_answer` converts each frame's inline features into.
         self.row = np.empty(FEATURE_DIM, dtype=np.float32)
         self.file: IO[bytes] | None = None
 
-    def frame(self, rec: FrameRecord, featured: bool = False) -> str:
-        """The action line for the next frame; a well-posed ``featured`` frame is kept, its features those in :attr:`row`.
+    def frame(self, rec: FrameRecord, features: np.ndarray | None = None) -> str:
+        """The action line for the next frame; a well-posed frame with ``features``, its checked float32 row, is kept.
 
         Only a featured frame can enter the summary, so only it is classified, before the controller step: one the
         filter cannot classify raises and leaves the session as it was.
         """
-        keep = featured and classify_frame(rec, self.cfg.filter_config) is None
+        keep = features is not None and classify_frame(rec, self.cfg.filter_config) is None
         self.state, cmd = controller_step(self.state, rec, self.cfg.controller_config)
         if keep:
-            if self.count == len(self.t):
-                # Grown in place, as frameio's point buffer grows; no view of a column outlives a call: no refcheck.
-                rows = max(self.count + 1, self.count * 5 // 4)
-                for column in (self.frame_id, self.t):
-                    column.resize(rows, refcheck=False)
             if self.file is None:
                 self.file = TemporaryFile()
-            self.file.write(self.row)  # through the file's own buffer; rows() flushes it before it reads
+            self.file.write(features)  # through the file's own buffer; rows() flushes it before it reads
             try:
-                self.frame_id[self.count] = rec.frame_id
+                self.frame_id.append(rec.frame_id)
             except OverflowError:  # an id past int64: Python ints from here on, as model._ints holds such ids
-                self.frame_id = self.frame_id.astype(object)
-                self.frame_id[self.count] = rec.frame_id
-            self.t[self.count] = rec.timestamp
-            self.count += 1
+                self.frame_id = [*self.frame_id, rec.frame_id]
+            self.t.append(rec.timestamp)
         return action_line(rec.frame_id, cmd)
 
     def rows(self, a: int, b: int) -> np.ndarray:
@@ -183,8 +172,7 @@ class Session:
 
     def end(self, summarizer_cfg: SummarizerConfig) -> SummaryManifest:
         """The summary of the kept frames; the session stays open, so it may take frames and end again."""
-        n = self.count
-        return summarize_rows(self.frame_id[:n], self.t[:n], self.rows, summarizer_cfg)
+        return summarize_rows(self.frame_id, np.array(self.t), self.rows, summarizer_cfg)  # a copy: no view stops t growing
 
     def close(self) -> None:
         """Close the features' file, if the session opened one; its rows are dropped, so a failed flush is of no matter."""
@@ -198,16 +186,15 @@ def simulate_actions(frames: Sequence[FrameRecord], cfg: ControllerConfig | None
 
     The frames are sensed a block of the session's table at a time (:meth:`FrameTable.blocks`), so no
     session-sized temporary is held beside the lines; then :func:`~robosum.controller.advance`, the step the
-    server takes, runs frame by frame. A step that returns the idle command is written from one template line.
+    server takes, runs frame by frame.
     """
     cfg = cfg or ControllerConfig()
     state = initial_state()
-    idle_head, idle_tail = action_line(0, IDLE_COMMAND).split('"frame_id":0', 1)
     lines = []
     for _, block in FrameTable.of(frames).blocks():
         for frame_id, t, sensing in zip(block.frame_id.tolist(), block.t.tolist(), sense_table(block, cfg)):
             state, cmd = advance(state, sensing, t, cfg)
-            lines.append(f'{idle_head}"frame_id":{frame_id}{idle_tail}' if cmd is IDLE_COMMAND else action_line(frame_id, cmd))
+            lines.append(action_line(frame_id, cmd))
     return lines
 
 
@@ -235,13 +222,11 @@ def _answer(session: Session, raw: bytes, line_no: int) -> tuple[str, bool]:
             if inline is not None:
                 if not isinstance(inline, list) or len(inline) != FEATURE_DIM or not {*map(type, inline)} <= {int, float}:
                     raise ParseError(f"features must be null or an array of {FEATURE_DIM} numbers", line_no)
-                try:  # the float32 conversion and range rule FeatureVector applies
-                    with np.errstate(over="ignore"):  # a number past float32 becomes inf, which the range rule rejects
-                        session.row[:] = inline
-                    check_unit_range(session.row)
+                try:
+                    unit_float32(inline, session.row)
                 except (ValueError, OverflowError) as exc:
                     raise ParseError(f"bad feature vector: {exc}", line_no) from exc
-            return session.frame(rec, inline is not None), False
+            return session.frame(rec, None if inline is None else session.row), False
         if kind != "end_session":
             return _error("protocol_error", f"unknown message type {kind!r}"), True
         try:

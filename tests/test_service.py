@@ -719,7 +719,7 @@ def answer_features(values):
     line = dumps_wire({"type": "frame", **frameio.frame_to_wire(WELL_POSED), "features": values}).encode("utf-8")
     with contextlib.closing(robosum.service.Session(ServiceConfig())) as session:
         reply, done = robosum.service._answer(session, line, 1)
-        return json.loads(reply), done, session.rows(0, 1) if session.count else []
+        return json.loads(reply), done, session.rows(0, 1) if len(session.t) else []
 
 
 @settings(max_examples=200, deadline=None)

@@ -23,7 +23,7 @@ from conftest import centered_person
 from robosum import frameio, model, scenario, service
 from robosum.content_filter import FilterConfig, FilterReport, classify_frame, filter_frames
 from robosum.controller import ControllerConfig
-from robosum.errors import InvalidImage, OrderError, ParseError, PipelineError
+from robosum.errors import InvalidImage, OrderError, ParseError, PipelineError, TimestampsNotIncreasing
 from robosum.model import (
     ABSENT,
     FEATURE_DIM,
@@ -344,10 +344,11 @@ def summary_or_fault(summary):
 
 
 HALF = FeatureVector(values=np.full(FEATURE_DIM, 0.5))
-#: A session whose frames all lack features; one with an id past int64; one whose third featured frame has no
-#: blur score, so its classification raises.
+#: A session whose frames all lack features; one with an id past int64, first and after two int64 ids; one whose
+#: third featured frame has no blur score, so its classification raises.
 UNFEATURED = [FrameRecord(i, float(i), W, H, centered_person(), 300.0) for i in range(3)]
 HUGE_ID = [FrameRecord(2**70, 0.0, W, H, centered_person(), 300.0, HALF), FrameRecord(1, 1.0, W, H, centered_person(), 300.0, HALF)]
+HUGE_ID_LATE = [FrameRecord(i, float(n), W, H, centered_person(), 300.0, HALF) for n, i in enumerate([1, 2, 2**70, 3])]
 UNSCORED_MIDWAY = [
     FrameRecord(i, 40.0 * i, W, H, centered_person(), None if i == 2 else 300.0, FeatureVector(values=np.full(FEATURE_DIM, i / 8)))
     for i in range(5)
@@ -360,11 +361,12 @@ UNSCORED_MIDWAY = [
 @example(UNFEATURED, 1)
 @example(HUGE_ID, 1)
 @example(HUGE_ID, 2)
+@example(HUGE_ID_LATE, 2)
+@example(HUGE_ID_LATE, 5)
 @example(UNSCORED_MIDWAY, 2)
 def test_a_server_session_summarizes_its_kept_frames_as_summarize_does(records, k):
     cfg = SummarizerConfig(k=k, h0=7.0)
-    with mock.patch.object(service, "_FIRST_ROWS", 1):  # so the columns grow
-        session = Session(ServiceConfig())
+    session = Session(ServiceConfig())
     kept = []
     for line_no, rec in enumerate(records, start=1):
         try:
@@ -378,9 +380,25 @@ def test_a_server_session_summarizes_its_kept_frames_as_summarize_does(records, 
         assert service._answer(session, frame_line(rec), line_no)[1] is False
         if keep:
             kept.append(rec)
-    assert session.count == len(kept)
+    assert len(session.t) == len(kept)
     assert summary_or_fault(lambda: session.end(cfg)) == summary_or_fault(lambda: summarize(kept, cfg))
     session.close()
+
+
+def test_a_session_takes_frames_and_ends_again_while_its_failed_end_is_held():
+    # The first two kept frames share a time, so end raises; the exception pytest holds keeps end's frames alive.
+    records = [FrameRecord(i, float(max(i, 1)), W, H, centered_person(), 300.0, HALF) for i in range(5002)]
+    cfg = SummarizerConfig(k=2, h0=7.0)
+    with contextlib.closing(Session(ServiceConfig())) as session:
+        for line_no, rec in enumerate(records[:2], start=1):
+            assert service._answer(session, frame_line(rec), line_no)[1] is False
+        with pytest.raises(TimestampsNotIncreasing) as excinfo:
+            session.end(cfg)
+        for line_no, rec in enumerate(records[2:], start=3):
+            assert service._answer(session, frame_line(rec), line_no)[1] is False
+        assert len(session.t) == len(records)
+        fault = (TimestampsNotIncreasing, str(excinfo.value))
+        assert summary_or_fault(lambda: session.end(cfg)) == summary_or_fault(lambda: summarize(records, cfg)) == fault
 
 
 # Integer settings stay integers in the action lines ("forward_m":1, not 1.0).
@@ -567,11 +585,11 @@ def test_a_server_session_holds_16_bytes_a_kept_frame_and_a_few_blocks():
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The id and time columns, with a quarter of slack; the features file's buffer and the session's state fit in a block.
-        assert held <= 16 * n * 5 // 4 + block
+        # The id and time arrays, with a sixteenth of slack; the features file's buffer and the session's state fit in a block.
+        assert held <= 16 * n * 17 // 16 + block
         with contextlib.closing(session):
             # k = 1 makes one cluster of every frame. Beside the blocks, the summary holds the cluster's tuple of frame
-            # positions (36 B a frame) and the threshold search's arrays (9 B a frame).
+            # positions (36 B a frame), the threshold search's arrays (9 B a frame) and the copy of the times (8 B a frame).
             manifest, held_at_end = held_beyond_output(lambda: session.end(SummarizerConfig(k=1)))
-    assert session.count == n and len(manifest.entries) == 1
+    assert len(session.t) == n and len(manifest.entries) == 1
     assert held_at_end <= 48 * n + 4 * block
