@@ -248,11 +248,9 @@ def _rules(
     (x_lo, x_hi), (y_lo, y_hi) = visible_span(x, seen), visible_span(y, seen)
     center_x = np.where(seen[:, NECK], x[:, NECK], (x_lo + x_hi) / 2.0)
     margin = cfg.corner_margin_fraction * table.w
-    # Python compares a float with an int threshold exactly; no float lies strictly between it and its rounding.
-    threshold = float(cfg.blur_threshold)
     return {
         IllPosedReason.PEOPLE_ABSENT: ~seen.any(axis=1),
-        IllPosedReason.BLURRED: blur <= threshold if threshold < cfg.blur_threshold else blur < threshold,
+        IllPosedReason.BLURRED: blur < cfg.blur_threshold,
         IllPosedReason.TOO_SMALL: y_hi - y_lo < cfg.min_torso_fraction * table.h,
         IllPosedReason.AT_CORNER: (center_x <= margin) | (center_x >= table.w - margin),
         IllPosedReason.FOREHEAD_CROPPED: seen[:, NOSE] & (y[:, NOSE] < cfg.forehead_margin_fraction * table.h),

@@ -245,9 +245,8 @@ def sense_table(table: FrameTable, cfg: ControllerConfig) -> Iterator[Sensing]:
     torso = torso / np.maximum(hips, 1)
     step = cfg.calibration_alpha_px_m / torso - cfg.stop_distance_m
     step = np.where(0.0 > step, 0.0, step)  # max(step, 0.0)
-    # min(step, forward_step_m) gives forward_step_m itself, an int if it is one; the test is exact as Python's.
-    cap = float(cfg.forward_step_m)
-    capped = (step >= cap if cap > cfg.forward_step_m else step > cap).tolist()
+    # min(step, forward_step_m) gives forward_step_m itself, an int if it is one, where it is below step.
+    capped = (step > cfg.forward_step_m).tolist()
     measured = ((face > 0) & seen[:, NECK] & (hips > 0) & (torso > 0)).tolist()
     forward = [(cfg.forward_step_m if c else s) if m else 0.0 for s, c, m in zip(step.tolist(), capped, measured)]
     sides = [Side.LEFT if v else Side.RIGHT for v in ((x_lo + x_hi) / 2.0 < table.w / 2.0).tolist()]

@@ -28,6 +28,7 @@ from .model import (
     ABSENT,
     FEATURE_DIM,
     FLOAT_MAX,
+    INT_MAX,
     NUM_LANDMARKS,
     FrameRecord,
     FrameTable,
@@ -35,9 +36,9 @@ from .model import (
     SummaryEntry,
     SummaryManifest,
     _checked_landmarks,
-    _ints,
     check_point,
     matrix_rows,
+    point_masks,
     require_int,
     require_number,
 )
@@ -217,16 +218,18 @@ class _Parse:
             int in types[i] and not all(-FLOAT_MAX <= v <= FLOAT_MAX for v in columns[i] if type(v) is int) for i in (3, 4, 6)
         ):
             return None
-        ids, ws, hs = map(_ints, columns[:3])
-        rows = _ints([-1 if row is None else row for row in columns[5]])
+        try:  # an int past int64 is past INT_MAX too
+            ints = np.array([*columns[:3], [-1 if row is None else row for row in columns[5]]], dtype=np.int64)
+        except OverflowError:
+            return None
+        ids, ws, hs, rows = ints
         ts, blur = np.array(columns[3], dtype=np.float64), np.array(columns[4], dtype=np.float64)  # None becomes NaN
         points = np.array(self.values, dtype=np.float64).reshape(-1, NUM_LANDMARKS, 3)
-        x, y, conf = points[:, :, 0], points[:, :, 1], points[:, :, 2]
-        present = (0 <= x) & (x <= FLOAT_MAX) & (0 <= y) & (y <= FLOAT_MAX) & (0 <= conf) & (conf <= 1)
-        absent = np.isnan(x) & np.isnan(y) & np.isnan(conf)
+        present, absent = point_masks(points)
         # A NaN point or score the line spells out is a fault, not an absent one, so the counts must match.
         if not (
-            ((0 < ws) & (ws <= FLOAT_MAX) & (0 < hs) & (hs <= FLOAT_MAX)).all()
+            ((-INT_MAX <= ints) & (ints <= INT_MAX)).all()
+            and (ws > 0).all() and (hs > 0).all()
             and np.isfinite(ts).all()
             and np.count_nonzero((0 <= blur) & (blur <= FLOAT_MAX)) == len(blur) - columns[4].count(None)
             and np.count_nonzero(rows >= 0) == len(rows) - columns[5].count(None)

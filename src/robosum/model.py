@@ -44,16 +44,21 @@ L_EAR = 17
 
 NUM_LANDMARKS = 18
 
-#: The largest finite float. Comparing a number with it is exact, so
-#: ``-FLOAT_MAX <= v <= FLOAT_MAX`` is false for NaN, for ±inf and for an
-#: integer too large for a float.
+#: The largest finite float, the bound of a number field (:func:`require_number`). Comparing a number with it is
+#: exact, so ``-FLOAT_MAX <= v <= FLOAT_MAX`` is false for NaN, for ±inf and for an integer too large for a float.
 FLOAT_MAX = sys.float_info.max
+
+#: The largest magnitude of an integer field (:func:`require_int`), as in I-JSON (RFC 7493, §2.2): every integer
+#: within it is exactly a float and an int64, so integer columns are int64 and compare with floats exactly.
+INT_MAX = 2**53 - 1
 
 
 def require_int(value, name: str) -> int:
-    """``value`` itself if it is an int; a bool is not one."""
+    """``value`` itself if it is an int (a bool is not one) no further from 0 than :data:`INT_MAX`."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not -INT_MAX <= value <= INT_MAX:
+        raise ValueError(f"{name} must lie in [-(2**53 - 1), 2**53 - 1]")
     return value
 
 
@@ -73,8 +78,8 @@ _NUMBER_TYPES = ("int", int, "float", float)
 def check_config_fields(cfg, finite: bool = False) -> None:
     """The number rule for a settings dataclass: ``int`` fields hold ints, ``float`` fields an int or a float.
 
-    With ``finite`` those must also be finite; an int too large for a float
-    is not. Other fields are not looked at, and other ranges are each class's own.
+    Every int, in a field of either kind, is one :func:`require_int` takes. With ``finite`` the floats must
+    also be finite. Other fields are not looked at, and other ranges are each class's own.
     """
     for f in fields(cfg):
         if f.type in _NUMBER_TYPES:
@@ -136,11 +141,16 @@ def check_point(x: float, y: float, conf: float) -> None:
         raise ValueError(f"landmark confidence must be in [0, 1], got {conf}")
 
 
+def point_masks(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which rows of a (..., 3) array are present points :func:`check_point` accepts, and which are :data:`ABSENT`."""
+    x, y, conf = np.moveaxis(points, -1, 0)
+    present = (0 <= x) & (x <= FLOAT_MAX) & (0 <= y) & (y <= FLOAT_MAX) & (0 <= conf) & (conf <= 1)
+    return present, np.isnan(x) & np.isnan(y) & np.isnan(conf)
+
+
 def check_points(points: np.ndarray) -> None:
     """:class:`LandmarkSet`'s point rule over a whole (..., 3) array of rows: raises at the first present row it rejects."""
-    x, y, conf = np.moveaxis(points, -1, 0)
-    absent = np.isnan(x) & np.isnan(y) & np.isnan(conf)
-    fine = absent | ((0 <= x) & (x <= FLOAT_MAX) & (0 <= y) & (y <= FLOAT_MAX) & (0 <= conf) & (conf <= 1))
+    fine = np.logical_or(*point_masks(points))
     if not fine.all():
         check_point(*points[np.unravel_index(np.argmin(fine), fine.shape)].tolist())
 
@@ -285,14 +295,17 @@ class FrameRecord:
     features: FeatureVector | None = None
 
     def __post_init__(self):
+        require_int(self.frame_id, "frame_id")
+        require_int(self.width, "width")
+        require_int(self.height, "height")
         # Floats, as a file or the wire gives them, so every path compares the same value.
         object.__setattr__(self, "timestamp", require_number(self.timestamp, "timestamp"))
         if self.blur_variance is not None:
             object.__setattr__(self, "blur_variance", require_number(self.blur_variance, "blur_variance"))
         if not math.isfinite(self.timestamp):
             raise ValueError(f"frame {self.frame_id}: timestamp must be finite")
-        if not (0 < self.width <= FLOAT_MAX and 0 < self.height <= FLOAT_MAX):
-            raise ValueError(f"frame {self.frame_id}: dimensions must be positive and fit in a float")
+        if not (self.width > 0 and self.height > 0):
+            raise ValueError(f"frame {self.frame_id}: dimensions must be positive")
         if self.blur_variance is not None and not (
             math.isfinite(self.blur_variance) and self.blur_variance >= 0
         ):
@@ -302,14 +315,6 @@ class FrameRecord:
 #: Rows per block of a whole-session batch stage (see :meth:`FrameTable.blocks`): its temporaries are this
 #: many rows long, not the session's length.
 _BLOCK_ROWS = 2048
-
-
-def _ints(values) -> np.ndarray:
-    """Integers as int64, or as Python ints where one does not fit."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
 
 
 def matrix_rows(present: np.ndarray, first: int = 0) -> np.ndarray:
@@ -350,10 +355,10 @@ class FrameTable(Sequence):
         sets = [r.landmarks.points for r in recs if r.landmarks is not None]
         vectors = [r.features.values for r in recs if r.features is not None]
         return cls(
-            _ints([r.frame_id for r in recs]),
+            np.array([r.frame_id for r in recs], dtype=np.int64),
             np.array([r.timestamp for r in recs], dtype=np.float64),
-            _ints([r.width for r in recs]),
-            _ints([r.height for r in recs]),
+            np.array([r.width for r in recs], dtype=np.int64),
+            np.array([r.height for r in recs], dtype=np.int64),
             np.array([r.blur_variance for r in recs], dtype=np.float64),  # None becomes NaN
             matrix_rows(np.array([r.landmarks is not None for r in recs], dtype=bool)),
             matrix_rows(np.array([r.features is not None for r in recs], dtype=bool)),

@@ -47,7 +47,6 @@ from .model import (
     FrameRecord,
     FrameTable,
     IllPosedReason,
-    _ints,
     build_fields,
     check_config_fields,
     check_points,
@@ -209,12 +208,6 @@ _FAULTS = (
 )
 
 
-def _below(values: np.ndarray, bound) -> np.ndarray:
-    """``values < bound`` as Python compares, also for an int ``bound`` past 2**53 (numpy rounds it to a float first)."""
-    near = float(bound)
-    return values < near if near >= bound else values <= near
-
-
 def _trajectory(spec: ScenarioSpec, times: np.ndarray) -> list[np.ndarray]:
     """Neck x, neck y and torso length at each time; centered defaults if the spec has no waypoints."""
     wps = spec.person_trajectory
@@ -260,7 +253,7 @@ def _geometry(codes: np.ndarray, times: np.ndarray, spec: ScenarioSpec, cfg: Fil
         points[:, idx, 0], points[:, idx, 1] = x, y
     x, y = points[:, :, 0], points[:, :, 1]
     # Points outside the frame are absent, as are the eyes of EyesInvisible and everything of PeopleAbsent.
-    shown = (0 <= x) & _below(x, w) & (0 <= y) & _below(y, h)
+    shown = (0 <= x) & (x < w) & (0 <= y) & (y < h)
     shown[np.ix_(codes == _CODE[IllPosedReason.EYES_INVISIBLE], [R_EYE, L_EYE])] = False
     shown[codes == _CODE[IllPosedReason.PEOPLE_ABSENT]] = False
     points[~shown] = np.nan
@@ -289,7 +282,7 @@ def _check_intended(
     # The fractions lie in (0, 0.5), so a fraction times w or h is a float and numpy compares it exactly.
     defects = (
         ~seen.any(axis=1),
-        _below(blur, cfg.blur_threshold),
+        blur < cfg.blur_threshold,
         bbox_h < cfg.min_torso_fraction * h,
         ~((margin < center_x) & (center_x < w - margin)),
         seen[:, NOSE] & (y[:, NOSE] < cfg.forehead_margin_fraction * h),
@@ -350,8 +343,8 @@ def generate_session(
     ids, person = np.arange(n), codes != _CODE[IllPosedReason.PEOPLE_ABSENT]
     # Every frame has features: its feature row is its own index.
     table = FrameTable(
-        ids, times, _ints([spec.frame_width] * n), _ints([spec.frame_height] * n), blur,
-        matrix_rows(person), ids, points[person], features,
+        ids, times, np.full(n, spec.frame_width, dtype=np.int64), np.full(n, spec.frame_height, dtype=np.int64),
+        blur, matrix_rows(person), ids, points[person], features,
     )
     truth = [
         FrameTruth(i, _LABELS[code], None if seg < 0 else seg)

@@ -129,16 +129,16 @@ class ServiceConfig:
 class Session:
     """One session's controller state, and the frames kept for its summary.
 
-    ``frame_id`` (an int64 ``array``, or a list of Python ints once an id does not fit one) and ``t`` (a float64
-    ``array``) are the kept frames' ids and times: 16 B each, and at most about a sixteenth more that the arrays have
-    grown into but not filled. Their features, 157 float32 a frame, are appended to an unlinked temporary file opened
-    at the first kept frame, and read back by :meth:`rows`. :meth:`close` closes the file.
+    ``frame_id`` (an int64 ``array``) and ``t`` (a float64 ``array``) are the kept frames' ids and times: 16 B each,
+    and at most about a sixteenth more that the arrays have grown into but not filled. Their features, 157 float32 a
+    frame, are appended to an unlinked temporary file opened at the first kept frame, and read back by :meth:`rows`.
+    :meth:`close` closes the file.
     """
 
     def __init__(self, cfg: ServiceConfig):
         self.cfg = cfg
         self.state = initial_state()
-        self.frame_id: array | list[int] = array("q")
+        self.frame_id = array("q")
         self.t = array("d")
         #: The one row :func:`_answer` converts each frame's inline features into.
         self.row = np.empty(FEATURE_DIM, dtype=np.float32)
@@ -156,10 +156,7 @@ class Session:
             if self.file is None:
                 self.file = TemporaryFile()
             self.file.write(features)  # through the file's own buffer; rows() flushes it before it reads
-            try:
-                self.frame_id.append(rec.frame_id)
-            except OverflowError:  # an id past int64: Python ints from here on, as model._ints holds such ids
-                self.frame_id = [*self.frame_id, rec.frame_id]
+            self.frame_id.append(rec.frame_id)
             self.t.append(rec.timestamp)
         return action_line(rec.frame_id, cmd)
 

@@ -27,6 +27,7 @@ from .errors import (
     TimestampsNotIncreasing,
 )
 from .model import FEATURE_DIM, FLOAT_MAX, Cluster, FrameRecord, FrameTable, SummaryEntry, SummaryManifest, check_config_fields
+from .model import require_int
 
 #: Most doubling or halving steps from ``h0`` the threshold search may take.
 #: A search that needs more (``h`` at least 2**64 times ``h0`` or at most
@@ -282,6 +283,7 @@ def summarize_rows(
 
 def uniform_keyframes(frames: Sequence[FrameRecord], k: int) -> SummaryManifest:
     """Index-uniform baseline: frames at round(i*(n-1)/(k-1)), de-duplicated."""
+    require_int(k, "k")
     n = len(frames)
     if n == 0:
         raise PipelineError("cannot summarize an empty session")
@@ -316,6 +318,7 @@ def kmeans_keyframes(
     movement falls below 1e-6. Each cluster contributes its member nearest
     the centroid; output is temporally sorted.
     """
+    require_int(k, "k")
     table = FrameTable.of(frames)
     n = len(table)
     if n < k:

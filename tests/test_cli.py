@@ -188,7 +188,8 @@ class TestUsageErrors:
         cases = (
             ('{"filter": {"blur_threshold": NaN}}', "blur_threshold must be a finite non-negative number, got nan"),
             ('{"controller": {"fov_h_deg": Infinity}}', "fov_h_deg must be a finite number, got inf"),
-            ('{"summarizer": {"h0": 1' + "0" * 400 + '}}', "h0 must be a positive finite number of seconds"),
+            # An int in a float field is an integer field's value, within 2**53 - 1 of 0.
+            ('{"summarizer": {"h0": 1' + "0" * 400 + '}}', "h0 must lie in [-(2**53 - 1), 2**53 - 1]"),
         )
         for text, msg in cases:
             cfg = tmp_path / "cfg.json"
@@ -196,6 +197,22 @@ class TestUsageErrors:
             code = main(["--config", str(cfg), "simulate", "--frames", str(frames), "--out", str(tmp_path / "t.jsonl")])
             assert code == 1
             assert msg in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, command", [
+        ("summarizer", "k", ["summarize", "--features", "{d}/feat.bin", "--out", "{d}/s.json"]),
+        ("filter", "blur_threshold", ["filter", "--out", "{d}/kept.jsonl", "--report", "{d}/report.json"]),
+    ], ids=["k", "blur_threshold"])
+    def test_config_integer_past_the_i_json_range_is_usage_error(self, tmp_path, pipeline_files, capsys, section, key, command):
+        _, frames, _ = pipeline_files
+        cfg = tmp_path / "cfg.json"
+        argv = ["--config", str(cfg), command[0], "--frames", str(frames), *(a.format(d=tmp_path) for a in command[1:])]
+        cfg.write_text(json.dumps({section: {key: 2**53 - 1}}))
+        assert main(argv) == 0
+        for value in (2**53, -(2**53), 2**70):
+            capsys.readouterr()
+            cfg.write_text(json.dumps({section: {key: value}}))
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: config section '{section}': {key} must lie in [-(2**53 - 1), 2**53 - 1]\n"
 
     @pytest.mark.parametrize("text, fault", [
         (b'{"filter": {"blur_threshold": ' + b"1" * 5001 + b"}}", "value has 5001 digits"),
@@ -327,6 +344,19 @@ class TestDataErrors:
         assert main(["gen", "--spec", str(spec_path), "--out", str(frames)]) == 2
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["frame_width", "rng_seed"])
+    def test_spec_integer_past_the_i_json_range_is_exit_2(self, tmp_path, capsys, key):
+        spec_path, frames = tmp_path / "spec.json", tmp_path / "frames.jsonl"
+        spec_path.write_text(json.dumps({"duration_s": 2.0, "fps": 1.0, key: 2**53 - 1}))
+        assert main(["gen", "--spec", str(spec_path), "--out", str(frames)]) == 0
+        with open(frames, encoding="utf-8") as fh:
+            assert len(frameio.parse_frames_jsonl(fh).frames) == 2
+        for value in (2**53, -(2**53), 2**70):
+            capsys.readouterr()
+            spec_path.write_text(json.dumps({"duration_s": 2.0, "fps": 1.0, key: value}))
+            assert main(["gen", "--spec", str(spec_path), "--out", str(frames)]) == 2
+            assert capsys.readouterr().err == f"error: {key} must lie in [-(2**53 - 1), 2**53 - 1]\n"
 
     @pytest.mark.parametrize("duration_s, fps", [(1e20, 1.0), (1e308, 10.0)])
     def test_spec_past_the_frame_cap_is_exit_2_before_any_frame_is_made(self, tmp_path, capsys, duration_s, fps):

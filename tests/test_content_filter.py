@@ -1,6 +1,7 @@
 """Blur scoring against a naive oracle and rejection-rule precedence."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -302,9 +303,14 @@ class TestFilterFrames:
 
     def test_config_values_must_be_finite(self):
         # A NaN threshold would turn the Blurred rule off: ``blur < nan`` is always false.
-        for value in (math.nan, math.inf, -math.inf, 10**400, -1.0):
+        for value in (math.nan, math.inf, -math.inf, -1.0):
             with pytest.raises(ValueError, match="blur_threshold must be a finite non-negative number"):
                 FilterConfig(blur_threshold=value)
+        # An int threshold is an integer field's value: no further from 0 than 2**53 - 1.
+        for value in (2**53, 10**400):
+            with pytest.raises(ValueError, match=re.escape("blur_threshold must lie in [-(2**53 - 1), 2**53 - 1]")):
+                FilterConfig(blur_threshold=value)
+        assert FilterConfig(blur_threshold=2**53 - 1).blur_threshold == 2**53 - 1
         for name in ("min_torso_fraction", "corner_margin_fraction", "forehead_margin_fraction"):
             for value in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """State machine behavior: following, searching, idling, and expressions."""
 
 import math
+import re
 from dataclasses import dataclass, fields
 
 import pytest
@@ -386,8 +387,12 @@ class TestInvariants:
     @pytest.mark.parametrize("name", [f.name for f in fields(ControllerConfig)])
     def test_config_values_must_be_finite(self, name):
         # fov_h_deg=inf, for one, made every pan NaN.
-        for value in (math.nan, math.inf, -math.inf, 10**400):
+        for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"^{name} must be a finite number, got "):
+                ControllerConfig(**{name: value})
+        # An int setting is an integer field's value: no further from 0 than 2**53 - 1.
+        for value in (2**53, 10**400):
+            with pytest.raises(ValueError, match=f"^{name} " + re.escape("must lie in [-(2**53 - 1), 2**53 - 1]") + "$"):
                 ControllerConfig(**{name: value})
 
 

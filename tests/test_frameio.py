@@ -203,9 +203,9 @@ class TestFramesJsonl:
                 ("t", huge, "t is too large for a float"),
                 ("blur_var", huge, "blur_var is too large for a float"),
                 ("landmarks", huge_x, "landmark 1 x is too large for a float"),
-                # The filter and the controller compute with w and h as floats.
-                ("w", huge, "frame 0: dimensions must be positive and fit in a float"),
-                ("h", huge, "frame 0: dimensions must be positive and fit in a float"),
+                # w and h are integer fields, so they lie within 2**53 - 1 of 0, far inside a float.
+                ("w", huge, re.escape("w must lie in [-(2**53 - 1), 2**53 - 1]")),
+                ("h", huge, re.escape("h must lie in [-(2**53 - 1), 2**53 - 1]")),
             )
             for key, value, msg in cases:
                 line = json.dumps(dict(obj, **{key: value})) + "\n"

@@ -1,6 +1,7 @@
 """Domain type invariants and landmark index semantics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,13 +13,16 @@ from robosum.model import (
     FeatureVector,
     MIN_POINT_CONFIDENCE,
     FrameRecord,
+    FrameTable,
     LandmarkSet,
     SummaryEntry,
     SummaryManifest,
     confident_subset,
 )
 import robosum
+from conftest import centered_person
 from robosum import model
+from robosum.content_filter import classify_frame, filter_frames
 
 
 def test_index_constants_are_the_documented_convention():
@@ -119,6 +123,38 @@ def test_frame_record_validation():
         FrameRecord(frame_id=0, timestamp=float("inf"), width=640, height=480)
     with pytest.raises(ValueError):
         FrameRecord(frame_id=0, timestamp=0.0, width=640, height=480, blur_variance=-4.0)
+
+
+#: The integer rule's edge: the largest magnitude an integer field takes, then the least it does not, and one past int64.
+INT_EDGE = 2**53 - 1
+PAST_THE_EDGE = (2**53, -(2**53), 2**70)
+RANGE_FAULT = re.escape("must lie in [-(2**53 - 1), 2**53 - 1]") + "$"
+
+
+def test_a_frame_takes_only_integers_for_its_id_and_size():
+    # The neck sits at x = 80.03: inside the corner margin of a frame 640.5 wide (80.0625), outside that of one 640
+    # wide (80). A table used to truncate the width to 640, so the filter accepted a frame classify_frame put AtCorner.
+    base = dict(frame_id=1, timestamp=0.0, width=640, height=480, landmarks=centered_person(width=160.06), blur_variance=300.0)
+    for name, value in (("width", 640.5), ("width", True), ("frame_id", 1.5), ("frame_id", True), ("height", "480")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            FrameRecord(**dict(base, **{name: value}))
+    with pytest.raises(ValueError, match=f"^frame_id {RANGE_FAULT}"):
+        FrameRecord(**dict(base, frame_id=2**70))
+    rec = FrameRecord(**base)
+    accepted, _ = filter_frames([rec])
+    assert classify_frame(rec) is None and list(accepted) == [rec]
+
+
+@pytest.mark.parametrize("name, column", [("frame_id", "frame_id"), ("width", "w"), ("height", "h")])
+def test_a_frames_integers_lie_in_the_i_json_range(name, column):
+    base = dict(frame_id=0, timestamp=0.0, width=640, height=480)
+    edge = FrameRecord(**dict(base, **{name: INT_EDGE}))
+    table = FrameTable.of([edge])
+    assert getattr(table, column).dtype == np.int64 and getattr(table, column).tolist() == [INT_EDGE]
+    for value in PAST_THE_EDGE:
+        with pytest.raises(ValueError, match=f"^{name} {RANGE_FAULT}"):
+            FrameRecord(**dict(base, **{name: value}))
+    assert model.require_int(-INT_EDGE, name) == -INT_EDGE
 
 
 def test_cluster_validation():

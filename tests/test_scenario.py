@@ -491,8 +491,8 @@ def outcome(generate, spec, cfg):
     return out.getvalue(), None if matrix is None else matrix.tobytes(), frames, truth
 
 
-#: Sizes past where a float holds every int (2**53) and past int64 (2**63), as the spec allows them.
-BIG = (2**53, 2**53 + 1, 2**64, 2**64 + 1, 2**70 + 3)
+#: The largest size a spec takes (``model.INT_MAX``), and the next one down.
+LARGEST = (2**53 - 1, 2**53 - 2)
 FRACTIONS = st.sampled_from([0.15, 0.125, 0.08, 0.001, 0.499]) | st.floats(0.001, 0.499)
 
 
@@ -501,8 +501,8 @@ def generator_cases(draw):
     """A small spec (at most 24 frames) and the filter config its labels must hold under."""
     fps = draw(st.sampled_from([1.0, 2.0, 0.5, 3]) | st.floats(0.2, 5.0))
     n = draw(st.integers(0, 24))
-    width = draw(st.sampled_from([640, 64, 8, *BIG]) | st.integers(8, 2000))
-    height = draw(st.sampled_from([480, 48, 8, *BIG]) | st.integers(8, 2000))
+    width = draw(st.sampled_from([640, 64, 8, *LARGEST]) | st.integers(8, 2000))
+    height = draw(st.sampled_from([480, 48, 8, *LARGEST]) | st.integers(8, 2000))
     # Segment and injection edges on frame times, or between them.
     edges = st.lists(st.integers(0, 2 * n), max_size=6, unique=True).map(lambda e: [v / (2 * fps) for v in sorted(e)])
     bounds = draw(edges)
@@ -523,7 +523,7 @@ def generator_cases(draw):
         duration_s=n / fps, fps=fps, activity_segments=segments, ill_posed_injections=injections,
         person_trajectory=trajectory, rng_seed=draw(st.integers(0, 2**32)), frame_width=width, frame_height=height,
     )
-    thresholds = st.sampled_from([100.0, 0, 0.0, 2**53 + 1, 2**60 + 1, 1e300]) | st.floats(0.0, 1e4) | st.integers(0, 2**70)
+    thresholds = st.sampled_from([100.0, 0, 0.0, 2**53 - 1, 1e300]) | st.floats(0.0, 1e4) | st.integers(0, 2**53 - 1)
     cfg = FilterConfig(
         blur_threshold=draw(thresholds),
         min_torso_fraction=draw(FRACTIONS),
@@ -549,16 +549,14 @@ DEFAULT_CFG = FilterConfig()
 # Frames 0 and 1 differ by 4e-5 px but share the key 533.1033, so frame 1 takes frame 0's skeleton; numpy's
 # rounding would give frame 0 the key 533.1034 and frame 1 its own skeleton.
 @example((one_segment(2, Waypoint(0, 533.10331, 170.0, 150.0), Waypoint(1, 533.10335, 170.0, 150.0)), DEFAULT_CFG))
-# The neck lies at y = 2**53 in a frame 2**53 + 1 high (and at 2**64 in one 2**64 + 1 high): inside it, as
-# Python compares the float with the int; numpy rounds the height to the float 2**53 (2**64) first.
-@example((one_segment(1, Waypoint(0, 2.0**54, 2.0**53, 1e16), width=2**55, height=2**53 + 1), DEFAULT_CFG))
-@example((one_segment(1, Waypoint(0, 2.0**63, 2.0**64, 1e19), width=2**64 + 1, height=2**64 + 1), DEFAULT_CFG))
+# The neck lies on the last row of the largest frame a spec takes, just inside it.
+@example((one_segment(1, Waypoint(0, 2.0**52, 2.0**53 - 2, 1e15), width=2**53 - 1, height=2**53 - 1), DEFAULT_CFG))
 # Each of the oracle's messages that a spec can reach ("landmarks present", "person too large" and "an eye is
 # still visible" cannot be: the generator builds those labels so that they hold), each at frame 0.
 @example((one_segment(1, Waypoint(0, 960.0, 170.0, 150.0)), DEFAULT_CFG))  # no visible landmarks
 @example((one_segment(1, injections=(Injection(0, 1, IllPosedReason.BLURRED),)), FilterConfig(blur_threshold=0)))
-# The threshold 2**60 + 1 plus 50.0 is the float 2**60, below it: frame unintentionally blurred.
-@example((one_segment(1), FilterConfig(blur_threshold=2**60 + 1)))
+# The largest int threshold: a sharp score lies at least 50.0 above it, a dull one below it.
+@example((one_segment(2, injections=(Injection(0, 1, IllPosedReason.BLURRED),)), FilterConfig(blur_threshold=2**53 - 1)))
 @example((one_segment(1, Waypoint(0, 320.0, 170.0, 10.0)), DEFAULT_CFG))  # person unintentionally too small
 # The neck is below the frame and the right-hand points past its left edge, so the centre of what is seen
 # is right of the margin: person not at a corner.

@@ -352,6 +352,19 @@ class TestTerminalLine:
             "msg": "line 1: bad feature vector: int too large to convert to float",
         }]
 
+    @pytest.mark.parametrize("key", ["frame_id", "w", "h", "feat_row"])
+    def test_an_integer_past_the_i_json_range_gets_one_data_error(self, server, key):
+        parsed, matrix = parsed_session(session_spec())
+        msgs = frame_messages(parsed, matrix)[:3] + [{"type": "end_session", "k": 2, "h0": 60.0}]
+        edge = all_replies(server, [msgs[0], dict(msgs[1], **{key: 2**53 - 1}), *msgs[2:]])
+        assert [r["type"] for r in edge] == ["action"] * 3 + ["summary"]
+        for value in (2**53, -(2**53), 2**70):
+            # The session ends at the fault: the frame after it gets no reply.
+            replies = all_replies(server, [msgs[0], dict(msgs[1], **{key: value}), *msgs[2:]])
+            assert replies == [edge[0], {
+                "type": "error", "code": "data_error", "msg": f"line 2: {key} must lie in [-(2**53 - 1), 2**53 - 1]",
+            }]
+
     def test_line_bound(self, server):
         parsed, matrix = parsed_session(session_spec())
         line = dumps_wire(frame_messages(parsed, matrix)[0])

@@ -1,6 +1,7 @@
 """Clustering, threshold adaptation, and keyframe selection vs brute force."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -499,6 +500,25 @@ class TestKMeansBaseline:
         frames = _session([0.0], np.full((1, FEATURE_DIM), 0.5))
         with pytest.raises(PipelineError, match="k-means needs at least k=2 frames, got 1"):
             kmeans_keyframes(frames, 2)
+
+
+#: A k that is not an integer field's value, and the fault each baseline names it with.
+BAD_KS = [
+    (2.5, "k must be an integer, got 2.5"),
+    (True, "k must be an integer, got True"),
+    (2**53, "k must lie in [-(2**53 - 1), 2**53 - 1]"),
+    (2**70, "k must lie in [-(2**53 - 1), 2**53 - 1]"),
+]
+
+
+@pytest.mark.parametrize("k, fault", BAD_KS)
+@pytest.mark.parametrize("baseline", [uniform_keyframes, kmeans_keyframes])
+def test_the_baselines_take_k_as_summarize_does(baseline, k, fault):
+    frames = _session(np.arange(4.0), np.full((4, FEATURE_DIM), 0.5))
+    with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+        baseline(frames, k)
+    with pytest.raises(ValueError, match=f"^{re.escape(fault)}$"):
+        SummarizerConfig(k=k)
 
 
 def norm_distances(matrix, center):

@@ -137,11 +137,12 @@ FAULTS = {
     "huge x": lambda obj: dict(obj, landmarks=[[10**400, 2.0, 0.5]] + [None] * 17),
     "repeated id": lambda obj: dict(obj, frame_id=0),
     "earlier t": lambda obj: dict(obj, t=-1.0),
+    # Integer fields lie within 2**53 - 1 of 0, so an int past int64 is a fault.
+    "huge id": lambda obj: dict(obj, frame_id=obj["frame_id"] + 2**70),
+    "huge feat_row": lambda obj: dict(obj, feat_row=2**70),
     # Accepted by the per-line rules, so the column checks must take them too:
     "integer t": lambda obj: dict(obj, t=int(obj["t"]) + 10**6),
     "integer point": lambda obj: dict(obj, landmarks=[[1, 2, 1]] + [None] * 17),
-    "huge id": lambda obj: dict(obj, frame_id=obj["frame_id"] + 2**70),
-    "huge feat_row": lambda obj: dict(obj, feat_row=2**70),
     # The largest int a float holds is kept; one more is too large, where numpy would round it down to a float.
     "largest int t": lambda obj: dict(obj, t=int(FLOAT_MAX)),
     "largest int blur": lambda obj: dict(obj, blur_var=int(FLOAT_MAX)),
@@ -222,6 +223,25 @@ def test_the_cross_line_rules_compare_the_floats_the_frames_hold(chunk):
     assert (parsed.frames.frame_id.tolist(), parsed.duplicates_dropped) == ([0, 2], 1)
 
 
+@pytest.mark.parametrize("key", ["frame_id", "w", "h", "feat_row"])
+@pytest.mark.parametrize("value", [2**53 - 1, 2**53, -(2**53), 2**70])
+def test_an_integer_field_lies_in_the_i_json_range_on_both_paths(key, value):
+    # Six lines in chunks of three; the value goes on the last line of a chunk, the first chunk's or the file's.
+    records = [FrameRecord(i, float(i), W, H, centered_person() if i % 2 else None, 300.0) for i in range(6)]
+    for line_no in (3, 6):
+        lines = wire_lines(records)
+        lines[line_no - 1] = json.dumps(dict(json.loads(lines[line_no - 1]), **{key: value})) + "\n"
+        check_parse(lines, 3)
+        with mock.patch.object(frameio, "_CHUNK_LINES", 3):
+            if value == 2**53 - 1:  # kept as a column, with no walk
+                with mock.patch.object(frameio._Parse, "walk", side_effect=AssertionError("a chunk was walked")):
+                    column = getattr(frameio.parse_frames_jsonl(lines).frames, key)
+                assert column.dtype == np.int64 and column[line_no - 1] == value
+            else:
+                fault = f"line {line_no}: {key} must lie in [-(2**53 - 1), 2**53 - 1]"
+                assert outcome(frameio.parse_frames_jsonl, lines) == (ParseError, fault, line_no)
+
+
 def as_ints(value):
     """A line's value with every integral float in it an int, as a hand-written file may spell it."""
     if isinstance(value, float) and value.is_integer():
@@ -275,15 +295,15 @@ def filter_by_record(frames, cfg, images):
     return [r.frame_id for r in accepted], FilterReport(len(frames), len(accepted), counts)
 
 
-# An int threshold a float cannot hold: Python compares it exactly (2**53 is below it, so blurred).
-FILTER_CONFIGS = st.sampled_from([CFG, FilterConfig(blur_threshold=100), FilterConfig(blur_threshold=2**53 + 1)])
+# The largest int threshold, which a float holds exactly: a score of 2**53 - 2 is blurred, one of 2**53 is not.
+FILTER_CONFIGS = st.sampled_from([CFG, FilterConfig(blur_threshold=100), FilterConfig(blur_threshold=2**53 - 1)])
 
 
 @settings(max_examples=60, deadline=None)
 @given(sessions(), FILTER_CONFIGS, st.sampled_from([0, 5]))
-@example([FrameRecord(0, 0.0, W, H, centered_person(), float(2**53))], FilterConfig(blur_threshold=2**53 + 1), 0)
+@example([FrameRecord(0, 0.0, W, H, centered_person(), float(2**53 - 2))], FilterConfig(blur_threshold=2**53 - 1), 0)
 # An int score a float cannot hold: a record holds it as a float, as a file would, so both paths see 2**53.
-@example([FrameRecord(0, 0.0, W, H, centered_person(), 2**53 + 1)], FilterConfig(blur_threshold=2**53 + 1), 0)
+@example([FrameRecord(0, 0.0, W, H, centered_person(), 2**53 + 1)], FilterConfig(blur_threshold=2**53 - 1), 0)
 def test_filter_matches_the_per_frame_rules(records, cfg, missing_every):
     calls, expected_calls = [], []
     try:
@@ -344,11 +364,10 @@ def summary_or_fault(summary):
 
 
 HALF = FeatureVector(values=np.full(FEATURE_DIM, 0.5))
-#: A session whose frames all lack features; one with an id past int64, first and after two int64 ids; one whose
-#: third featured frame has no blur score, so its classification raises.
+#: A session whose frames all lack features; one with the largest and the least ids; one whose third featured frame
+#: has no blur score, so its classification raises.
 UNFEATURED = [FrameRecord(i, float(i), W, H, centered_person(), 300.0) for i in range(3)]
-HUGE_ID = [FrameRecord(2**70, 0.0, W, H, centered_person(), 300.0, HALF), FrameRecord(1, 1.0, W, H, centered_person(), 300.0, HALF)]
-HUGE_ID_LATE = [FrameRecord(i, float(n), W, H, centered_person(), 300.0, HALF) for n, i in enumerate([1, 2, 2**70, 3])]
+EDGE_IDS = [FrameRecord(i, float(n), W, H, centered_person(), 300.0, HALF) for n, i in enumerate([1, 2**53 - 1, -(2**53 - 1), 3])]
 UNSCORED_MIDWAY = [
     FrameRecord(i, 40.0 * i, W, H, centered_person(), None if i == 2 else 300.0, FeatureVector(values=np.full(FEATURE_DIM, i / 8)))
     for i in range(5)
@@ -359,10 +378,8 @@ UNSCORED_MIDWAY = [
 @given(sessions(), st.integers(1, 6))
 @example([], 2)
 @example(UNFEATURED, 1)
-@example(HUGE_ID, 1)
-@example(HUGE_ID, 2)
-@example(HUGE_ID_LATE, 2)
-@example(HUGE_ID_LATE, 5)
+@example(EDGE_IDS, 2)
+@example(EDGE_IDS, 5)
 @example(UNSCORED_MIDWAY, 2)
 def test_a_server_session_summarizes_its_kept_frames_as_summarize_does(records, k):
     cfg = SummarizerConfig(k=k, h0=7.0)
@@ -424,7 +441,7 @@ def test_simulate_matches_the_server_session_frame_by_frame(records, cfg):
 
 
 #: Feature-file rows a frames file may hold: none, small ones, and ones past any matrix.
-FEAT_ROWS = st.none() | st.integers(0, 3) | st.sampled_from([10**9, 2**70])
+FEAT_ROWS = st.none() | st.integers(0, 3) | st.sampled_from([10**9, 2**53 - 1])
 
 
 @settings(max_examples=40, deadline=None)
